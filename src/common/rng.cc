@@ -103,7 +103,11 @@ uint64_t Rng::NextGeometric(double p) {
   DPKRON_CHECK_LE(p, 1.0);
   if (p == 1.0) return 0;
   const double u = NextDouble();
-  return static_cast<uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
+  const double failures = std::floor(std::log1p(-u) / std::log1p(-p));
+  // For p below ~1e-19 the quotient can pass 2^64 (or overflow to inf),
+  // where the cast is undefined: saturate instead.
+  if (!(failures < 0x1p64)) return UINT64_MAX;
+  return static_cast<uint64_t>(failures);
 }
 
 uint64_t Rng::NextBinomial(uint64_t n, double p) {

@@ -53,6 +53,7 @@ class Rng {
   double NextExponential(double lambda);
 
   // Geometric: number of failures before first success, p in (0, 1].
+  // Saturates at UINT64_MAX when the draw exceeds 2^64 (p below ~1e-19).
   uint64_t NextGeometric(double p);
 
   // Binomial(n, p): number of successes in n trials. Exact inversion by

@@ -1,7 +1,7 @@
 // StatCache — a process-wide, content-addressed memo for the expensive
-// deterministic quantities an ε/seed sweep recomputes otherwise: degree
-// sequences, per-node triangle counts, TriangleSensitivityProfiles,
-// KronFit fits, graph features, statistics panels and expected-statistic
+// deterministic quantities an ε/seed sweep recomputes otherwise: per-node
+// degree and triangle counts (graph/node_stats.h), TriangleSensitivity-
+// Profiles, KronFit fits, statistics panels and expected-statistic
 // tables. A 5-ε sweep computes each of them once instead of once per ε.
 //
 // Keying. Entries live in named *domains* (one per computation kind,
@@ -62,6 +62,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -162,19 +163,8 @@ class StatCache {
   template <typename T, typename Fn>
   std::shared_ptr<const T> GetOrCompute(const char* domain, uint64_t key,
                                         Fn&& fn) {
-    if (!enabled()) return std::make_shared<const T>(fn());
-    std::promise<std::shared_ptr<const void>> promise;
-    const Lookup lookup =
-        LookupOrRegister(domain, key, promise.get_future().share());
-    if (!lookup.owner) {
-      return std::static_pointer_cast<const T>(lookup.future.get());
-    }
-    FulfillGuard guard;
-    auto value = std::make_shared<const T>(fn());
-    FinalizeEntry(domain, key, ApproxCacheBytes(*value));
-    guard.fulfilled = true;
-    promise.set_value(value);
-    return value;
+    return GetOrComputeDurable<T>(domain, key, std::forward<Fn>(fn),
+                                  NoCodec{}, NoCodec{});
   }
 
   // GetOrCompute for a domain with a durable (disk-serializable) value:
@@ -201,27 +191,27 @@ class StatCache {
     }
     FulfillGuard guard;
     std::shared_ptr<const T> value;
-    const std::shared_ptr<const DiskCache> disk = disk_tier();
-    if (disk != nullptr) {
-      DiskEntryClaim claim(disk.get(), domain, key);
-      std::string bytes;
-      if (claim.TryLoad(&bytes)) {
-        RecordParser rec(bytes);
-        std::optional<T> decoded = decode(rec);
-        if (decoded.has_value() && rec.done()) {
-          value = std::make_shared<const T>(std::move(*decoded));
+    if constexpr (!std::is_same_v<std::decay_t<Encode>, NoCodec>) {
+      if (const std::shared_ptr<const DiskCache> disk = disk_tier()) {
+        DiskEntryClaim claim(disk.get(), domain, key);
+        std::string bytes;
+        if (claim.TryLoad(&bytes)) {
+          RecordParser rec(bytes);
+          std::optional<T> decoded = decode(rec);
+          if (decoded.has_value() && rec.done()) {
+            value = std::make_shared<const T>(std::move(*decoded));
+          }
+        }
+        RecordDiskOutcome(domain, /*hit=*/value != nullptr);
+        if (value == nullptr) {
+          value = std::make_shared<const T>(fn());
+          RecordBuilder rec;
+          encode(*value, rec);
+          claim.Store(rec.str());
         }
       }
-      RecordDiskOutcome(domain, /*hit=*/value != nullptr);
-      if (value == nullptr) {
-        value = std::make_shared<const T>(fn());
-        RecordBuilder rec;
-        encode(*value, rec);
-        claim.Store(rec.str());
-      }
-    } else {
-      value = std::make_shared<const T>(fn());
     }
+    if (value == nullptr) value = std::make_shared<const T>(fn());
     FinalizeEntry(domain, key, ApproxCacheBytes(*value));
     guard.fulfilled = true;
     promise.set_value(value);
@@ -251,6 +241,8 @@ class StatCache {
     std::unordered_map<uint64_t, Entry> entries;
     Counters counters;
   };
+  // The codec of an in-memory-only domain (GetOrCompute).
+  struct NoCodec {};
   struct FulfillGuard {
     bool fulfilled = false;
     ~FulfillGuard() {

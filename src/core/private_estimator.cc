@@ -55,7 +55,7 @@ Result<PrivateEstimatorResult> EstimatePrivateSkg(
   result.objective = fit.objective;
   result.converged = fit.converged;
   result.private_features = features.value().features;
-  result.exact_features = ComputeFeaturesCached(graph);
+  result.exact_features = features.value().exact;
   result.smooth_sensitivity = features.value().smooth_sensitivity;
   result.exact_sensitivity = features.value().exact_sensitivity;
   return result;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
@@ -57,7 +56,9 @@ ReleasePipeline::ReleasePipeline(StatisticsOptions options,
 GraphStatistics ReleasePipeline::Compute(GraphView graph,
                                          Rng& rng) const {
   StatCache& cache = StatCache::Instance();
-  if (!cache.enabled()) return ComputeImpl(graph, rng, /*cache_leaves=*/false);
+  if (!cache.enabled()) {
+    return ComputeImpl(graph, ComputeNodeStats(graph), rng);
+  }
   const uint64_t key = CacheKey()
                            .Mix(graph.ContentFingerprint())
                            .Mix(rng.StateFingerprint())
@@ -70,7 +71,7 @@ GraphStatistics ReleasePipeline::Compute(GraphView graph,
       "statistics", key,
       [&] {
         StatisticsCacheEntry e;
-        e.stats = ComputeImpl(graph, rng, /*cache_leaves=*/true);
+        e.stats = ComputeImpl(graph, *CachedNodeStats(graph), rng);
         e.end_state = rng.SaveState();
         return e;
       },
@@ -90,8 +91,9 @@ GraphStatistics ReleasePipeline::Compute(GraphView graph,
   return entry->stats;
 }
 
-GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph, Rng& rng,
-                                             bool cache_leaves) const {
+GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph,
+                                             const NodeStats& node_stats,
+                                             Rng& rng) const {
   GraphStatistics stats;
 
   // The explicit fused-pass plan (tests/graph_view_test.cc pins it with
@@ -99,8 +101,9 @@ GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph, Rng& rng,
   //
   //   pass 1  "node_stats"  degree vector + per-node triangle counts
   //                         (the clustering numerators) in ONE CSR
-  //                         traversal → degree histogram + clustering
-  //                         panels; consumes no RNG.
+  //                         traversal, supplied by the caller → degree
+  //                         histogram + clustering panels; consumes no
+  //                         RNG.
   //   pass 2+ hop plot      the iterative family: either n BFS sweeps
   //                         (exact, small graphs) or one "anf_round"
   //                         pass per ANF expansion round — true data
@@ -111,33 +114,7 @@ GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph, Rng& rng,
   // RNG order is unchanged from the unfused pipeline: the node-stats
   // pass draws nothing, so ANF → Lanczos → power-iteration consume the
   // stream exactly as before — outputs stay byte-identical.
-  StatCache& cache = StatCache::Instance();
-  const bool use_cache = cache_leaves && cache.enabled();
-  // One durable leaf for the fused pass, keyed purely by the graph:
-  // in-RAM and mmap backings of the same CSR bytes share the entry
-  // bit-identically (fingerprints agree by construction).
-  std::shared_ptr<const NodeStats> node_stats;
-  if (!use_cache) {
-    node_stats = std::make_shared<const NodeStats>(ComputeNodeStats(graph));
-  } else {
-    const uint64_t graph_key =
-        CacheKey().Mix(graph.ContentFingerprint()).digest();
-    node_stats = cache.GetOrComputeDurable<NodeStats>(
-        "node_stats", graph_key, [&graph] { return ComputeNodeStats(graph); },
-        [](const NodeStats& value, RecordBuilder& rec) {
-          EncodePodVector(rec, value.degrees);
-          EncodePodVector(rec, value.triangles);
-        },
-        [](RecordParser& rec) -> std::optional<NodeStats> {
-          NodeStats value;
-          if (!DecodePodVector(rec, &value.degrees) ||
-              !DecodePodVector(rec, &value.triangles)) {
-            return std::nullopt;
-          }
-          return value;
-        });
-  }
-  const std::vector<uint32_t>& degrees = node_stats->degrees;
+  const std::vector<uint32_t>& degrees = node_stats.degrees;
 
   for (const auto& [degree, count] : DegreeHistogramFromDegrees(degrees)) {
     stats.degree_histogram.emplace_back(double(degree), double(count));
@@ -167,7 +144,7 @@ GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph, Rng& rng,
   }
 
   for (const auto& [degree, cc] :
-       ClusteringByDegreeFromParts(degrees, node_stats->triangles)) {
+       ClusteringByDegreeFromParts(degrees, node_stats.triangles)) {
     stats.clustering_by_degree.emplace_back(double(degree), cc);
   }
   return stats;
@@ -248,12 +225,11 @@ GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,
   ParallelForChunks(realizations, 1, [&](const ParallelChunk& chunk) {
     for (size_t r = chunk.begin; r < chunk.end; ++r) {
       const Graph sample = Sample(theta, k, streams[r]);
-      // ComputeImpl without leaf caching: the whole Expected table is
-      // cached as one entry, so memoizing a realization's one-off
-      // sample (or its intermediates) would only fill the memo with
-      // unreusable entries.
-      per_realization[r] = ComputeImpl(sample, streams[r],
-                                       /*cache_leaves=*/false);
+      // Fresh node stats: the whole Expected table is cached as one
+      // entry, so memoizing a realization's one-off sample would only
+      // fill the memo with unreusable entries.
+      per_realization[r] =
+          ComputeImpl(sample, ComputeNodeStats(sample), streams[r]);
     }
   });
 
@@ -295,7 +271,7 @@ GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,
 
 GraphStatistics ReleasePipeline::ComputeEphemeral(GraphView graph,
                                                   Rng& rng) const {
-  return ComputeImpl(graph, rng, /*cache_leaves=*/false);
+  return ComputeImpl(graph, ComputeNodeStats(graph), rng);
 }
 
 GraphStatistics ReleasePipeline::ExpectedEphemeral(const Initiator2& theta,

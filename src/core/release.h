@@ -16,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/graph/graph_view.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/initiator.h"
 #include "src/skg/sampler.h"
 
@@ -116,12 +117,11 @@ class ReleasePipeline {
   SkgSampleMethod method() const { return method_; }
 
  private:
-  // `cache_leaves` routes the degree vector / per-node triangle
-  // intermediates through the StatCache; Expected() passes false for
-  // its one-off realization samples, whose entries could never be
-  // reused and would only grow the memo.
-  GraphStatistics ComputeImpl(GraphView graph, Rng& rng,
-                              bool cache_leaves) const;
+  // The five panels from `graph` and its node stats: Compute() passes
+  // the CachedNodeStats entry, the ephemeral and Expected() paths a
+  // fresh ComputeNodeStats of their one-off graphs.
+  GraphStatistics ComputeImpl(GraphView graph, const NodeStats& node_stats,
+                              Rng& rng) const;
   GraphStatistics ExpectedImpl(const Initiator2& theta, uint32_t k,
                                uint32_t realizations,
                                std::vector<Rng>& streams) const;

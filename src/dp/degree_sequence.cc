@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "src/common/stat_cache.h"
 #include "src/dp/isotonic.h"
 #include "src/dp/laplace_mechanism.h"
-#include "src/graph/degree.h"
+#include "src/graph/node_stats.h"
 
 namespace dpkron {
 
@@ -35,23 +34,11 @@ Result<std::vector<double>> PrivateDegreeSequence(
     GraphView graph, double epsilon, Rng& rng,
     const PrivateDegreeOptions& options) {
   // The sorted degree sequence is the deterministic half of the
-  // mechanism; only the noise depends on (ε, rng). Serving it through
-  // the StatCache (durably — a plain POD vector) lets an ε/seed sweep
-  // extract it once per graph and later processes reload it from disk.
-  const auto sorted =
-      StatCache::Instance().GetOrComputeDurable<std::vector<uint32_t>>(
-          "sorted_degrees", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-          [&graph] { return SortedDegreeVector(graph); },
-          [](const std::vector<uint32_t>& degrees, RecordBuilder& rec) {
-            EncodePodVector(rec, degrees);
-          },
-          [](RecordParser& rec) -> std::optional<std::vector<uint32_t>> {
-            std::vector<uint32_t> degrees;
-            if (!DecodePodVector(rec, &degrees)) return std::nullopt;
-            return degrees;
-          });
-  return PrivatizeSortedDegrees(*sorted, epsilon, graph.NumNodes(), rng,
-                                options);
+  // mechanism; only the noise depends on (ε, rng). It is expanded from
+  // the graph's cached node stats, so an ε/seed sweep walks the CSR
+  // once per graph.
+  return PrivatizeSortedDegrees(SortedDegrees(*CachedNodeStats(graph)),
+                                epsilon, graph.NumNodes(), rng, options);
 }
 
 }  // namespace dpkron

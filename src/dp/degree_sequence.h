@@ -38,8 +38,9 @@ Result<std::vector<double>> PrivateDegreeSequence(
     GraphView graph, double epsilon, Rng& rng,
     const PrivateDegreeOptions& options = {});
 
-// The same mechanism applied to a pre-sorted degree vector (exposed so
-// tests and ablations can drive it without a Graph).
+// The same mechanism applied to a pre-sorted degree vector: callers that
+// already hold the graph's node stats (ComputePrivateFeatures) and tests
+// that drive it without a Graph.
 Result<std::vector<double>> PrivatizeSortedDegrees(
     const std::vector<uint32_t>& sorted_degrees, double epsilon,
     uint32_t num_nodes, Rng& rng, const PrivateDegreeOptions& options = {});

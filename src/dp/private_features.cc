@@ -2,6 +2,7 @@
 
 #include "src/common/macros.h"
 #include "src/dp/smooth_sensitivity.h"
+#include "src/graph/node_stats.h"
 
 namespace dpkron {
 
@@ -27,20 +28,24 @@ Result<PrivateFeaturesResult> ComputePrivateFeatures(
   }
 
   PrivateFeaturesResult result;
+  // One node-stats entry feeds both mechanisms and the exact features.
+  const std::shared_ptr<const NodeStats> stats = CachedNodeStats(graph);
   // Steps 1–3: private degree sequence -> Ẽ, H̃, T̃.
-  auto noisy_degrees =
-      PrivateDegreeSequence(graph, epsilon / 2, rng, options.degrees);
+  auto noisy_degrees = PrivatizeSortedDegrees(
+      SortedDegrees(*stats), epsilon / 2, graph.NumNodes(), rng,
+      options.degrees);
   if (!noisy_degrees.ok()) return noisy_degrees.status();
   result.noisy_degrees = std::move(noisy_degrees).value();
   // Steps 4–5: smooth-sensitivity private triangle count -> ∆̃.
-  const PrivateTriangleResult triangles =
-      PrivateTriangleCount(graph, epsilon / 2, delta, rng);
+  const PrivateTriangleResult triangles = PrivateTriangleCount(
+      graph, TotalTriangles(*stats), epsilon / 2, delta, rng);
   result.smooth_sensitivity = triangles.smooth_sensitivity;
   result.beta = triangles.beta;
   result.exact_sensitivity = triangles.exact_sensitivity;
 
   result.raw = FeaturesFromDegrees(result.noisy_degrees, triangles.value);
   result.features = ClampFeatures(result.raw, options.feature_floor);
+  result.exact = FeaturesFromNodeStats(graph.NumEdges(), *stats);
   return result;
 }
 

@@ -28,6 +28,9 @@ struct PrivateFeaturesOptions {
 struct PrivateFeaturesResult {
   GraphFeatures features;       // clamped, ready for the estimator
   GraphFeatures raw;            // pre-clamp (diagnostics)
+  // The exact F(G) — a function of the sensitive graph, NOT private;
+  // do not publish (see PrivateEstimatorResult::exact_features).
+  GraphFeatures exact;
   std::vector<double> noisy_degrees;
   double smooth_sensitivity = 0.0;  // SS_{β,∆}(G) used for ∆̃
   double beta = 0.0;
@@ -36,9 +39,9 @@ struct PrivateFeaturesResult {
   bool exact_sensitivity = true;
 };
 
-// Computes ~F with privacy charges drawn from `budget` (labels
-// "degree_sequence" and "triangle_count"). Fails without touching the
-// graph if the budget cannot cover (epsilon, delta).
+// Computes ~F with privacy charges drawn from `budget` (one for the
+// degree sequence, one for the triangle count). Fails without touching
+// the graph if the budget cannot cover (epsilon, delta).
 Result<PrivateFeaturesResult> ComputePrivateFeatures(
     GraphView graph, double epsilon, double delta, PrivacyBudget& budget,
     Rng& rng, const PrivateFeaturesOptions& options = {});

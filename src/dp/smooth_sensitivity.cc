@@ -9,6 +9,7 @@
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
+#include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
 
 namespace dpkron {
@@ -242,6 +243,13 @@ double SmoothSensitivityTriangles(GraphView graph, double beta) {
 
 PrivateTriangleResult PrivateTriangleCount(GraphView graph, double epsilon,
                                            double delta, Rng& rng) {
+  return PrivateTriangleCount(graph, TotalTriangles(*CachedNodeStats(graph)),
+                              epsilon, delta, rng);
+}
+
+PrivateTriangleResult PrivateTriangleCount(GraphView graph, uint64_t triangles,
+                                           double epsilon, double delta,
+                                           Rng& rng) {
   DPKRON_CHECK_GT(epsilon, 0.0);
   DPKRON_CHECK_GT(delta, 0.0);
   DPKRON_CHECK_LT(delta, 1.0);
@@ -252,16 +260,7 @@ PrivateTriangleResult PrivateTriangleCount(GraphView graph, double epsilon,
   const auto profile = CachedTriangleSensitivityProfile(graph);
   result.smooth_sensitivity = profile->SmoothSensitivity(result.beta);
   result.exact_sensitivity = profile->exact();
-  result.exact =
-      static_cast<double>(*StatCache::Instance().GetOrComputeDurable<uint64_t>(
-          "triangle_count", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-          [&graph] { return CountTriangles(graph); },
-          [](uint64_t count, RecordBuilder& rec) { rec.U64(count); },
-          [](RecordParser& rec) -> std::optional<uint64_t> {
-            const uint64_t count = rec.U64();
-            if (!rec.ok()) return std::nullopt;
-            return count;
-          }));
+  result.exact = static_cast<double>(triangles);
   result.value = result.exact +
                  2.0 * result.smooth_sensitivity / epsilon * rng.NextLaplace(1.0);
   return result;

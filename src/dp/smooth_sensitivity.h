@@ -113,9 +113,16 @@ struct PrivateTriangleResult {
 
 // (ε, δ)-differentially private triangle count via Theorem 4.8:
 //   ∆̃ = ∆ + (2·SS_β/ε)·Lap(1),  β = ε / (2 ln(2/δ)).
-// Requires epsilon > 0 and delta ∈ (0, 1).
+// Requires epsilon > 0 and delta ∈ (0, 1). ∆ comes from the graph's
+// cached node stats.
 PrivateTriangleResult PrivateTriangleCount(GraphView graph, double epsilon,
                                            double delta, Rng& rng);
+
+// The same mechanism with ∆ supplied by a caller that already holds the
+// graph's node stats: `triangles` must be TotalTriangles of `graph`.
+PrivateTriangleResult PrivateTriangleCount(GraphView graph, uint64_t triangles,
+                                           double epsilon, double delta,
+                                           Rng& rng);
 
 }  // namespace dpkron
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/common/stat_cache.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangles.h"
 
@@ -26,24 +25,23 @@ GraphFeatures ComputeFeatures(GraphView graph) {
 }
 
 GraphFeatures ComputeFeaturesCached(GraphView graph) {
-  return *StatCache::Instance().GetOrComputeDurable<GraphFeatures>(
-      "features", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-      [&graph] { return ComputeFeatures(graph); },
-      [](const GraphFeatures& f, RecordBuilder& rec) {
-        rec.Double(f.edges)
-            .Double(f.hairpins)
-            .Double(f.triangles)
-            .Double(f.tripins);
-      },
-      [](RecordParser& rec) -> std::optional<GraphFeatures> {
-        GraphFeatures f;
-        f.edges = rec.Double();
-        f.hairpins = rec.Double();
-        f.triangles = rec.Double();
-        f.tripins = rec.Double();
-        if (!rec.ok()) return std::nullopt;
-        return f;
-      });
+  return FeaturesFromNodeStats(graph.NumEdges(), *CachedNodeStats(graph));
+}
+
+GraphFeatures FeaturesFromNodeStats(uint64_t num_edges,
+                                    const NodeStats& stats) {
+  // Integer sums, term for term those of CountWedges / CountTripins.
+  uint64_t wedges = 0, tripins = 0;
+  for (const uint64_t d : stats.degrees) {
+    wedges += d * (d - 1) / 2;
+    tripins += d * (d - 1) * (d - 2) / 6;
+  }
+  GraphFeatures f;
+  f.edges = static_cast<double>(num_edges);
+  f.hairpins = static_cast<double>(wedges);
+  f.triangles = static_cast<double>(TotalTriangles(stats));
+  f.tripins = static_cast<double>(tripins);
+  return f;
 }
 
 GraphFeatures FeaturesFromDegrees(const std::vector<double>& degrees,

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/graph/graph_view.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/moments.h"
 
 namespace dpkron {
@@ -29,12 +30,16 @@ struct GraphFeatures {
 // from the degree sequence).
 GraphFeatures ComputeFeatures(GraphView graph);
 
-// ComputeFeatures served through the process-wide StatCache when it is
-// enabled (keyed by the graph's content fingerprint; the features are a
-// deterministic pure function of the graph). The KronMom and private
-// estimation routes call this, so a sweep extracts each graph's exact
-// features once instead of once per run.
+// ComputeFeatures derived from the graph's cached node stats
+// (graph/node_stats.h). The KronMom and private estimation routes call
+// this, so a sweep walks each graph's CSR once instead of once per
+// feature per run.
 GraphFeatures ComputeFeaturesCached(GraphView graph);
+
+// The exact features from a graph's edge count and node stats:
+// H = Σ d(d−1)/2, T = Σ d(d−1)(d−2)/6 and ∆ = Σ t_u / 3.
+GraphFeatures FeaturesFromNodeStats(uint64_t num_edges,
+                                    const NodeStats& stats);
 
 // E, H, T from a (possibly noisy, fractional) degree vector using the
 // Algorithm 1 step-3 formulas; `triangles` must be supplied separately.

@@ -23,12 +23,6 @@ std::vector<uint32_t> DegreeVector(GraphView graph) {
   return degrees;
 }
 
-std::vector<uint32_t> SortedDegreeVector(GraphView graph) {
-  std::vector<uint32_t> degrees = DegreeVector(graph);
-  std::sort(degrees.begin(), degrees.end());
-  return degrees;
-}
-
 uint32_t MaxDegree(GraphView graph) {
   graph.CountPass("max_degree");
   const uint32_t n = graph.NumNodes();
@@ -43,33 +37,6 @@ uint32_t MaxDegree(GraphView graph) {
   uint32_t max_degree = 0;
   for (uint32_t partial : partials) max_degree = std::max(max_degree, partial);
   return max_degree;
-}
-
-std::vector<std::pair<uint32_t, uint64_t>> DegreeHistogram(
-    GraphView graph) {
-  graph.CountPass("degree_histogram");
-  const uint32_t n = graph.NumNodes();
-  const uint32_t max_degree = MaxDegree(graph);
-  // Per-worker count arrays; integer merging commutes, so the totals are
-  // thread-count-invariant.
-  std::vector<std::vector<uint64_t>> locals(
-      static_cast<size_t>(ParallelThreadCount()));
-  ParallelForChunks(n, kDegreeGrain, [&](const ParallelChunk& chunk) {
-    auto& local = locals[chunk.worker];
-    if (local.empty()) local.assign(max_degree + 1, 0);
-    for (size_t u = chunk.begin; u < chunk.end; ++u) {
-      ++local[graph.Degree(static_cast<Graph::NodeId>(u))];
-    }
-  });
-  std::vector<uint64_t> counts(max_degree + 1, 0);
-  for (const auto& local : locals) {
-    for (size_t d = 0; d < local.size(); ++d) counts[d] += local[d];
-  }
-  std::vector<std::pair<uint32_t, uint64_t>> histogram;
-  for (uint32_t d = 0; d < counts.size(); ++d) {
-    if (counts[d] > 0) histogram.emplace_back(d, counts[d]);
-  }
-  return histogram;
 }
 
 std::vector<std::pair<uint32_t, uint64_t>> DegreeHistogramFromDegrees(

@@ -16,20 +16,11 @@ namespace dpkron {
 // d_i for every node i.
 std::vector<uint32_t> DegreeVector(GraphView graph);
 
-// The sorted (ascending) degree sequence d_S of the paper — the quantity
-// Hay et al.'s mechanism privatizes (global sensitivity 2 under edge
-// neighborhood).
-std::vector<uint32_t> SortedDegreeVector(GraphView graph);
-
 uint32_t MaxDegree(GraphView graph);
 
 // (degree, count) pairs for every degree value with count > 0, ascending —
-// the "degree distribution" panels of Figs 1–4.
-std::vector<std::pair<uint32_t, uint64_t>> DegreeHistogram(GraphView graph);
-
-// Same histogram computed from an already-materialized degree vector, so
-// a statistics pipeline that holds the degrees can feed several panels
-// from one pass. Identical output to DegreeHistogram(graph).
+// the "degree distribution" panels of Figs 1–4 — from a materialized
+// degree vector (a graph's node stats), so one pass feeds several panels.
 std::vector<std::pair<uint32_t, uint64_t>> DegreeHistogramFromDegrees(
     const std::vector<uint32_t>& degrees);
 

@@ -1,5 +1,7 @@
 #include "src/graph/node_stats.h"
 
+#include "src/common/stat_cache.h"
+#include "src/graph/degree.h"
 #include "src/graph/triangles.h"
 
 namespace dpkron {
@@ -15,6 +17,40 @@ NodeStats ComputeNodeStats(GraphView graph) {
   stats.triangles =
       internal::PerNodeTrianglesFromForward(fwd, graph.NumNodes());
   return stats;
+}
+
+std::shared_ptr<const NodeStats> CachedNodeStats(GraphView graph) {
+  return StatCache::Instance().GetOrComputeDurable<NodeStats>(
+      "node_stats", CacheKey().Mix(graph.ContentFingerprint()).digest(),
+      [&graph] { return ComputeNodeStats(graph); },
+      [](const NodeStats& value, RecordBuilder& rec) {
+        EncodePodVector(rec, value.degrees);
+        EncodePodVector(rec, value.triangles);
+      },
+      [](RecordParser& rec) -> std::optional<NodeStats> {
+        NodeStats value;
+        if (!DecodePodVector(rec, &value.degrees) ||
+            !DecodePodVector(rec, &value.triangles)) {
+          return std::nullopt;
+        }
+        return value;
+      });
+}
+
+std::vector<uint32_t> SortedDegrees(const NodeStats& stats) {
+  std::vector<uint32_t> sorted;
+  sorted.reserve(stats.degrees.size());
+  for (const auto& [degree, count] :
+       DegreeHistogramFromDegrees(stats.degrees)) {
+    sorted.insert(sorted.end(), count, degree);
+  }
+  return sorted;
+}
+
+uint64_t TotalTriangles(const NodeStats& stats) {
+  uint64_t corners = 0;
+  for (uint64_t t : stats.triangles) corners += t;
+  return corners / 3;
 }
 
 }  // namespace dpkron

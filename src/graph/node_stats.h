@@ -1,15 +1,16 @@
-// The fused per-node statistics pass behind ReleasePipeline::Compute.
+// The fused per-node statistics pass and the one cache entry behind a
+// whole release.
 //
-// The degree / triangle / clustering panel family needs exactly two
-// per-node quantities: d_u and t_u (the local clustering coefficient is
-// t_u over the wedge count d_u(d_u-1)/2 — t_u IS the clustering
-// numerator). Computed separately, each kernel walks the CSR once;
-// fused, a single traversal derives the degrees from the offsets array
-// and builds the rank-oriented forward lists whose intersections yield
-// t_u — the intersections then run over the compact forward CSR, not
-// the view, so the whole family costs ONE pass over the backing store.
-// That is the difference between touching an out-of-core graph's pages
-// once and touching them three times.
+// Every deterministic per-graph input of Algorithm 1 and of the degree /
+// triangle / clustering panels derives from d_u and t_u: the sorted
+// degree sequence, Δ = Σ t_u / 3, the exact features E, H, T, Δ, the
+// degree histogram and the clustering coefficients (t_u over the wedge
+// count d_u(d_u-1)/2). A single traversal derives the degrees from the
+// offsets array and builds the rank-oriented forward lists whose
+// intersections yield t_u — the intersections then run over the compact
+// forward CSR, not the view, so the whole family costs ONE pass over the
+// backing store. CachedNodeStats is the one StatCache domain that holds
+// them ("node_stats", durable, keyed by the content fingerprint).
 //
 // Pass accounting: ComputeNodeStats records exactly one "node_stats"
 // pass on the view and nothing else (the constituent kernels' labels
@@ -26,6 +27,7 @@
 #define DPKRON_GRAPH_NODE_STATS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/graph/graph_view.h"
@@ -49,6 +51,18 @@ inline size_t ApproxCacheBytes(const NodeStats& stats) {
 // Equivalent to {DegreeVector(graph), PerNodeTriangles(graph)} but
 // records a single "node_stats" pass.
 NodeStats ComputeNodeStats(GraphView graph);
+
+// ComputeNodeStats served through the process-wide StatCache when it is
+// enabled (durably, with a disk tier attached); in-RAM and mmap backings
+// of the same CSR bytes share the entry. Otherwise a plain computation.
+std::shared_ptr<const NodeStats> CachedNodeStats(GraphView graph);
+
+// The degrees in ascending order (the paper's d_S), expanded from their
+// histogram in O(n + max degree).
+std::vector<uint32_t> SortedDegrees(const NodeStats& stats);
+
+// Δ = Σ t_u / 3: each triangle is counted once at each of its corners.
+uint64_t TotalTriangles(const NodeStats& stats);
 
 }  // namespace dpkron
 

@@ -197,11 +197,6 @@ std::vector<uint64_t> PerNodeTrianglesFromForward(const ForwardCsr& fwd,
   return per_node;
 }
 
-std::vector<uint64_t> PerNodeTrianglesImpl(GraphView graph) {
-  const ForwardCsr fwd = BuildForwardCsr(graph);
-  return PerNodeTrianglesFromForward(fwd, graph.NumNodes());
-}
-
 }  // namespace internal
 
 uint64_t CountTriangles(GraphView graph) {
@@ -238,7 +233,8 @@ uint64_t CountTriangles(GraphView graph) {
 
 std::vector<uint64_t> PerNodeTriangles(GraphView graph) {
   graph.CountPass("triangles_per_node");
-  return internal::PerNodeTrianglesImpl(graph);
+  return internal::PerNodeTrianglesFromForward(BuildForwardCsr(graph),
+                                               graph.NumNodes());
 }
 
 uint32_t CommonNeighbors(GraphView graph, Graph::NodeId u,

@@ -50,10 +50,6 @@ ForwardCsr BuildForwardCsrFused(GraphView graph,
 std::vector<uint64_t> PerNodeTrianglesFromForward(const ForwardCsr& fwd,
                                                   uint32_t num_nodes);
 
-// PerNodeTriangles without its pass-count record: the fused node-stats
-// kernel (node_stats.h) accounts the traversal itself.
-std::vector<uint64_t> PerNodeTrianglesImpl(GraphView graph);
-
 }  // namespace internal
 
 }  // namespace dpkron

@@ -116,7 +116,11 @@ Graph SampleSkgClassSkip(const Initiator2& theta, uint32_t k, Rng& rng) {
         const auto [u, v] = UnrankPair(k, i, j, index);
         builder.AddEdge(static_cast<Graph::NodeId>(u),
                         static_cast<Graph::NodeId>(v));
-        index += 1 + rng.NextGeometric(p);
+        // A skip past the class end (possibly a saturated UINT64_MAX)
+        // ends it; adding it could wrap the index.
+        const uint64_t skip = rng.NextGeometric(p);
+        if (skip >= size - index) break;
+        index += 1 + skip;
       }
     }
   }

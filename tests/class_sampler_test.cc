@@ -176,6 +176,22 @@ TEST(ClassSamplerTest, LargeOrderRuns) {
   EXPECT_NEAR(double(g.NumEdges()), expected, 6 * std::sqrt(expected));
 }
 
+TEST(ClassSamplerTest, NearZeroEntryKeepsTheExpectedDensity) {
+  // c = 1e-13 puts every class with two or more both-ones digits below
+  // p = 1e-26, where a geometric skip passes 2^64 and saturates. Those
+  // classes must stay (almost surely) empty: a skip that wrapped or came
+  // back as 0 would add every pair of the class. The edge count stays
+  // within 6 standard deviations of the mean, as in LargeOrderRuns.
+  const Initiator2 theta{0.99, 0.45, 1e-13};
+  const uint32_t k = 10;
+  SkgSampleOptions options;
+  options.method = SkgSampleMethod::kClassSkip;
+  Rng rng(31);
+  const Graph g = SampleSkg(theta, k, rng, options);
+  const double expected = ExpectedEdges(theta, k);
+  EXPECT_NEAR(double(g.NumEdges()), expected, 6 * std::sqrt(expected));
+}
+
 TEST(ClassSamplerDeathTest, RejectsHugeK) {
   Rng rng(29);
   EXPECT_DEATH(SampleSkgClassSkip({0.5, 0.5, 0.5}, 31, rng), "CHECK");

@@ -6,6 +6,7 @@
 #include "src/datasets/preferential_attachment.h"
 #include "src/graph/clustering.h"
 #include "src/graph/degree.h"
+#include "src/graph/node_stats.h"
 
 namespace dpkron {
 namespace {
@@ -37,7 +38,7 @@ TEST(AffiliationTest, HeavyTailedDegrees) {
   options.num_papers = 2000;
   Rng rng(3);
   const Graph g = AffiliationGraph(options, rng);
-  const auto degrees = SortedDegreeVector(g);
+  const auto degrees = SortedDegrees(ComputeNodeStats(g));
   const double max_degree = degrees.back();
   double sum = 0;
   for (uint32_t d : degrees) sum += d;

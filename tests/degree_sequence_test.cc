@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
 #include "src/graph/degree.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -62,7 +63,7 @@ TEST(PrivateDegreeSequenceTest, NoClampOptionAllowsExcursions) {
 TEST(PrivateDegreeSequenceTest, HighEpsilonTracksTruthClosely) {
   Rng rng(5);
   const Graph g = SampleSkg({0.9, 0.5, 0.2}, 9, rng);
-  const auto truth = SortedDegreeVector(g);
+  const auto truth = SortedDegrees(ComputeNodeStats(g));
   const auto d = PrivateDegreeSequence(g, 100.0, rng).value();
   for (size_t i = 0; i < truth.size(); ++i) {
     EXPECT_NEAR(d[i], double(truth[i]), 1.0);
@@ -75,7 +76,7 @@ TEST(PrivateDegreeSequenceTest, PostprocessingReducesError) {
   // trials with matched noise draws (same seed).
   Rng graph_rng(6);
   const Graph g = SampleSkg({0.95, 0.5, 0.2}, 9, graph_rng);
-  const auto truth = SortedDegreeVector(g);
+  const auto truth = SortedDegrees(ComputeNodeStats(g));
 
   double raw_error = 0.0, fitted_error = 0.0;
   const int trials = 20;

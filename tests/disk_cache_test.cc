@@ -22,7 +22,10 @@
 #include <gtest/gtest.h>
 #include "src/common/env.h"
 #include "src/common/stat_cache.h"
+#include "src/core/private_estimator.h"
+#include "src/graph/node_stats.h"
 #include "src/kronfit/kronfit.h"
+#include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
 namespace dpkron {
@@ -333,6 +336,28 @@ TEST(StatCacheDiskTierTest, DurableEntrySurvivesAProcessRestart) {
   EXPECT_EQ(*warm, *cold);
   EXPECT_EQ(StatCache::Instance().TotalCounters().disk_hits, 1u);
   EXPECT_EQ(StatCache::Instance().TotalCounters().disk_misses, 0u);
+
+  // The node-stats entry behind Algorithm 1: a warm process serves the
+  // whole estimator from disk without one CSR pass, and releases the
+  // same Θ̃ the cold process did.
+  Rng sample_rng(5);
+  const Graph g = SampleSkg(Initiator2{0.9, 0.6, 0.2}, 7, sample_rng);
+  auto estimate = [&g](PassCounter* passes) {
+    Rng rng(9);
+    return EstimatePrivateSkg(GraphView(g).WithPassCounter(passes), 0.5, 0.01,
+                              rng)
+        .value()
+        .theta;
+  };
+  PassCounter cold_passes, warm_passes;
+  const Initiator2 cold_theta = estimate(&cold_passes);
+  StatCache::Instance().Clear();
+  const Initiator2 warm_theta = estimate(&warm_passes);
+  EXPECT_EQ(cold_passes.count("node_stats"), 1u);
+  EXPECT_EQ(warm_passes.total(), 0u);
+  EXPECT_EQ(warm_theta.a, cold_theta.a);
+  EXPECT_EQ(warm_theta.b, cold_theta.b);
+  EXPECT_EQ(warm_theta.c, cold_theta.c);
 }
 
 TEST(StatCacheDiskTierTest, CorruptEntryRecomputesAndRewrites) {
@@ -371,6 +396,22 @@ TEST(StatCacheDiskTierTest, CorruptEntryRecomputesAndRewrites) {
   StatCache::Instance().Clear();
   EXPECT_EQ(*get(), 777u);  // healed: served from disk
   EXPECT_EQ(computes, 2);
+
+  // A node-stats entry whose frame is intact but whose payload stops
+  // after the degrees: the decoder refuses it, and the stats are
+  // recomputed in one clean pass rather than served short.
+  const Graph g = testing::CompleteGraph(9);
+  const NodeStats expected = ComputeNodeStats(g);
+  RecordBuilder degrees_only;
+  EncodePodVector(degrees_only, expected.degrees);
+  ASSERT_TRUE(disk->Store("node_stats",
+                          CacheKey().Mix(g.ContentFingerprint()).digest(),
+                          degrees_only.str())
+                  .ok());
+  StatCache::Instance().Clear();
+  PassCounter passes;
+  EXPECT_EQ(*CachedNodeStats(GraphView(g).WithPassCounter(&passes)), expected);
+  EXPECT_EQ(passes.count("node_stats"), 1u);
 }
 
 TEST(StatCacheDiskTierTest, ADecoderShortReadIsADiskMissNotAWrongValue) {

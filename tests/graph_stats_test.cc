@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include "src/graph/clustering.h"
 #include "src/graph/degree.h"
+#include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
 #include "tests/test_util.h"
 
@@ -22,7 +23,7 @@ TEST(DegreeTest, VectorAndSorted) {
   const auto d = DegreeVector(g);
   EXPECT_EQ(d[0], 4u);
   for (int v = 1; v < 5; ++v) EXPECT_EQ(d[v], 1u);
-  const auto sorted = SortedDegreeVector(g);
+  const auto sorted = SortedDegrees(ComputeNodeStats(g));
   EXPECT_EQ(sorted.front(), 1u);
   EXPECT_EQ(sorted.back(), 4u);
   EXPECT_EQ(MaxDegree(g), 4u);
@@ -30,7 +31,7 @@ TEST(DegreeTest, VectorAndSorted) {
 
 TEST(DegreeTest, HistogramOmitsEmptyDegrees) {
   const Graph g = StarGraph(5);
-  const auto hist = DegreeHistogram(g);
+  const auto hist = DegreeHistogramFromDegrees(DegreeVector(g));
   ASSERT_EQ(hist.size(), 2u);
   EXPECT_EQ(hist[0], (std::pair<uint32_t, uint64_t>{1, 4}));
   EXPECT_EQ(hist[1], (std::pair<uint32_t, uint64_t>{4, 1}));

@@ -1,19 +1,29 @@
 // GraphView — the zero-copy CSR seam: view/Graph equivalence, raw-span
 // backings, the shared fingerprint memo, PassCounter accounting, the
-// fused node-stats kernel, and the pass-plan pin on
-// ReleasePipeline::Compute (the regression alarm for anyone un-fusing
-// the degree/triangle/clustering family back into separate traversals).
+// fused node-stats kernel, and the pass-plan pins on
+// ReleasePipeline::Compute and the Algorithm-1 estimator (the
+// regression alarm for anyone un-fusing the degree/triangle family back
+// into separate traversals).
 
 #include "src/graph/graph_view.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
+#include "src/core/private_estimator.h"
 #include "src/core/release.h"
+#include "src/estimation/features.h"
 #include "src/graph/degree.h"
+#include "src/graph/graph_io.h"
 #include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
 #include "src/skg/sampler.h"
@@ -140,6 +150,39 @@ TEST(NodeStatsTest, FusedPassMatchesTheUnfusedKernels) {
   }
 }
 
+// The node-stats-derived features are the exact ones: E from the view,
+// H, T from the degrees and ∆ = Σ t_u / 3, against the per-kernel
+// ComputeFeatures oracle — on every graph shape and on an mmap backing.
+TEST(NodeStatsTest, FeaturesMatchTheComputeFeaturesOracle) {
+  Rng rng(2028);
+  const Graph sample = SampleSkg(Initiator2{0.9, 0.6, 0.2}, 9, rng);
+  const std::string path = ::testing::TempDir() + "/node_stats_features_" +
+                           std::to_string(::getpid()) + ".dpkb";
+  ASSERT_TRUE(WriteBinaryGraph(sample, path).ok());
+  auto mapped = MmapGraph::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  const Graph empty, single_edge = MakeGraph(2, {{0, 1}}),
+                     star = StarGraph(9), clique = CompleteGraph(7);
+  const GraphView views[] = {empty, single_edge, star, clique, sample,
+                             mapped.value()->view()};
+  for (const GraphView& view : views) {
+    const GraphFeatures oracle = ComputeFeatures(view);
+    for (const GraphFeatures& f :
+         {FeaturesFromNodeStats(view.NumEdges(), ComputeNodeStats(view)),
+          ComputeFeaturesCached(view)}) {
+      EXPECT_EQ(f.edges, oracle.edges);
+      EXPECT_EQ(f.hairpins, oracle.hairpins);
+      EXPECT_EQ(f.triangles, oracle.triangles);
+      EXPECT_EQ(f.tripins, oracle.tripins);
+    }
+    std::vector<uint32_t> sorted = DegreeVector(view);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(SortedDegrees(ComputeNodeStats(view)), sorted);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(NodeStatsTest, FusedPassCostsExactlyOneTraversal) {
   const Graph g = CompleteGraph(8);
   PassCounter passes;
@@ -205,6 +248,58 @@ TEST(ReleasePassPlanTest, LargeGraphRouteUsesAnfRounds) {
   EXPECT_EQ(passes.count("node_stats"), 1u);
   EXPECT_EQ(passes.count("exact_hop_plot"), 0u);
   EXPECT_GE(passes.count("anf_round"), 1u);
+}
+
+// The un-fused kernels a release must never run: each would re-walk the
+// CSR for a quantity the node-stats entry already holds.
+void ExpectNoUnfusedPasses(const PassCounter& passes) {
+  for (const char* label : {"degree_vector", "triangles", "triangles_per_node",
+                            "wedges", "tripins"}) {
+    EXPECT_EQ(passes.count(label), 0u) << label;
+  }
+}
+
+// A whole Algorithm-1 release — the estimator, then the five panels of
+// the same graph — takes ONE node-stats pass when the cache is on: the
+// degree sequence, ∆, the exact features and the panels share the entry.
+TEST(ReleasePassPlanTest, OneNodeStatsPassServesTheEstimatorAndThePanels) {
+  Rng rng(2029);
+  const Graph g = SampleSkg(Initiator2{0.9, 0.6, 0.2}, 8, rng);
+  struct ScopedCache {
+    ScopedCache() {
+      StatCache::Instance().Clear();
+      StatCache::Instance().set_enabled(true);
+    }
+    ~ScopedCache() {
+      StatCache::Instance().set_enabled(false);
+      StatCache::Instance().Clear();
+    }
+  } cache;
+
+  PassCounter passes;
+  const GraphView view = GraphView(g).WithPassCounter(&passes);
+  Rng estimate_rng(11);
+  ASSERT_TRUE(EstimatePrivateSkg(view, 0.5, 0.01, estimate_rng).ok());
+  Rng stats_rng(7);
+  (void)ReleasePipeline().Compute(view, stats_rng);
+  EXPECT_EQ(passes.count("node_stats"), 1u);
+  ExpectNoUnfusedPasses(passes);
+}
+
+// Without the cache the estimator still fetches the node stats once and
+// feeds both mechanisms and the exact features from them.
+TEST(ReleasePassPlanTest, EstimatorTakesOneNodeStatsPassWithoutTheCache) {
+  Rng rng(2030);
+  const Graph g = SampleSkg(Initiator2{0.9, 0.6, 0.2}, 8, rng);
+  ASSERT_FALSE(StatCache::Instance().enabled());
+
+  PassCounter passes;
+  Rng estimate_rng(11);
+  ASSERT_TRUE(EstimatePrivateSkg(GraphView(g).WithPassCounter(&passes), 0.5,
+                                 0.01, estimate_rng)
+                  .ok());
+  EXPECT_EQ(passes.count("node_stats"), 1u);
+  ExpectNoUnfusedPasses(passes);
 }
 
 }  // namespace

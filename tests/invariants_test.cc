@@ -16,6 +16,7 @@
 #include "src/graph/extra_stats.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/hop_plot.h"
+#include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
@@ -111,8 +112,8 @@ TEST_P(GraphInvariantsTest, EdgeListRoundTripPreservesGraph) {
   // the identity. Compare sizes plus degree multiset (isomorphism-safe
   // invariants).
   EXPECT_EQ(back.value().NumEdges(), g.NumEdges());
-  auto degrees_a = SortedDegreeVector(g);
-  auto degrees_b = SortedDegreeVector(back.value());
+  auto degrees_a = SortedDegrees(ComputeNodeStats(g));
+  auto degrees_b = SortedDegrees(ComputeNodeStats(back.value()));
   // Reader drops isolated nodes; strip zeros before comparing.
   degrees_a.erase(degrees_a.begin(),
                   std::find_if(degrees_a.begin(), degrees_a.end(),

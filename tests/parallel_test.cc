@@ -15,6 +15,7 @@
 #include "src/graph/clustering.h"
 #include "src/graph/degree.h"
 #include "src/graph/graph.h"
+#include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
 #include "src/kronfit/kronfit.h"
 #include "src/kronfit/likelihood.h"
@@ -146,7 +147,7 @@ TEST(KernelInvarianceTest, DegreeKernels) {
   const Graph g = SampleTestGraph();
   ExpectThreadCountInvariant([&] { return DegreeVector(g); });
   ExpectThreadCountInvariant([&] { return MaxDegree(g); });
-  ExpectThreadCountInvariant([&] { return DegreeHistogram(g); });
+  ExpectThreadCountInvariant([&] { return ComputeNodeStats(g); });
   ExpectThreadCountInvariant([&] { return CountWedges(g); });
   ExpectThreadCountInvariant([&] { return CountTripins(g); });
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +144,22 @@ TEST(RngTest, GeometricMean) {
 TEST(RngTest, GeometricWithPOneIsZero) {
   Rng rng(37);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.NextGeometric(1.0), 0u);
+}
+
+TEST(RngTest, GeometricWithTinyPSaturatesInsteadOfWrapping) {
+  // At p = 1e-300 nearly every draw exceeds 2^64 failures; such draws
+  // must saturate at UINT64_MAX, never come back as a small count (the
+  // out-of-range double cast returned 0 here). Only u < ~2^-53 could
+  // give an in-range value, so 1000 draws never do.
+  Rng rng(43);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rng.NextGeometric(1e-300), UINT64_MAX);
+  }
+  // In range, the draw is the plain floor(log(1-u)/log(1-p)).
+  Rng a(47), b(47);
+  const double u = b.NextDouble();
+  const double failures = std::floor(std::log1p(-u) / std::log1p(-1e-12));
+  EXPECT_EQ(a.NextGeometric(1e-12), static_cast<uint64_t>(failures));
 }
 
 TEST(RngTest, PermutationIsValid) {

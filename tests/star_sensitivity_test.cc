@@ -6,6 +6,7 @@
 #include "src/common/rng.h"
 #include "src/graph/degree.h"
 #include "src/graph/graph_builder.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -36,7 +37,7 @@ TEST(SmoothSensitivityWedgesTest, SmallBetaApproachesCap) {
 TEST(SmoothSensitivityWedgesTest, LargeBetaApproachesBase) {
   Rng rng(1);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 7, rng);
-  const auto degrees = SortedDegreeVector(g);
+  const auto degrees = SortedDegrees(ComputeNodeStats(g));
   const double base =
       double(degrees[degrees.size() - 1]) + double(degrees[degrees.size() - 2]);
   EXPECT_NEAR(SmoothSensitivityWedges(g, 50.0), base, 1e-9);
