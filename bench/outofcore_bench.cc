@@ -124,10 +124,6 @@ int Main(int argc, char** argv) {
                  mapped.status().ToString().c_str());
     return 1;
   }
-  if (!mapped.value()->mapped()) {
-    std::fprintf(stderr, "outofcore_bench: v3 file not served zero-copy\n");
-    return 1;
-  }
   if (mapped.value()->ContentFingerprint() != graph.ContentFingerprint()) {
     std::fprintf(stderr, "outofcore_bench: fingerprint mismatch\n");
     return 1;

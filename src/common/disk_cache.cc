@@ -1,10 +1,8 @@
 #include "src/common/disk_cache.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "src/common/env.h"
@@ -176,74 +174,25 @@ void DiskCache::EnforceByteBudget(const std::string& keep_path) const {
 
 DiskEntryClaim::DiskEntryClaim(const DiskCache* cache, const char* domain,
                                uint64_t key)
-    : cache_(cache), domain_(domain), key_(key) {
-  if (cache_ != nullptr) {
-    lock_path_ = cache_->EntryPath(domain, key) + ".lock";
-  }
-}
-
-DiskEntryClaim::~DiskEntryClaim() { ReleaseLock(); }
-
-void DiskEntryClaim::ReleaseLock() {
-  if (!lock_held_) return;
-  lock_held_ = false;
-  (void)GetEnv()->RemoveFile(lock_path_);
-}
-
-namespace {
-
-// One O_EXCL attempt on `path`. kFailedPrecondition = held elsewhere;
-// any other failure means locks don't work here (permissions, injected
-// fault) and the caller proceeds uncoordinated.
-Status TryAcquireLock(const std::string& path) {
-  auto file = GetEnv()->NewExclusiveFile(path);
-  if (!file.ok()) return file.status();
-  (void)file.value()->Close();
-  return Status::Ok();
-}
-
-}  // namespace
+    : cache_(cache),
+      domain_(domain),
+      key_(key),
+      claim_(cache == nullptr ? std::string()
+                              : cache->EntryPath(domain, key) + ".lock") {}
 
 bool DiskEntryClaim::TryLoad(std::string* value_bytes) {
   if (cache_ == nullptr) return false;
-  auto loaded = cache_->Load(domain_, key_);
-  if (loaded.ok()) {
+  // A cold key elects a computer: the winner returns false holding the
+  // lock; a loser adopts the winner's entry mid-wait. Every failure of the
+  // protocol itself degrades to an uncoordinated compute — duplicated
+  // work with byte-identical results (the cache contract), never a
+  // wrong value.
+  return claim_.LoadOrClaim(cache_->options().lock, [&] {
+    auto loaded = cache_->Load(domain_, key_);
+    if (!loaded.ok()) return false;
     *value_bytes = std::move(loaded).value();
     return true;
-  }
-  // Cold key: elect a computer. Winner returns false holding the lock;
-  // a loser polls for the winner's entry, adopting it mid-wait. A lock
-  // that outlives lock_stale_ms is presumed orphaned by a crashed
-  // holder: break it and compute. Every failure of the protocol itself
-  // degrades to an uncoordinated compute — duplicated work with
-  // byte-identical results (the cache contract), never a wrong value.
-  const Status acquired = TryAcquireLock(lock_path_);
-  if (acquired.ok()) {
-    lock_held_ = true;
-    return false;
-  }
-  if (acquired.code() != StatusCode::kFailedPrecondition) return false;
-  const DiskCache::Options& options = cache_->options();
-  const int64_t poll_ms = options.lock_poll_ms < 1 ? 1 : options.lock_poll_ms;
-  int64_t waited_ms = 0;
-  while (waited_ms < options.lock_stale_ms) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-    waited_ms += poll_ms;
-    auto retry = cache_->Load(domain_, key_);
-    if (retry.ok()) {
-      *value_bytes = std::move(retry).value();
-      return true;
-    }
-    if (TryAcquireLock(lock_path_).ok()) {  // released without an entry
-      lock_held_ = true;
-      return false;
-    }
-  }
-  // Stale: remove + reacquire. Losing the remove/create race to another
-  // breaker just means both compute, uncoordinated.
-  (void)GetEnv()->RemoveFile(lock_path_);
-  lock_held_ = TryAcquireLock(lock_path_).ok();
-  return false;
+  });
 }
 
 void DiskEntryClaim::Store(std::string_view value_bytes) {
@@ -258,7 +207,7 @@ void DiskEntryClaim::Store(std::string_view value_bytes) {
                  stored.ToString().c_str(),
                  cache_->EntryPath(domain_, key_).c_str());
   }
-  ReleaseLock();
+  claim_.Release();
 }
 
 }  // namespace dpkron

@@ -35,12 +35,12 @@
 // Concurrency: entries are immutable once written and the rename is
 // atomic, so concurrent readers and writers need no coordination for
 // correctness — two processes racing on a cold key would merely both
-// compute the same bytes. DiskEntryClaim adds the sidecar-cache's
-// advisory O_EXCL lock protocol on top so they usually don't: the loser
-// polls for the winner's entry and adopts it; a lock older than
-// Options::lock_stale_ms is presumed orphaned and broken. Every failure
-// mode of the lock protocol degrades to an uncoordinated (duplicated,
-// never wrong) compute.
+// compute the same bytes. DiskEntryClaim runs the FileClaim lock
+// protocol (file_claim.h, shared with the .dpkb sidecar cache) on top so
+// they usually don't: the loser polls for the winner's entry and adopts
+// it; a lock older than Options::lock.stale_ms is presumed orphaned and
+// broken. Every failure mode of the lock protocol degrades to an
+// uncoordinated (duplicated, never wrong) compute.
 
 #ifndef DPKRON_COMMON_DISK_CACHE_H_
 #define DPKRON_COMMON_DISK_CACHE_H_
@@ -53,6 +53,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/file_claim.h"
 #include "src/common/journal.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -63,10 +64,9 @@ class DiskCache {
  public:
   struct Options {
     // Advisory-lock protocol for cold-key races (see DiskEntryClaim):
-    // a loser polls every lock_poll_ms for the winner's entry; a lock
-    // older than lock_stale_ms is presumed orphaned and broken.
-    int64_t lock_poll_ms = 20;
-    int64_t lock_stale_ms = 10000;
+    // a loser polls every lock.poll_ms for the winner's entry; a lock
+    // older than lock.stale_ms is presumed orphaned and broken.
+    LockOptions lock;
     // Cap on the total bytes of .dpkc entries under the root
     // (0 = unbounded). Enforced after each Store: oldest-mtime entries
     // are unlinked until the cache fits. Entries with a live ".lock"
@@ -138,7 +138,6 @@ class DiskCache {
 class DiskEntryClaim {
  public:
   DiskEntryClaim(const DiskCache* cache, const char* domain, uint64_t key);
-  ~DiskEntryClaim();
 
   DiskEntryClaim(const DiskEntryClaim&) = delete;
   DiskEntryClaim& operator=(const DiskEntryClaim&) = delete;
@@ -155,13 +154,10 @@ class DiskEntryClaim {
   void Store(std::string_view value_bytes);
 
  private:
-  void ReleaseLock();
-
   const DiskCache* const cache_;  // null = disk tier not attached
   const char* const domain_;
   const uint64_t key_;
-  std::string lock_path_;
-  bool lock_held_ = false;
+  FileClaim claim_;  // "<entry>.lock"
 };
 
 // ------------------------------------------------- value codec helpers

@@ -206,6 +206,12 @@ ScopedEnvOverride::~ScopedEnvOverride() {
 
 Status WriteFileDurable(const std::string& path, std::string_view contents,
                         Env* env) {
+  return WriteFileDurable(path, {contents}, env);
+}
+
+Status WriteFileDurable(const std::string& path,
+                        std::initializer_list<std::string_view> pieces,
+                        Env* env) {
   // Unique per process and call: two concurrent writers of the same
   // destination must not truncate each other's in-flight temp file.
   static std::atomic<uint64_t> counter{0};
@@ -214,7 +220,10 @@ Status WriteFileDurable(const std::string& path, std::string_view contents,
       std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
   auto file = env->NewWritableFile(temp);
   if (!file.ok()) return file.status();
-  Status status = file.value()->Append(contents);
+  Status status;
+  for (const std::string_view piece : pieces) {
+    if (status.ok() && !piece.empty()) status = file.value()->Append(piece);
+  }
   // Sync before rename: without it a crash after the rename can leave
   // the destination name pointing at never-written blocks.
   if (status.ok()) status = file.value()->Sync();

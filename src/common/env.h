@@ -27,6 +27,7 @@
 #define DPKRON_COMMON_ENV_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -120,6 +121,11 @@ class ScopedEnvOverride {
 // On any failure the temp file is removed and `path` is untouched — a
 // reader can never observe a torn or empty `path`.
 Status WriteFileDurable(const std::string& path, std::string_view contents,
+                        Env* env = GetEnv());
+// The same protocol for a file assembled from `pieces` written back to
+// back, so large sections (a .dpkb's CSR arrays) need no joined copy.
+Status WriteFileDurable(const std::string& path,
+                        std::initializer_list<std::string_view> pieces,
                         Env* env = GetEnv());
 
 // ------------------------------------------------------ fault injection

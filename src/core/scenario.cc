@@ -54,7 +54,7 @@ Result<GraphHandle> LoadScenarioGraph(const std::string& ref,
   GraphLoadOptions options;
   options.use_cache = params.dataset_cache;
   options.mmap = params.dataset_mmap;
-  return LoadGraphHandleRef(EffectiveDatasetRef(ref, params), rng, options);
+  return OpenGraph(EffectiveDatasetRef(ref, params), rng, options);
 }
 
 std::vector<DatasetInfo> ScenarioDatasets(const ScenarioParams& params) {

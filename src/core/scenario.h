@@ -91,7 +91,7 @@ ScenarioParams ResolveParams(const ScenarioParams& defaults,
 const std::string& EffectiveDatasetRef(const std::string& ref,
                                        const ScenarioParams& params);
 
-// Loads EffectiveDatasetRef(ref, params) through GraphSource.
+// Opens EffectiveDatasetRef(ref, params) through OpenGraph.
 // Generator-backed sources consume `rng` exactly the way MakeDataset
 // did, file-backed sources never touch it — so the RNG stream protocol
 // (and therefore every fixed-seed output) is unchanged when no override

@@ -53,56 +53,40 @@ Result<GraphSource> ResolveGraphSource(const std::string& ref) {
                           known + "; or pass an edge-list/.dpkb path)");
 }
 
-Result<Graph> LoadGraph(const GraphSource& source, Rng& rng,
-                        const GraphLoadOptions& options) {
+namespace {
+
+Result<GraphHandle> InRam(Result<Graph> graph) {
+  if (!graph.ok()) return graph.status();
+  return GraphHandle(std::move(graph).value());
+}
+
+}  // namespace
+
+Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
+                              const GraphLoadOptions& options) {
+  auto resolved = ResolveGraphSource(ref);
+  if (!resolved.ok()) return resolved.status();
+  const GraphSource& source = resolved.value();
   switch (source.kind) {
     case GraphSourceKind::kGenerator:
-      if (source.info == nullptr || source.info->generator == nullptr) {
-        return Status::FailedPrecondition(
-            "generator source '" + source.ref + "' has no generator");
-      }
-      return source.info->generator(rng);
+      // Synthesized in process; there is no file to map.
+      return GraphHandle(source.info->generator(rng));
     case GraphSourceKind::kEdgeList:
-      return options.use_cache ? ReadEdgeListCached(source.ref)
-                               : ReadEdgeList(source.ref);
-    case GraphSourceKind::kBinary:
-      return ReadBinaryGraph(source.ref);
-  }
-  return Status::Internal("invalid GraphSourceKind");
-}
-
-Result<Graph> LoadGraphRef(const std::string& ref, Rng& rng,
-                           const GraphLoadOptions& options) {
-  auto source = ResolveGraphSource(ref);
-  if (!source.ok()) return source.status();
-  return LoadGraph(source.value(), rng, options);
-}
-
-Result<GraphHandle> LoadGraphHandle(const GraphSource& source, Rng& rng,
-                                    const GraphLoadOptions& options) {
-  if (options.mmap) {
-    switch (source.kind) {
-      case GraphSourceKind::kBinary: {
-        auto mapped = MmapGraph::Open(source.ref);
-        if (!mapped.ok()) return mapped.status();
-        return GraphHandle(std::move(mapped.value()));
-      }
-      case GraphSourceKind::kEdgeList:
-        return ReadEdgeListMapped(source.ref);
-      case GraphSourceKind::kGenerator:
-        break;  // synthesized in process; there is no file to map
+      if (options.mmap) return ReadEdgeListMapped(source.ref);
+      return InRam(options.use_cache ? ReadEdgeListCached(source.ref)
+                                     : ReadEdgeList(source.ref));
+    case GraphSourceKind::kBinary: {
+      if (!options.mmap) return InRam(ReadBinaryGraph(source.ref));
+      // Kernels index adjacency[] by offsets[] straight out of the
+      // mapping, so an unverified hostile payload would read out of it.
+      MmapOptions untrusted;
+      untrusted.verify_payload = true;
+      auto mapped = MmapGraph::Open(source.ref, untrusted);
+      if (!mapped.ok()) return mapped.status();
+      return GraphHandle(std::move(mapped).value());
     }
   }
-  auto graph = LoadGraph(source, rng, options);
-  if (!graph.ok()) return graph.status();
-  return GraphHandle(std::move(graph.value()));
-}
-
-Result<GraphHandle> LoadGraphHandleRef(const std::string& ref, Rng& rng,
-                                       const GraphLoadOptions& options) {
-  auto source = ResolveGraphSource(ref);
-  if (!source.ok()) return source.status();
-  return LoadGraphHandle(source.value(), rng, options);
+  return Status::Internal("invalid GraphSourceKind");
 }
 
 }  // namespace dpkron

@@ -48,12 +48,12 @@ struct GraphLoadOptions {
   bool use_cache = false;
 
   // Serve file-backed sources out-of-core, as a view over an mmap'd
-  // .dpkb (LoadGraphHandle only): kBinary maps the file directly in
-  // O(header), kEdgeList maps its sidecar (rebuilding it if stale, so
-  // this implies the cache), and generators stay in-RAM — there is no
-  // file to map. Purely an execution strategy: the handle's view hashes
-  // to the same fingerprint either way, so results and cache entries
-  // are bit-identical to an in-RAM load.
+  // .dpkb: kBinary maps the file directly, kEdgeList maps its sidecar
+  // (rebuilding it if stale, so this implies the cache), and generators
+  // stay in-RAM — there is no file to map. Purely an execution
+  // strategy: the handle's view hashes to the same fingerprint either
+  // way, so results and cache entries are bit-identical to an in-RAM
+  // load.
   bool mmap = false;
 };
 
@@ -62,26 +62,22 @@ struct GraphLoadOptions {
 // lists the registered names.
 Result<GraphSource> ResolveGraphSource(const std::string& ref);
 
-// Materializes the graph. Generator sources consume `rng` exactly as
-// MakeDataset does; file-backed sources never touch it (so a scenario's
-// RNG stream protocol is unchanged by swapping a file in).
-Result<Graph> LoadGraph(const GraphSource& source, Rng& rng,
-                        const GraphLoadOptions& options = {});
-
-// ResolveGraphSource + LoadGraph in one step.
-Result<Graph> LoadGraphRef(const std::string& ref, Rng& rng,
-                           const GraphLoadOptions& options = {});
-
-// Like LoadGraph, but the result is an owning handle whose backing the
-// options choose: in-RAM arenas (always, for generators; default for
-// files) or an mmap'd .dpkb (options.mmap). This is what the scenario
-// engine consumes — kernels take the handle's GraphView either way.
-Result<GraphHandle> LoadGraphHandle(const GraphSource& source, Rng& rng,
-                                    const GraphLoadOptions& options = {});
-
-// ResolveGraphSource + LoadGraphHandle in one step.
-Result<GraphHandle> LoadGraphHandleRef(const std::string& ref, Rng& rng,
-                                       const GraphLoadOptions& options = {});
+// The one way to open a graph: resolves `ref` (ResolveGraphSource) and
+// materializes it behind an owning handle whose backing the options
+// choose — in-RAM arenas (always, for generators; default for files)
+// or an mmap'd .dpkb (options.mmap). Kernels take the handle's
+// GraphView either way.
+//
+// Generator sources consume `rng` exactly as MakeDataset does;
+// file-backed sources never touch it (so a scenario's RNG stream
+// protocol is unchanged by swapping a file in). A standalone .dpkb is
+// user-supplied, so it is never trusted: the in-RAM route validates it
+// fully, and the mmap route verifies the payload checksum and CSR
+// invariants at open (O(N + E)) before any kernel indexes into it.
+// Edge-list sidecars, stamp-checked against their source, keep the
+// O(header) map.
+Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
+                              const GraphLoadOptions& options = {});
 
 }  // namespace dpkron
 

@@ -7,12 +7,11 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -211,17 +210,11 @@ Result<Graph> ParseEdgeListImpl(std::string_view text,
   return MergeChunks(chunks, origin);
 }
 
-// All file bytes through the Env seam, so tests can inject read faults
-// and the NotFound/transient distinction is uniform across call sites.
-Result<std::string> ReadFileBytes(const std::string& path) {
-  return GetEnv()->ReadFileToString(path);
-}
-
 }  // namespace
 
 Result<Graph> ReadEdgeList(const std::string& path,
                            const EdgeListParseOptions& options) {
-  auto bytes = ReadFileBytes(path);
+  auto bytes = GetEnv()->ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
   return ParseEdgeListImpl(bytes.value(), path, options);
 }
@@ -259,36 +252,28 @@ namespace {
 constexpr char kDpkbMagic[8] = {'D', 'P', 'K', 'B', 'C', 'S', 'R', '1'};
 // Version 2 added source_checksum (and 8 bytes of header); version 3
 // moved the two CSR arrays onto 64-byte-aligned section boundaries so
-// an mmap of the file serves SIMD-alignable arrays in place. Readers
-// accept 2 (packed) and 3 (aligned); writers emit 3. Version 1 files
-// fail the version check, which the sidecar-cache path treats as
-// "stale": old caches are silently reparsed and rewritten, never
-// misloaded (tests/graph_io_test.cc exercises a crafted v1 file).
-constexpr uint32_t kDpkbVersionPacked = 2;
+// an mmap of the file serves SIMD-alignable arrays in place. Only 3 is
+// read or written. Older files fail the version check, which the
+// sidecar-cache path treats as "stale": old caches are silently
+// reparsed and rewritten, never misloaded (tests/graph_io_test.cc
+// exercises crafted v1 and v2 files).
 constexpr uint32_t kDpkbVersion = 3;
 
-// v3 section geometry. The header struct stays 56 bytes; v3 pads it to
-// the first section boundary.
+// Section geometry. The header struct is 56 bytes, padded to the first
+// section boundary.
 constexpr uint64_t kDpkbSectionAlign = 64;
+constexpr uint64_t kOffsetsSectionStart = kDpkbSectionAlign;
 
 uint64_t AlignUp(uint64_t value) {
   return (value + kDpkbSectionAlign - 1) & ~(kDpkbSectionAlign - 1);
 }
 
-uint64_t OffsetsSectionStart(uint32_t version) {
-  return version >= 3 ? kDpkbSectionAlign : 56;
+uint64_t AdjacencySectionStart(uint64_t num_nodes) {
+  return AlignUp(kOffsetsSectionStart + sizeof(uint32_t) * (num_nodes + 1));
 }
 
-uint64_t AdjacencySectionStart(uint32_t version, uint64_t num_nodes) {
-  const uint64_t end = OffsetsSectionStart(version) +
-                       sizeof(uint32_t) * (num_nodes + 1);
-  return version >= 3 ? AlignUp(end) : end;
-}
-
-uint64_t ExpectedFileSize(uint32_t version, uint64_t num_nodes,
-                          uint64_t adjacency_len) {
-  return AdjacencySectionStart(version, num_nodes) +
-         sizeof(uint32_t) * adjacency_len;
+uint64_t ExpectedFileSize(uint64_t num_nodes, uint64_t adjacency_len) {
+  return AdjacencySectionStart(num_nodes) + sizeof(uint32_t) * adjacency_len;
 }
 
 struct DpkbHeader {
@@ -314,20 +299,20 @@ uint64_t PayloadChecksum(std::span<const uint32_t> offsets,
   // Word-wise FNV-1a (see fnv.h): this checksum is recomputed over the
   // full CSR payload on every cached load, so throughput is part of the
   // cache's >=10x contract. Must stay the Graph::ContentFingerprint
-  // formula exactly — the section padding v3 introduced is NOT hashed,
-  // so v2 and v3 files of one graph record the same checksum.
+  // formula exactly — the section padding is NOT hashed.
   uint64_t hash = Fnv1a64Words(offsets.data(), offsets.size_bytes());
   return Fnv1a64Words(adjacency.data(), adjacency.size_bytes(), hash);
 }
 
 // Validates a parsed header's fixed fields (everything checkable without
-// touching the payload). Shared by the copying reader and MmapGraph.
+// touching the payload) — MmapGraph::Open's check, which the copying
+// reader goes through too.
 Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
                           const std::string& path) {
   if (std::memcmp(header.magic, kDpkbMagic, sizeof(kDpkbMagic)) != 0) {
     return Status::InvalidArgument(path + ": not a dpkb file (bad magic)");
   }
-  if (header.version != kDpkbVersionPacked && header.version != kDpkbVersion) {
+  if (header.version != kDpkbVersion) {
     return Status::InvalidArgument(
         path + ": unsupported dpkb version " + std::to_string(header.version));
   }
@@ -337,7 +322,7 @@ Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
     return Status::InvalidArgument(path + ": implausible dpkb counts");
   }
   const uint64_t expected_size =
-      ExpectedFileSize(header.version, header.num_nodes, header.adjacency_len);
+      ExpectedFileSize(header.num_nodes, header.adjacency_len);
   if (file_size != expected_size) {
     return Status::InvalidArgument(
         path + ": dpkb size mismatch (header promises " +
@@ -388,99 +373,47 @@ Status WriteBinaryGraph(GraphView graph, const std::string& path,
   header.source_size = source.size;
   header.source_checksum = source.checksum;
 
-  // v3 section padding: the header region runs to byte 64, and the
+  // Section padding: the header region runs to byte 64, and the
   // adjacency section starts on the next 64-byte boundary past the
   // offsets. Padding bytes are zero and excluded from the checksum.
   const char zeros[kDpkbSectionAlign] = {};
-  const uint64_t header_pad = OffsetsSectionStart(header.version) -
-                              sizeof(header);
-  const uint64_t offsets_end = OffsetsSectionStart(header.version) +
-                               sizeof(uint32_t) * (header.num_nodes + 1);
-  const uint64_t offsets_pad =
-      AdjacencySectionStart(header.version, header.num_nodes) - offsets_end;
+  const uint64_t offsets_end =
+      kOffsetsSectionStart + sizeof(uint32_t) * (header.num_nodes + 1);
+  const auto bytes = [](const auto* data, size_t len) {
+    return std::string_view(reinterpret_cast<const char*>(data), len);
+  };
 
-  // Write-temp → Sync → rename → SyncDir through the Env seam. The sync
+  // Write-temp → Sync → rename → SyncDir (WriteFileDurable). The sync
   // BEFORE the rename is load-bearing: rename-without-fsync can commit
   // the name while the data blocks are still page-cache-only, and a
   // crash then leaves a renamed-but-empty (or torn) .dpkb where readers
   // expect a valid cache. The temp name is unique per process and call —
   // two simultaneous cache writers must not truncate each other's
   // in-flight file.
-  Env* env = GetEnv();
-  static std::atomic<uint64_t> write_counter{0};
-  const std::string temp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(write_counter.fetch_add(1, std::memory_order_relaxed));
-  auto file = env->NewWritableFile(temp);
-  if (!file.ok()) return file.status();
-  Status status = file.value()->Append(&header, sizeof(header));
-  if (status.ok() && header_pad != 0) {
-    status = file.value()->Append(zeros, header_pad);
-  }
-  if (status.ok() && !graph.Offsets().empty()) {
-    status = file.value()->Append(graph.Offsets().data(),
-                                  sizeof(uint32_t) * graph.Offsets().size());
-  }
-  if (status.ok() && offsets_pad != 0) {
-    status = file.value()->Append(zeros, offsets_pad);
-  }
-  if (status.ok() && !graph.Adjacency().empty()) {
-    status =
-        file.value()->Append(graph.Adjacency().data(),
-                             sizeof(Graph::NodeId) * graph.Adjacency().size());
-  }
-  if (status.ok()) status = file.value()->Sync();
-  const Status close_status = file.value()->Close();
-  if (status.ok()) status = close_status;
-  if (status.ok()) status = env->RenameFile(temp, path);
-  if (!status.ok()) {
-    (void)env->RemoveFile(temp);
-    return status;
-  }
-  return env->SyncDir(path);
+  return WriteFileDurable(
+      path,
+      {bytes(&header, sizeof(header)),
+       bytes(zeros, kOffsetsSectionStart - sizeof(header)),
+       bytes(graph.Offsets().data(), graph.Offsets().size_bytes()),
+       bytes(zeros, AdjacencySectionStart(header.num_nodes) - offsets_end),
+       bytes(graph.Adjacency().data(), graph.Adjacency().size_bytes())});
 }
 
 Result<Graph> ReadBinaryGraph(const std::string& path,
                               DpkbSourceStamp* source) {
   if (source != nullptr) *source = DpkbSourceStamp{};
-  auto bytes = GetEnv()->ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  const std::string& data = bytes.value();
-  const uint64_t file_size = data.size();
-
-  DpkbHeader header{};
-  if (file_size < sizeof(header)) {
-    return Status::InvalidArgument(path + ": truncated dpkb header");
-  }
-  std::memcpy(&header, data.data(), sizeof(header));
-  if (Status status = ValidateDpkbHeader(header, file_size, path);
-      !status.ok()) {
-    return status;
-  }
-
-  Graph::OffsetVector offsets(header.num_nodes + 1);
-  Graph::AdjacencyVector adjacency(header.adjacency_len);
-  std::memcpy(offsets.data(),
-              data.data() + OffsetsSectionStart(header.version),
-              sizeof(uint32_t) * offsets.size());
-  if (!adjacency.empty()) {
-    std::memcpy(
-        adjacency.data(),
-        data.data() + AdjacencySectionStart(header.version, header.num_nodes),
-        sizeof(uint32_t) * adjacency.size());
-  }
-  if (PayloadChecksum(offsets, adjacency) != header.checksum) {
-    return Status::InvalidArgument(path + ": dpkb checksum mismatch");
-  }
-  if (source != nullptr) {
-    source->size = header.source_size;
-    source->checksum = header.source_checksum;
-  }
-  if (Status status = ValidateCsrSpans(offsets, adjacency, path);
-      !status.ok()) {
-    return status;
-  }
-  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
+  // One .dpkb decoder: the copying load is a verified map (header,
+  // exact size, checksum, CSR invariants) copied into RAM arenas.
+  MmapOptions verify;
+  verify.verify_payload = true;
+  auto mapped = MmapGraph::Open(path, verify);
+  if (!mapped.ok()) return mapped.status();
+  const GraphView view = mapped.value()->view();
+  if (source != nullptr) *source = mapped.value()->source_stamp();
+  return Graph::FromCsr(
+      Graph::OffsetVector(view.Offsets().begin(), view.Offsets().end()),
+      Graph::AdjacencyVector(view.Adjacency().begin(),
+                             view.Adjacency().end()));
 }
 
 // ------------------------------------------------- out-of-core (mmap)
@@ -503,7 +436,6 @@ MmapGraph::~MmapGraph() {
 }
 
 GraphView MmapGraph::view() const {
-  if (map_ == nullptr) return GraphView(fallback_);
   return GraphView(offsets_, adjacency_, &fingerprint_);
 }
 
@@ -544,16 +476,6 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   auto graph = std::shared_ptr<MmapGraph>(new MmapGraph());
   graph->stamp_ = DpkbSourceStamp{header.source_size, header.source_checksum};
 
-  if (header.version < 3) {
-    // Packed v2 layout: the arrays are not mappable in place (offsets
-    // start at byte 56). Degrade to the copying reader — same validation
-    // semantics, just materialized.
-    auto fallback = ReadBinaryGraph(path);
-    if (!fallback.ok()) return fallback.status();
-    graph->fallback_ = std::move(fallback.value());
-    return graph;
-  }
-
   void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_SHARED, fd.fd, 0);
   if (map == MAP_FAILED) {
     return Status::Unavailable(path + ": mmap: " + std::strerror(errno));
@@ -562,26 +484,21 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   graph->map_len_ = file_size;
   const auto* base = static_cast<const char*>(map);
   graph->offsets_ = std::span<const uint32_t>(
-      reinterpret_cast<const uint32_t*>(
-          base + OffsetsSectionStart(header.version)),
+      reinterpret_cast<const uint32_t*>(base + kOffsetsSectionStart),
       header.num_nodes + 1);
   graph->adjacency_ = std::span<const Graph::NodeId>(
       reinterpret_cast<const Graph::NodeId*>(
-          base + AdjacencySectionStart(header.version, header.num_nodes)),
+          base + AdjacencySectionStart(header.num_nodes)),
       header.adjacency_len);
   // The write-time checksum IS the content fingerprint by the format
   // contract, so StatCache keys match the in-RAM backing without a
   // payload read.
   graph->fingerprint_.store(header.checksum, std::memory_order_relaxed);
 
-  // Paging hints: the offsets array is touched by every kernel's setup
-  // (degrees, chunk bounds), so always prefetch it; the adjacency
-  // streams under page-cache control unless the caller asks for a full
-  // prefault. Advisory — failures are ignored.
-  (void)::madvise(map, options.populate
-                           ? file_size
-                           : AdjacencySectionStart(header.version,
-                                                   header.num_nodes),
+  // Paging hint: the offsets array is touched by every kernel's setup
+  // (degrees, chunk bounds), so prefetch it; the adjacency streams under
+  // page-cache control. Advisory — failures are ignored.
+  (void)::madvise(map, AdjacencySectionStart(header.num_nodes),
                   MADV_WILLNEED);
 
   // O(1) endpoint sanity even on trusted opens: catches a payload that
@@ -611,107 +528,90 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
 
 namespace {
 
-// RAII holder for the advisory "<cache>.lock" rebuild lock. Removing
-// the lock file IS the release; best-effort, like everything in the
-// lock protocol.
-class SidecarLockGuard {
- public:
-  explicit SidecarLockGuard(std::string path) : path_(std::move(path)) {}
-  ~SidecarLockGuard() {
-    if (held_) (void)GetEnv()->RemoveFile(path_);
-  }
-  SidecarLockGuard(const SidecarLockGuard&) = delete;
-  SidecarLockGuard& operator=(const SidecarLockGuard&) = delete;
-
-  // One O_EXCL attempt. kFailedPrecondition = someone else holds it;
-  // any other failure (permissions, injected fault) leaves the guard
-  // unheld and the caller proceeds without coordination.
-  Status TryAcquire() {
-    auto file = GetEnv()->NewExclusiveFile(path_);
-    if (!file.ok()) return file.status();
-    (void)file.value()->Close();
-    held_ = true;
-    return Status::Ok();
-  }
-
-  // Breaks an orphaned lock (holder crashed between create and unlink)
-  // and reacquires. The remove-then-create window can race another
-  // breaker, in which case this process just rebuilds unlocked — a
-  // duplicated parse, never a wrong result (the sidecar write itself is
-  // crash-safe via write-temp → sync → rename).
-  void BreakStale() {
-    (void)GetEnv()->RemoveFile(path_);
-    (void)TryAcquire();
-  }
-
-  bool held() const { return held_; }
-
- private:
-  std::string path_;
-  bool held_ = false;
+// An edge list's source text and its content stamp — what a sidecar must
+// have recorded to serve in its place.
+struct SidecarSource {
+  std::string bytes;
+  DpkbSourceStamp stamp;
 };
 
-// The sidecar route once the source bytes are in hand: binary-load if
-// the recorded stamp matches the current content, else parse the bytes
-// and (best-effort) rewrite the sidecar. `sidecar_hit` reports which
-// route served the graph.
-Result<Graph> LoadViaSidecar(const std::string& path,
-                             const std::string& bytes,
-                             const DpkbSourceStamp& current,
-                             const EdgeListParseOptions& options,
-                             bool* sidecar_hit) {
-  *sidecar_hit = false;
-  const std::string cache = BinaryCachePath(path);
+// Freshness is content-addressed, not timestamp-based: the current
+// source bytes are read and checksummed on every load, and the sidecar
+// serves only if its recorded (size, checksum) stamp matches. This
+// closes the staleness holes timestamps cannot see — a same-size
+// rewrite within mtime granularity of the cache write, or a same-size
+// mtime-preserving replacement (cp -p, rsync -t). Reading + hashing the
+// text is the cheap part of ingestion; the tokenize/densify/CSR build
+// the cache skips is what IngestionPerfTest measures.
+Result<SidecarSource> ReadSidecarSource(const std::string& path) {
+  auto bytes = GetEnv()->ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  SidecarSource source{std::move(bytes).value(), {}};
+  source.stamp = {source.bytes.size(),
+                  Fnv1a64Words(source.bytes.data(), source.bytes.size())};
+  return source;
+}
+
+// The two ways to serve a sidecar: copied into RAM arenas, or mapped in
+// place. Each yields nothing unless the sidecar opens clean and records
+// `current`. A standalone .dpkb (stamp {0, 0}) never does: the FNV-1a
+// checksum of any source text — even empty — is non-zero.
+std::optional<Graph> ReadFreshSidecar(const std::string& cache,
+                                      const DpkbSourceStamp& current) {
   DpkbSourceStamp recorded;
-  auto cached = ReadBinaryGraph(cache, &recorded);
-  if (cached.ok() && recorded.size == current.size &&
-      recorded.checksum == current.checksum) {
-    // A standalone .dpkb (stamp {0, 0}) can never match: the FNV-1a
-    // checksum of any source text — even empty — is non-zero.
-    *sidecar_hit = true;
-    return cached;
-  }
+  auto graph = ReadBinaryGraph(cache, &recorded);
+  if (!graph.ok() || recorded != current) return std::nullopt;
+  return std::move(graph).value();
+}
 
-  // Cache miss ⇒ rebuild, behind the cross-process lock so N processes
-  // cold-starting on one dataset do one parse. A loser waits, re-reading
-  // the sidecar each poll: the winner's atomic rename turns the miss
-  // into a hit mid-wait. A lock that outlives lock_stale_ms is presumed
-  // orphaned by a crashed holder and broken. The in-PROCESS analogue of
-  // this dedup is the StatCache memo in ReadEdgeListCached.
-  SidecarLockGuard lock(cache + ".lock");
-  const Status acquired = lock.TryAcquire();
-  if (!acquired.ok() && acquired.code() == StatusCode::kFailedPrecondition) {
-    int64_t waited_ms = 0;
-    const int64_t poll_ms = options.lock_poll_ms < 1 ? 1 : options.lock_poll_ms;
-    while (waited_ms < options.lock_stale_ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-      waited_ms += poll_ms;
-      auto rebuilt = ReadBinaryGraph(cache, &recorded);
-      if (rebuilt.ok() && recorded.size == current.size &&
-          recorded.checksum == current.checksum) {
-        *sidecar_hit = true;
-        return rebuilt;
-      }
-      if (lock.TryAcquire().ok()) break;  // holder released without a write
-    }
-    if (!lock.held()) lock.BreakStale();
+std::optional<GraphHandle> MapFreshSidecar(const std::string& cache,
+                                           const DpkbSourceStamp& current) {
+  auto mapped = MmapGraph::Open(cache);
+  if (!mapped.ok() || mapped.value()->source_stamp() != current) {
+    return std::nullopt;
   }
+  return GraphHandle(std::move(mapped).value());
+}
 
-  // A missing, stale, old-version or corrupt sidecar is rebuilt from the
-  // bytes already in hand, never fatal — including every failure mode of
-  // the lock protocol itself.
-  auto parsed = ParseEdgeListImpl(bytes, path, options);
-  if (!parsed.ok()) return parsed;
+// The sidecar body both loaders share once the source bytes are in
+// hand: serve "<path>.dpkb" through `open_fresh` if it is fresh, else
+// rebuild it. `sidecar_hit` reports which route served the graph.
+//
+// The rebuild runs behind the cross-process FileClaim so N processes
+// cold-starting on one dataset do one parse: a waiter re-runs
+// `open_fresh` each poll, and the holder's atomic rename turns the
+// miss into a hit mid-wait. The in-PROCESS analogue of this dedup is
+// the StatCache memo in ReadEdgeListCached. A missing, stale,
+// old-version or corrupt sidecar is rebuilt from the bytes already in
+// hand, never fatal — including every failure mode of the lock
+// protocol itself.
+template <typename T>
+Result<T> LoadViaSidecar(const std::string& path, const SidecarSource& source,
+                         const EdgeListParseOptions& options,
+                         std::optional<T> (*open_fresh)(
+                             const std::string&, const DpkbSourceStamp&),
+                         bool* sidecar_hit) {
+  const std::string cache = BinaryCachePath(path);
+  std::optional<T> served;
+  FileClaim claim(cache + ".lock");
+  *sidecar_hit = claim.LoadOrClaim(options.lock, [&] {
+    served = open_fresh(cache, source.stamp);
+    return served.has_value();
+  });
+  if (*sidecar_hit) return std::move(*served);
+
+  auto parsed = ParseEdgeListImpl(source.bytes, path, options);
+  if (!parsed.ok()) return parsed.status();
   // The cache WRITE is strictly best-effort: a full disk (ENOSPC) or
   // injected I/O fault must degrade to a warning + the in-memory parse,
   // never fail a load that already succeeded. The next load retries.
-  const Status cached_write = WriteBinaryGraph(parsed.value(), cache, current);
-  if (!cached_write.ok()) {
+  const Status written = WriteBinaryGraph(parsed.value(), cache, source.stamp);
+  if (!written.ok()) {
     std::fprintf(stderr, "# warning: sidecar cache write failed (%s); "
                  "serving the in-memory parse\n",
-                 cached_write.ToString().c_str());
+                 written.ToString().c_str());
   }
-  return parsed;
+  return T(std::move(parsed).value());
 }
 
 }  // namespace
@@ -719,20 +619,9 @@ Result<Graph> LoadViaSidecar(const std::string& path,
 Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
                                  const EdgeListParseOptions& options) {
   if (cache_hit != nullptr) *cache_hit = false;
-
-  // Freshness is content-addressed, not timestamp-based: the current
-  // source bytes are read and checksummed on every load, and the sidecar
-  // serves only if its recorded (size, checksum) stamp matches. This
-  // closes the staleness holes timestamps cannot see — a same-size
-  // rewrite within mtime granularity of the cache write, or a same-size
-  // mtime-preserving replacement (cp -p, rsync -t). Reading + hashing
-  // the text is the cheap part of ingestion; the tokenize/densify/CSR
-  // build the cache skips is what IngestionPerfTest measures.
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const DpkbSourceStamp current{bytes.value().size(),
-                                Fnv1a64Words(bytes.value().data(),
-                                             bytes.value().size())};
+  auto source = ReadSidecarSource(path);
+  if (!source.ok()) return source.status();
+  const DpkbSourceStamp& current = source.value().stamp;
 
   // With the StatCache enabled (sweep drivers), an in-memory memo keyed
   // by the same content stamp sits above the sidecar: the concurrent
@@ -752,8 +641,8 @@ Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
     const auto entry = memo.GetOrCompute<MemoEntry>("graph_load", key, [&] {
       computed = true;
       MemoEntry e{Status::Internal("unreachable"), false};
-      e.result = LoadViaSidecar(path, bytes.value(), current, options,
-                                &e.sidecar_hit);
+      e.result = LoadViaSidecar<Graph>(path, source.value(), options,
+                                       &ReadFreshSidecar, &e.sidecar_hit);
       return e;
     });
     if (cache_hit != nullptr) {
@@ -763,47 +652,28 @@ Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
   }
 
   bool sidecar_hit = false;
-  auto result =
-      LoadViaSidecar(path, bytes.value(), current, options, &sidecar_hit);
+  auto result = LoadViaSidecar<Graph>(path, source.value(), options,
+                                      &ReadFreshSidecar, &sidecar_hit);
   if (cache_hit != nullptr) *cache_hit = sidecar_hit;
   return result;
 }
 
 Result<GraphHandle> ReadEdgeListMapped(const std::string& path,
                                        const EdgeListParseOptions& options) {
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const DpkbSourceStamp current{bytes.value().size(),
-                                Fnv1a64Words(bytes.value().data(),
-                                             bytes.value().size())};
-  const std::string cache = BinaryCachePath(path);
-
-  // A servable sidecar must map in place (v3), carry the current
-  // source's stamp, and open clean. A fresh v2 sidecar fails the
-  // mapped() test; the loader below then serves it as a copying hit —
-  // correct, just not out-of-core — until the source changes and the
-  // rewrite migrates it to v3.
-  auto try_map = [&]() -> std::shared_ptr<MmapGraph> {
-    auto mapped = MmapGraph::Open(cache);
-    if (mapped.ok() && mapped.value()->mapped() &&
-        mapped.value()->source_stamp().size == current.size &&
-        mapped.value()->source_stamp().checksum == current.checksum) {
-      return std::move(mapped.value());
-    }
-    return nullptr;
-  };
-  if (auto mapped = try_map()) return GraphHandle(std::move(mapped));
-
-  // Miss: rebuild through the sidecar loader (it owns the cross-process
-  // lock protocol and the durable write), then retry the map once. If
-  // the rewrite could not land — read-only dataset directory, full disk
-  // — the parse in hand serves in-RAM.
+  auto source = ReadSidecarSource(path);
+  if (!source.ok()) return source.status();
   bool sidecar_hit = false;
-  auto parsed =
-      LoadViaSidecar(path, bytes.value(), current, options, &sidecar_hit);
-  if (!parsed.ok()) return parsed.status();
-  if (auto mapped = try_map()) return GraphHandle(std::move(mapped));
-  return GraphHandle(std::move(parsed.value()));
+  auto handle = LoadViaSidecar<GraphHandle>(path, source.value(), options,
+                                            &MapFreshSidecar, &sidecar_hit);
+  if (!handle.ok() || sidecar_hit) return handle;
+  // A rebuild returns the parse in hand. Once its sidecar write landed,
+  // serve the mapping instead; if the rewrite could not land —
+  // read-only dataset directory, full disk — the parse serves in-RAM.
+  if (auto mapped = MapFreshSidecar(BinaryCachePath(path),
+                                    source.value().stamp)) {
+    return std::move(*mapped);
+  }
+  return handle;
 }
 
 }  // namespace dpkron

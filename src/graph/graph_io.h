@@ -20,11 +20,11 @@
 //
 // Binary format (.dpkb, little-endian), the sidecar cache behind
 // ReadEdgeListCached and the out-of-core substrate behind MmapGraph.
-// Current version 3 ("aligned sections"):
+// Version 3 ("aligned sections"), the only version read or written:
 //
 //   bytes  field
 //   0..7   magic "DPKBCSR1"
-//   8..11  version (uint32, currently 3)
+//   8..11  version (uint32, 3)
 //   12..15 reserved (uint32, 0)
 //   16..23 num_nodes (uint64)
 //   24..31 adjacency length (uint64, = 2·edges)
@@ -45,12 +45,16 @@
 // Both sections start on 64-byte boundaries, so an mmap of the file
 // (page-aligned by definition) yields cache-line-aligned CSR arrays the
 // SIMD kernels can consume in place — the property that makes MmapGraph
-// a zero-copy load. Version 2 was the same header (56 bytes, version
-// field 2) with the two arrays packed immediately after it; readers
-// accept both, writers emit 3. Version-1 files fail the version check;
-// the sidecar-cache path treats any unreadable version exactly like a
-// stale cache (silent reparse + rewrite), so a repo upgraded across a
+// a zero-copy load. Files of any other version (1: 48-byte header
+// without the source checksum; 2: the 56-byte header with the arrays
+// packed right after it) fail with a Status naming the version; the
+// sidecar-cache path treats any unreadable version exactly like a stale
+// cache (silent reparse + v3 rewrite), so a repo upgraded across a
 // version bump never misloads an old cache.
+//
+// Scenarios, sweeps and the server open graphs through OpenGraph
+// (src/datasets/graph_source.h), which picks the loader below from the
+// source kind and the GraphLoadOptions.
 //
 // ReadBinaryGraph verifies magic/version/sizes/checksum and the CSR
 // invariants (monotone offsets, strictly sorted in-range lists, no
@@ -66,6 +70,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/file_claim.h"
 #include "src/common/status.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_view.h"
@@ -78,16 +83,15 @@ struct EdgeListParseOptions {
   // edge order — depends only on this and the input, not on threads.
   size_t chunk_bytes = 1 << 20;
 
-  // Cross-PROCESS sidecar-rebuild coordination (ReadEdgeListCached):
-  // a cache miss takes "<path>.dpkb.lock" (O_EXCL) before parsing, so
-  // N daemons cold-starting on one dataset do one parse, not N. A
-  // loser polls every lock_poll_ms, re-checking the sidecar each wake
-  // (the winner's rename makes it servable); a lock older than
-  // lock_stale_ms is presumed orphaned (holder crashed between create
-  // and unlink) and is broken. Locking is advisory and best-effort —
-  // no failure of the lock protocol ever fails a load.
-  int64_t lock_poll_ms = 20;
-  int64_t lock_stale_ms = 10000;
+  // Cross-PROCESS sidecar-rebuild coordination (ReadEdgeListCached,
+  // ReadEdgeListMapped): a cache miss claims "<path>.dpkb.lock" through
+  // FileClaim (file_claim.h) before parsing, so N daemons cold-starting
+  // on one dataset do one parse, not N. A loser polls every
+  // lock.poll_ms, re-checking the sidecar each wake (the winner's rename
+  // makes it servable); a lock older than lock.stale_ms is presumed
+  // orphaned and broken. No failure of the lock protocol ever fails a
+  // load.
+  LockOptions lock;
 };
 
 // Reads an undirected graph from a SNAP-style edge list file
@@ -115,6 +119,8 @@ Status WriteEdgeList(GraphView graph, const std::string& path);
 struct DpkbSourceStamp {
   uint64_t size = 0;      // source text bytes
   uint64_t checksum = 0;  // FNV-1a 64 of the source text
+
+  bool operator==(const DpkbSourceStamp&) const = default;
 };
 
 // Serializes the graph's CSR arrays in the .dpkb v3 format above.
@@ -123,9 +129,10 @@ struct DpkbSourceStamp {
 Status WriteBinaryGraph(GraphView graph, const std::string& path,
                         const DpkbSourceStamp& source = {});
 
-// Loads a .dpkb file (version 2 or 3), validating header, checksum and
-// CSR invariants. `source`, when non-null, receives the header's
-// recorded source stamp.
+// Loads a .dpkb v3 file into RAM arenas, validating header, checksum
+// and CSR invariants (MmapGraph::Open with verify_payload, then a
+// copy). `source`, when non-null, receives the header's recorded
+// source stamp.
 Result<Graph> ReadBinaryGraph(const std::string& path,
                               DpkbSourceStamp* source = nullptr);
 
@@ -143,11 +150,11 @@ Result<Graph> ReadBinaryGraph(const std::string& path,
 // invariants are verified only with Options::verify_payload (an
 // O(N + E) streaming read, still zero-copy); the default trusts the
 // checksum recorded at write time, which is what keeps the load
-// O(header). Use verify_payload for .dpkb files of untrusted origin.
+// O(header). OpenGraph sets verify_payload for every standalone .dpkb
+// (user-supplied, so untrusted); stamp-checked edge-list sidecars open
+// trusted.
 //
-// A version-2 file (packed layout, unmappable in place) degrades to a
-// copying load via ReadBinaryGraph — mapped() reports which route
-// served the graph. Fingerprint: the header checksum, which equals
+// Fingerprint: the header checksum, which equals
 // Graph::ContentFingerprint of the same CSR by the format contract, so
 // StatCache entries are shared bit-identically with in-RAM backings.
 //
@@ -158,9 +165,6 @@ struct MmapOptions {
   // Recompute the payload checksum and re-check the CSR invariants
   // before serving (full streaming read of the mapping).
   bool verify_payload = false;
-  // madvise(MADV_WILLNEED) the whole mapping up front (default hints
-  // only the offsets section).
-  bool populate = false;
 };
 
 class MmapGraph {
@@ -182,10 +186,6 @@ class MmapGraph {
   uint64_t NumEdges() const { return view().NumEdges(); }
   uint64_t ContentFingerprint() const { return view().ContentFingerprint(); }
 
-  // True when the CSR is served from the mapping; false when a v2 file
-  // forced the copying fallback.
-  bool mapped() const { return map_ != nullptr; }
-
   // The header's recorded source-text stamp ({0,0} for standalone
   // files) — what lets a sidecar consumer revalidate freshness without
   // touching the payload.
@@ -194,11 +194,10 @@ class MmapGraph {
  private:
   MmapGraph() = default;
 
-  void* map_ = nullptr;  // null = v2 copying fallback (fallback_ holds it)
+  void* map_ = nullptr;
   size_t map_len_ = 0;
   std::span<const uint32_t> offsets_;
   std::span<const Graph::NodeId> adjacency_;
-  Graph fallback_;
   DpkbSourceStamp stamp_;
   // Seeded with the header checksum on open, so views never recompute.
   mutable std::atomic<uint64_t> fingerprint_{0};
@@ -226,9 +225,8 @@ class GraphHandle {
   uint32_t NumNodes() const { return view().NumNodes(); }
   uint64_t NumEdges() const { return view().NumEdges(); }
 
-  // True when the payload is served from a live mapping (a v2 fallback
-  // inside MmapGraph reports false — it materialized).
-  bool mmap_backed() const { return mapped_ != nullptr && mapped_->mapped(); }
+  // True when the payload is served from a live mapping.
+  bool mmap_backed() const { return mapped_ != nullptr; }
 
  private:
   std::shared_ptr<const Graph> ram_;
@@ -253,8 +251,8 @@ Result<Graph> ReadEdgeListCached(const std::string& path,
 // through its sidecar as an mmap-backed handle. Stamp-checks
 // "<path>.dpkb" against the current source bytes and maps it on a hit;
 // on a miss (absent, stale, corrupt, or old-version sidecar) parses the
-// text, rewrites the sidecar as v3 — under the same cross-process lock
-// protocol as the cached loader — and retries the map once. If the
+// text, rewrites the sidecar as v3 — through the same sidecar body and
+// lock protocol as the cached loader — and retries the map once. If the
 // sidecar cannot be (re)written (read-only dataset dir, ENOSPC), the
 // freshly parsed in-RAM graph serves instead: mmap is an execution
 // strategy, never a correctness requirement, and both backings hash to

@@ -174,7 +174,7 @@ TEST(DiskCacheFaultInjectionTest, CrashMidStoreNeverPublishesATornEntry) {
 TEST(DiskCacheTest, ClaimLoserAdoptsTheWinnersEntry) {
   TempCacheRoot root("disk_cache_claim");
   DiskCache::Options options;
-  options.lock_poll_ms = 2;
+  options.lock.poll_ms = 2;
   // Two cache objects on one root — the in-process analogue of two
   // processes racing on the same cold key (no shared memory state).
   auto a = DiskCache::Open(root.path(), options);
@@ -221,8 +221,8 @@ TEST(DiskCacheTest, ClaimLoserAdoptsTheWinnersEntry) {
 TEST(DiskCacheTest, AStaleLockIsBrokenNotWaitedOnForever) {
   TempCacheRoot root("disk_cache_stale");
   DiskCache::Options options;
-  options.lock_poll_ms = 2;
-  options.lock_stale_ms = 30;  // presume-orphaned threshold
+  options.lock.poll_ms = 2;
+  options.lock.stale_ms = 30;  // presume-orphaned threshold
   auto cache = DiskCache::Open(root.path(), options);
   ASSERT_TRUE(cache.ok());
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -451,57 +452,67 @@ TEST(EdgeListCacheTest, SameSizeSameSecondRewriteDetected) {
 }
 
 TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
-  // A version-1 sidecar (48-byte header, no source checksum) left over
-  // from before the format bump: the version check must classify it as
-  // stale — silent reparse + v2 rewrite — and never misload it.
+  // Sidecars left over from before a format bump: the version check
+  // must classify them as stale — silent reparse + v3 rewrite, then a
+  // hit — and never misload them.
   const std::string path = TempPath("old_version.edges");
   const std::string cache = BinaryCachePath(path);
   const std::string text = "0 1\n1 2\n";
   WriteFile(path, text);
-
-  // Craft a faithful v1 file for the parsed graph: magic, version 1,
-  // counts, payload checksum (any value — the version check fires
-  // first), recorded source size, then the CSR payload.
   const auto graph = ParseEdgeListSerial(text);
   ASSERT_TRUE(graph.ok());
-  {
-    std::ofstream out(cache, std::ios::binary);
-    const char magic[8] = {'D', 'P', 'K', 'B', 'C', 'S', 'R', '1'};
-    const uint32_t version = 1, reserved = 0;
-    const uint64_t num_nodes = graph.value().NumNodes();
-    const uint64_t adjacency_len = graph.value().Adjacency().size();
-    const uint64_t checksum = 0, source_size = text.size();
-    out.write(magic, sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.write(reinterpret_cast<const char*>(&reserved), sizeof(reserved));
-    out.write(reinterpret_cast<const char*>(&num_nodes), sizeof(num_nodes));
-    out.write(reinterpret_cast<const char*>(&adjacency_len),
-              sizeof(adjacency_len));
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    out.write(reinterpret_cast<const char*>(&source_size),
-              sizeof(source_size));
-    out.write(reinterpret_cast<const char*>(graph.value().Offsets().data()),
-              static_cast<std::streamsize>(
-                  graph.value().Offsets().size_bytes()));
-    out.write(reinterpret_cast<const char*>(graph.value().Adjacency().data()),
-              static_cast<std::streamsize>(
-                  graph.value().Adjacency().size_bytes()));
+  const std::string offsets(
+      reinterpret_cast<const char*>(graph.value().Offsets().data()),
+      graph.value().Offsets().size_bytes());
+  const std::string adjacency(
+      reinterpret_cast<const char*>(graph.value().Adjacency().data()),
+      graph.value().Adjacency().size_bytes());
+
+  // Version 1: 48-byte header (magic, version 1, counts, payload
+  // checksum — any value, the version check fires first — and the
+  // recorded source size), then the packed CSR payload.
+  std::string v1(48, '\0');
+  const uint32_t version = 1;
+  const uint64_t num_nodes = graph.value().NumNodes();
+  const uint64_t adjacency_len = graph.value().Adjacency().size();
+  const uint64_t source_size = text.size();
+  std::memcpy(v1.data(), "DPKBCSR1", 8);
+  std::memcpy(v1.data() + 8, &version, sizeof(version));
+  std::memcpy(v1.data() + 16, &num_nodes, sizeof(num_nodes));
+  std::memcpy(v1.data() + 24, &adjacency_len, sizeof(adjacency_len));
+  std::memcpy(v1.data() + 40, &source_size, sizeof(source_size));
+  v1 += offsets + adjacency;
+
+  // Version 2: the current 56-byte header with a matching source stamp
+  // and checksum, the arrays packed right after it. Only the version
+  // makes it stale.
+  const DpkbSourceStamp stamp{text.size(),
+                              Fnv1a64Words(text.data(), text.size())};
+  ASSERT_TRUE(WriteBinaryGraph(graph.value(), cache, stamp).ok());
+  std::string v2 = ReadFile(cache).substr(0, 56);
+  v2[8] = 2;
+  v2 += offsets + adjacency;
+
+  for (const std::string& old : {v1, v2}) {
+    SCOPED_TRACE(old.size() == v1.size() ? "v1" : "v2");
+    WriteFile(cache, old);
+    const auto direct = ReadBinaryGraph(cache);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_NE(direct.status().message().find("version"), std::string::npos);
+
+    bool hit = true;
+    const auto result = ReadEdgeListCached(path, &hit);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(hit);
+    EXPECT_TRUE(SameCsr(result.value(), graph.value()));
+
+    // The sidecar was rewritten in place as v3: it now loads and hits.
+    EXPECT_EQ(ReadFile(cache)[8], 3);
+    EXPECT_TRUE(ReadBinaryGraph(cache).ok());
+    const auto upgraded = ReadEdgeListCached(path, &hit);
+    ASSERT_TRUE(upgraded.ok());
+    EXPECT_TRUE(hit);
   }
-  const auto direct = ReadBinaryGraph(cache);
-  ASSERT_FALSE(direct.ok());
-  EXPECT_NE(direct.status().message().find("version"), std::string::npos);
-
-  bool hit = true;
-  const auto result = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(hit);
-  EXPECT_TRUE(SameCsr(result.value(), graph.value()));
-
-  // The sidecar was upgraded in place: a v2 load now succeeds and hits.
-  EXPECT_TRUE(ReadBinaryGraph(cache).ok());
-  const auto upgraded = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_TRUE(hit);
 
   std::remove(path.c_str());
   std::remove(cache.c_str());
@@ -793,8 +804,8 @@ TEST(SidecarLockTest, WaiterServesSidecarInstalledByLockHolder) {
   });
 
   EdgeListParseOptions options;
-  options.lock_poll_ms = 5;
-  options.lock_stale_ms = 10000;  // far beyond the winner's 60ms
+  options.lock.poll_ms = 5;
+  options.lock.stale_ms = 10000;  // far beyond the winner's 60ms
   bool hit = false;
   const auto loaded = ReadEdgeListCached(path, &hit, options);
   winner.join();
@@ -819,8 +830,8 @@ TEST(SidecarLockTest, OrphanedLockIsBrokenAfterStaleTimeout) {
   WriteFile(lock, "");
 
   EdgeListParseOptions options;
-  options.lock_poll_ms = 2;
-  options.lock_stale_ms = 30;
+  options.lock.poll_ms = 2;
+  options.lock.stale_ms = 30;
   bool hit = true;
   const auto loaded = ReadEdgeListCached(path, &hit, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

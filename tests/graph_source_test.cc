@@ -1,11 +1,14 @@
-// GraphSource resolution and loading: registry names, edge-list files,
-// .dpkb binaries, the sidecar cache option, and the registry's
-// generator-carrying redesign.
+// GraphSource resolution and OpenGraph: registry names, edge-list
+// files, .dpkb binaries (trusted by neither backing), the sidecar cache
+// option, and the registry's generator-carrying redesign.
 
 #include "src/datasets/graph_source.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -69,10 +72,19 @@ TEST(GraphSourceTest, KindNames) {
 
 TEST(GraphSourceTest, GeneratorLoadMatchesMakeDataset) {
   Rng rng_a(42), rng_b(42);
-  const auto loaded = LoadGraphRef("AS20-like", rng_a);
+  const auto loaded = OpenGraph("AS20-like", rng_a);
   ASSERT_TRUE(loaded.ok());
   const Graph direct = MakeDataset("AS20-like", rng_b);
-  EXPECT_EQ(loaded.value().Edges(), direct.Edges());
+  EXPECT_EQ(loaded.value().view().Edges(), direct.Edges());
+
+  // There is no file to map: --mmap leaves generators in RAM.
+  Rng rng_c(42);
+  GraphLoadOptions mmap;
+  mmap.mmap = true;
+  const auto in_ram = OpenGraph("AS20-like", rng_c, mmap);
+  ASSERT_TRUE(in_ram.ok());
+  EXPECT_FALSE(in_ram.value().mmap_backed());
+  EXPECT_EQ(in_ram.value().view().Edges(), direct.Edges());
 }
 
 TEST(GraphSourceTest, EdgeListLoadIgnoresRng) {
@@ -83,7 +95,7 @@ TEST(GraphSourceTest, EdgeListLoadIgnoresRng) {
     Rng probe(7);
     return probe.NextU64();
   }();
-  const auto loaded = LoadGraphRef(path, rng);
+  const auto loaded = OpenGraph(path, rng);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().NumEdges(), 2u);
   EXPECT_EQ(rng.NextU64(), before);  // stream untouched by a file load
@@ -94,10 +106,43 @@ TEST(GraphSourceTest, BinaryLoad) {
   const std::string path = TempPath("load.dpkb");
   ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path).ok());
   Rng rng(1);
-  const auto loaded = LoadGraphRef(path, rng);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().NumNodes(), 10u);
-  EXPECT_EQ(loaded.value().NumEdges(), 15u);
+  GraphLoadOptions mmap;
+  mmap.mmap = true;
+  for (const GraphLoadOptions& options : {GraphLoadOptions{}, mmap}) {
+    const auto loaded = OpenGraph(path, rng, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().mmap_backed(), options.mmap);
+    EXPECT_EQ(loaded.value().NumNodes(), 10u);
+    EXPECT_EQ(loaded.value().NumEdges(), 15u);
+  }
+  std::remove(path.c_str());
+}
+
+// A user-supplied .dpkb is untrusted on both routes. An out-of-range
+// adjacency word is what a kernel would index with; the mmap route must
+// catch it at open (payload verification), not fault inside a kernel.
+TEST(GraphSourceTest, CorruptBinaryPayloadIsInvalidArgumentOnBothRoutes) {
+  const std::string path = TempPath("hostile.dpkb");
+  ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const uint32_t hostile = 0x7ffffff0;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(hostile), &hostile,
+              sizeof(hostile));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  Rng rng(1);
+  GraphLoadOptions mmap;
+  mmap.mmap = true;
+  for (const GraphLoadOptions& options : {GraphLoadOptions{}, mmap}) {
+    const auto loaded = OpenGraph(path, rng, options);
+    ASSERT_FALSE(loaded.ok()) << "mmap=" << options.mmap;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 
@@ -110,13 +155,13 @@ TEST(GraphSourceTest, CacheOptionCreatesSidecar) {
   Rng rng(1);
   GraphLoadOptions options;
   options.use_cache = true;
-  const auto first = LoadGraphRef(path, rng, options);
+  const auto first = OpenGraph(path, rng, options);
   ASSERT_TRUE(first.ok());
   std::ifstream sidecar(cache);
   EXPECT_TRUE(sidecar.good());
-  const auto second = LoadGraphRef(path, rng, options);
+  const auto second = OpenGraph(path, rng, options);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value().Edges(), second.value().Edges());
+  EXPECT_EQ(first.value().view().Edges(), second.value().view().Edges());
 
   std::remove(path.c_str());
   std::remove(cache.c_str());

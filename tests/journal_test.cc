@@ -229,13 +229,17 @@ TEST(RecordCodecTest, ShortAndOverlongRecordsFlagNotOk) {
   EXPECT_TRUE(trailing.ok());
   EXPECT_TRUE(trailing.done());
 
-  RecordParser partial(RecordBuilder().U32(1).U32(2).str());
+  // Parsers view their input, so each record is a named string that
+  // outlives its parser.
+  const std::string two_fields = RecordBuilder().U32(1).U32(2).str();
+  RecordParser partial(two_fields);
   partial.U32();
   EXPECT_TRUE(partial.ok());
   EXPECT_FALSE(partial.done());  // trailing garbage -> not done
 
   // A string whose recorded length exceeds the remaining bytes.
-  RecordParser bad_str(RecordBuilder().U32(1000).str());
+  const std::string overlong = RecordBuilder().U32(1000).str();
+  RecordParser bad_str(overlong);
   bad_str.Str();
   EXPECT_FALSE(bad_str.ok());
 }

@@ -1,7 +1,7 @@
 // MmapGraph — the out-of-core .dpkb backing: zero-copy round trips,
 // the no-SIGBUS validation contract (truncation and corruption degrade
-// to a clean Status before anything is mapped), the v2 copying
-// fallback, concurrent readers on one mapping, GraphHandle ownership
+// to a clean Status before anything is mapped), the v3-only version
+// check, concurrent readers on one mapping, GraphHandle ownership
 // semantics, ReadEdgeListMapped's sidecar protocol, and the
 // bit-identical-statistics contract across backings and thread counts.
 
@@ -86,7 +86,6 @@ TEST(MmapGraphTest, MapsAV3FileZeroCopy) {
 
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value()->mapped());
   ExpectViewEquals(mapped.value()->view(), g);
   // The v3 sections are 64-byte aligned — the property that lets SIMD
   // kernels consume the mapping in place.
@@ -104,7 +103,6 @@ TEST(MmapGraphTest, EmptyGraphRoundTrips) {
   ASSERT_TRUE(WriteBinaryGraph(Graph(), file.path()).ok());
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value()->mapped());
   EXPECT_EQ(mapped.value()->NumNodes(), 0u);
   EXPECT_EQ(mapped.value()->NumEdges(), 0u);
 }
@@ -148,10 +146,19 @@ TEST(MmapGraphTest, BadMagicAndVersionFail) {
   WriteAll(file.path(), bad);
   EXPECT_FALSE(MmapGraph::Open(file.path()).ok());
 
-  bad = good;
-  bad[8] = 99;  // versions other than 2 and 3 are unreadable
-  WriteAll(file.path(), bad);
-  EXPECT_FALSE(MmapGraph::Open(file.path()).ok());
+  // Only version 3 is readable: version 2 (the packed layout) fails
+  // with a Status naming it, like any unknown version.
+  for (const char version : {2, 99}) {
+    bad = good;
+    bad[8] = version;
+    WriteAll(file.path(), bad);
+    const auto mapped = MmapGraph::Open(file.path());
+    ASSERT_FALSE(mapped.ok()) << int{version};
+    EXPECT_NE(mapped.status().message().find(
+                  "unsupported dpkb version " + std::to_string(version)),
+              std::string::npos)
+        << mapped.status().ToString();
+  }
 }
 
 // Interior payload corruption is invisible to the default O(header)
@@ -171,49 +178,11 @@ TEST(MmapGraphTest, VerifyPayloadCatchesCorruption) {
   verify.verify_payload = true;
   EXPECT_FALSE(MmapGraph::Open(file.path(), verify).ok());
 
-  // An intact file passes verify_payload (and populate is just a hint).
+  // An intact file passes verify_payload.
   ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
-  MmapOptions both;
-  both.verify_payload = true;
-  both.populate = true;
-  auto mapped = MmapGraph::Open(file.path(), both);
+  auto mapped = MmapGraph::Open(file.path(), verify);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ExpectViewEquals(mapped.value()->view(), g);
-}
-
-// Hand-craft a version-2 file (packed layout: arrays immediately after
-// the 56-byte header) and check both readers accept it: ReadBinaryGraph
-// directly, MmapGraph via the copying fallback (mapped() == false —
-// unaligned sections can't be consumed in place).
-TEST(MmapGraphTest, Version2FileFallsBackToCopyingLoad) {
-  const Graph g = PetersenGraph();
-  TempFile file("mmap_v2.dpkb");
-  // Borrow the v3 header (same 56 bytes) and repack the sections.
-  ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
-  const std::string v3 = ReadAll(file.path());
-  std::string v2 = v3.substr(0, 56);
-  v2[8] = 2;  // version
-  const size_t offsets_bytes = sizeof(uint32_t) * (g.NumNodes() + 1);
-  v2.append(v3.substr(64, offsets_bytes));  // offsets, packed at 56
-  v2.append(v3.substr(v3.size() - sizeof(uint32_t) * g.Adjacency().size()));
-  WriteAll(file.path(), v2);
-
-  auto copied = ReadBinaryGraph(file.path());
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  EXPECT_EQ(copied.value().Edges(), g.Edges());
-
-  auto mapped = MmapGraph::Open(file.path());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(mapped.value()->mapped());  // served via the fallback
-  ExpectViewEquals(mapped.value()->view(), g);
-
-  // The current writer re-emits v3; the upgrade round-trips the graph.
-  TempFile rewritten("mmap_v2_upgraded.dpkb");
-  ASSERT_TRUE(WriteBinaryGraph(mapped.value()->view(), rewritten.path()).ok());
-  auto upgraded = MmapGraph::Open(rewritten.path());
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_TRUE(upgraded.value()->mapped());
-  ExpectViewEquals(upgraded.value()->view(), g);
 }
 
 TEST(MmapGraphTest, ConcurrentReadersShareOneMapping) {
@@ -334,7 +303,6 @@ TEST(MmapGraphTest, StatisticsBitIdenticalAcrossBackingsAndThreads) {
   ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(mapped.value()->mapped());
 
   StatisticsOptions options;
   options.anf_trials = 8;
