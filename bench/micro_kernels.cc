@@ -37,6 +37,11 @@ const Graph& TestGraph(uint32_t k) {
   static Rng rng(1);
   static const Graph& g10 = *new Graph(SampleSkg({0.99, 0.55, 0.35}, 10, rng));
   static const Graph& g12 = *new Graph(SampleSkg({0.99, 0.55, 0.35}, 12, rng));
+  if (k == 14) {  // the Figures' graph size; sampled only when asked for
+    static const Graph& g14 =
+        *new Graph(SampleSkg({0.99, 0.55, 0.35}, 14, rng));
+    return g14;
+  }
   return k == 10 ? g10 : g12;
 }
 
@@ -294,14 +299,20 @@ void BM_SmoothSensitivityEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_SmoothSensitivityEvaluation);
 
+// Args: SKG k, then thread count. Full reorthogonalization issues
+// thousands of small Dot/Axpy calls; at k=14 (16,384 nodes, two
+// 8192-element chunks) each one used to be a pool section, so the sweep
+// shows whether threads help or hurt on the Figures' graph size.
 void BM_Lanczos50(benchmark::State& state) {
   const Graph& g = TestGraph(static_cast<uint32_t>(state.range(0)));
+  ScopedBenchThreads threads(static_cast<int>(state.range(1)));
   Rng rng(6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(TopSingularValues(g, 50, rng));
   }
 }
-BENCHMARK(BM_Lanczos50)->Arg(10)->Arg(12);
+BENCHMARK(BM_Lanczos50)->ArgsProduct({{10, 12, 14}, {1, 2, 4, 8}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ApproxHopPlot(benchmark::State& state) {
   const Graph& g = TestGraph(12);

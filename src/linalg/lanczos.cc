@@ -126,7 +126,9 @@ std::vector<double> RitzValues(GraphView graph, uint32_t iterations,
     alpha.push_back(a);
     Axpy(-a, basis[j], &w);
     if (j > 0) Axpy(-beta[j - 1], basis[j - 1], &w);
-    // Full reorthogonalization (two passes of classical Gram–Schmidt).
+    // Full reorthogonalization: two passes of modified Gram–Schmidt (each
+    // Dot is taken against the already-updated w, one basis vector at a
+    // time).
     for (int pass = 0; pass < 2; ++pass) {
       for (const auto& q : basis) Axpy(-Dot(q, w), q, &w);
     }

@@ -1,5 +1,6 @@
 #include "src/linalg/spmv.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/macros.h"
@@ -14,6 +15,22 @@ namespace {
 // hub-heavy CSR rows. Vector helpers use coarser chunks (O(1) per item).
 constexpr size_t kRowGrain = 256;
 constexpr size_t kVectorGrain = 8192;
+
+// Runs fn over the fixed kVectorGrain chunks of [0, n): in chunk order on
+// the calling thread below kMinParallelVector, on the pool otherwise. The
+// chunks are the same either way, so results do not depend on the path.
+template <typename Fn>
+void ForEachVectorChunk(size_t n, Fn&& fn) {
+  if (n >= kMinParallelVector) {
+    ParallelForChunks(n, kVectorGrain, fn);
+    return;
+  }
+  ParallelChunk chunk;
+  for (; chunk.begin < n; ++chunk.index, chunk.begin = chunk.end) {
+    chunk.end = std::min(n, chunk.begin + kVectorGrain);
+    fn(chunk);
+  }
+}
 
 }  // namespace
 
@@ -40,16 +57,17 @@ double Norm2(const std::vector<double>& x) {
 
 double Dot(const std::vector<double>& x, const std::vector<double>& y) {
   DPKRON_CHECK_EQ(x.size(), y.size());
-  // Chunk-ordered reduction: deterministic for a given vector length
-  // regardless of thread count (see ParallelSum's contract).
-  return ParallelSum(x.size(), kVectorGrain,
-                     [&](size_t begin, size_t end) {
-                       double sum = 0.0;
-                       for (size_t i = begin; i < end; ++i) {
-                         sum += x[i] * y[i];
-                       }
-                       return sum;
-                     });
+  // Chunk-ordered reduction, as in ParallelSum: deterministic for a given
+  // vector length regardless of thread count.
+  std::vector<double> partials(ParallelChunkCount(x.size(), kVectorGrain));
+  ForEachVectorChunk(x.size(), [&](const ParallelChunk& chunk) {
+    double sum = 0.0;
+    for (size_t i = chunk.begin; i < chunk.end; ++i) sum += x[i] * y[i];
+    partials[chunk.index] = sum;
+  });
+  double total = 0.0;
+  for (double partial : partials) total += partial;
+  return total;
 }
 
 // Axpy and Scale are element-wise (one independent rounding per
@@ -60,33 +78,31 @@ double Dot(const std::vector<double>& x, const std::vector<double>& y) {
 // means reassociating it.
 void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y) {
   DPKRON_CHECK_EQ(x.size(), y->size());
-  if (Avx2Active()) {
-    double* y_data = y->data();
-    const double* x_data = x.data();
-    ParallelForChunks(x.size(), kVectorGrain,
-                      [&](const ParallelChunk& chunk) {
-                        AxpyAvx2(alpha, x_data + chunk.begin,
-                                 y_data + chunk.begin,
-                                 chunk.end - chunk.begin);
-                      });
-    return;
-  }
-  ParallelFor(x.size(), kVectorGrain,
-              [&](size_t i) { (*y)[i] += alpha * x[i]; });
+  const bool avx2 = Avx2Active();
+  const double* x_data = x.data();
+  double* y_data = y->data();
+  ForEachVectorChunk(x.size(), [&](const ParallelChunk& chunk) {
+    if (avx2) {
+      AxpyAvx2(alpha, x_data + chunk.begin, y_data + chunk.begin,
+               chunk.end - chunk.begin);
+      return;
+    }
+    for (size_t i = chunk.begin; i < chunk.end; ++i) {
+      y_data[i] += alpha * x_data[i];
+    }
+  });
 }
 
 void Scale(double alpha, std::vector<double>* x) {
-  if (Avx2Active()) {
-    double* x_data = x->data();
-    ParallelForChunks(x->size(), kVectorGrain,
-                      [&](const ParallelChunk& chunk) {
-                        ScaleAvx2(alpha, x_data + chunk.begin,
-                                  chunk.end - chunk.begin);
-                      });
-    return;
-  }
-  ParallelFor(x->size(), kVectorGrain,
-              [&](size_t i) { (*x)[i] *= alpha; });
+  const bool avx2 = Avx2Active();
+  double* x_data = x->data();
+  ForEachVectorChunk(x->size(), [&](const ParallelChunk& chunk) {
+    if (avx2) {
+      ScaleAvx2(alpha, x_data + chunk.begin, chunk.end - chunk.begin);
+      return;
+    }
+    for (size_t i = chunk.begin; i < chunk.end; ++i) x_data[i] *= alpha;
+  });
 }
 
 }  // namespace dpkron

@@ -7,6 +7,7 @@
 #ifndef DPKRON_LINALG_SPMV_H_
 #define DPKRON_LINALG_SPMV_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/graph/graph_view.h"
@@ -19,7 +20,13 @@ void AdjacencyMatVec(GraphView graph, const std::vector<double>& x,
                      std::vector<double>* y);
 
 // Euclidean norm, dot product, and axpy helpers used by the iterative
-// solvers (kept here so the solvers stay readable).
+// solvers (kept here so the solvers stay readable). Below
+// kMinParallelVector elements they run their fixed 8192-element chunks
+// on the calling thread: Lanczos issues thousands of these O(n) calls
+// per run, and on a few chunks a pool wake-up costs more than the work.
+// The chunks, and so the results, are the same on either path.
+inline constexpr size_t kMinParallelVector = size_t{1} << 16;
+
 double Norm2(const std::vector<double>& x);
 double Dot(const std::vector<double>& x, const std::vector<double>& y);
 // y += alpha * x

@@ -3,8 +3,12 @@
 
 #include "src/common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <iterator>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +24,8 @@
 #include "src/kronfit/kronfit.h"
 #include "src/kronfit/likelihood.h"
 #include "src/kronfit/permutation.h"
+#include "src/linalg/lanczos.h"
+#include "src/linalg/network_value.h"
 #include "src/linalg/spmv.h"
 #include "src/skg/sampler.h"
 
@@ -121,6 +127,57 @@ TEST(ParallelSumTest, DeterministicAcrossThreadCounts) {
   });
 }
 
+// dpkrond's request workers are plain std::threads sharing the one pool,
+// so several sections can be in flight at once. Each caller must still
+// run every one of its chunks exactly once and get its own chunk-ordered
+// result, on 2-chunk and on 100-chunk sections.
+TEST(ParallelTest, ConcurrentRunFromNonPoolThreads) {
+  Rng rng(2718);
+  std::vector<double> values(6400);
+  for (double& v : values) v = rng.NextGaussian() * 1e6;
+  const auto sum = [&](size_t grain) {
+    return ParallelSum(values.size(), grain, [&](size_t begin, size_t end) {
+      double s = 0.0;
+      for (size_t i = begin; i < end; ++i) s += values[i];
+      return s;
+    });
+  };
+  // Per-chunk element counts: a chunk skipped, run twice, or run into
+  // another caller's slots shows up as a wrong count.
+  const auto chunk_sizes = [&](size_t grain) {
+    std::vector<size_t> counts(ParallelChunkCount(values.size(), grain));
+    ParallelForChunks(values.size(), grain, [&](const ParallelChunk& chunk) {
+      counts[chunk.index] += chunk.end - chunk.begin;
+    });
+    return counts;
+  };
+  constexpr size_t kGrains[] = {3200, 64};  // 2 and 100 chunks
+  std::vector<double> sum_ref;
+  std::vector<std::vector<size_t>> chunk_sizes_ref;
+  {
+    ScopedThreadCount serial(1);
+    for (size_t grain : kGrains) {
+      sum_ref.push_back(sum(grain));
+      chunk_sizes_ref.push_back(chunk_sizes(grain));
+    }
+  }
+  ScopedThreadCount guard(4);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int caller = 0; caller < 4; ++caller) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 200; ++round) {
+        for (size_t g = 0; g < std::size(kGrains); ++g) {
+          if (sum(kGrains[g]) != sum_ref[g]) ++mismatches;
+          if (chunk_sizes(kGrains[g]) != chunk_sizes_ref[g]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(SplitRngStreamsTest, DeterministicAndDistinct) {
   Rng a(7), b(7);
   std::vector<Rng> sa = SplitRngStreams(a, 8);
@@ -184,6 +241,32 @@ TEST(KernelInvarianceTest, SpmvAndDot) {
   });
   ExpectThreadCountInvariant([&] { return Dot(x, x); });
   ExpectThreadCountInvariant([&] { return Norm2(x); });
+}
+
+// Lanczos and power iteration call Dot/Axpy/Scale thousands of times.
+// Below kMinParallelVector nodes those run their chunks on the caller,
+// above it on the pool; the chunking, and so every bit, is the same.
+TEST(KernelInvarianceTest, LanczosBothSidesOfTheInlineThreshold) {
+  const uint32_t log2_threshold = std::bit_width(kMinParallelVector) - 1;
+  ASSERT_EQ(size_t{1} << log2_threshold, kMinParallelVector);
+  SkgSampleOptions sample_options;
+  sample_options.method = SkgSampleMethod::kEdgeSkip;
+  LanczosOptions lanczos_options;
+  lanczos_options.iterations = 12;
+  for (const uint32_t k : {log2_threshold - 1, log2_threshold + 1}) {
+    Rng sample_rng(k);
+    const Graph g = SampleSkg({0.9, 0.5, 0.2}, k, sample_rng, sample_options);
+    ASSERT_EQ(g.NumNodes(), size_t{1} << k);
+    ASSERT_GE(g.NumNodes(), 3 * 8192u);  // several chunks even inline
+    ExpectThreadCountInvariant([&] {
+      Rng rng(31);
+      return TopSingularValues(g, 4, rng, lanczos_options);
+    });
+    ExpectThreadCountInvariant([&] {
+      Rng rng(32);
+      return NetworkValue(g, rng);
+    });
+  }
 }
 
 TEST(KernelInvarianceTest, ParallelSumArray) {

@@ -294,9 +294,28 @@ TEST(SimdParityTest, LaplaceNoiseVectorBitIdentical) {
   }
 }
 
+// Dot's defining value: one partial per 8192-element chunk, partials
+// added left to right. Both the inline and the pool path must give it.
+double ChunkOrderedDot(const std::vector<double>& x,
+                       const std::vector<double>& y) {
+  double total = 0.0;
+  for (size_t begin = 0; begin < x.size(); begin += 8192) {
+    double partial = 0.0;
+    for (size_t i = begin; i < std::min(x.size(), begin + 8192); ++i) {
+      partial += x[i] * y[i];
+    }
+    total += partial;
+  }
+  return total;
+}
+
 TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
-  for (const size_t size : {size_t{0}, size_t{1}, size_t{5}, size_t{7},
-                            size_t{8}, size_t{100000}}) {
+  // 3*8192+5 runs several chunks inline on the caller; the last two
+  // sizes straddle the threshold where the helpers switch to the pool.
+  for (const size_t size :
+       {size_t{0}, size_t{1}, size_t{5}, size_t{7}, size_t{8},
+        size_t{3 * 8192 + 5}, kMinParallelVector - 1, kMinParallelVector,
+        size_t{100000}}) {
     std::vector<double> x(size), y0(size);
     Rng rng(size + 3);
     for (size_t i = 0; i < size; ++i) {
@@ -318,6 +337,7 @@ TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
           axpy_ref = y;
           scale_ref = s;
           dot_ref = dot;
+          EXPECT_EQ(dot, ChunkOrderedDot(x, y0)) << "size=" << size;
           continue;
         }
         EXPECT_EQ(*axpy_ref, y);
