@@ -20,15 +20,16 @@
 //     --cache-stats --out=BENCH_sweeps.json
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/env.h"
 #include "src/common/parallel.h"
-#include "src/common/simd.h"
 #include "src/common/stat_cache.h"
+#include "src/core/cli_flags.h"
 #include "src/core/scenario.h"
 #include "src/core/sweep.h"
 #include "src/datasets/graph_source.h"
@@ -36,81 +37,6 @@
 
 namespace dpkron {
 namespace {
-
-void PrintUsage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: dpkron_experiments [--list] --scenario=<name>[,...]\n"
-               "\n"
-               "  --list                show registered scenarios and exit\n"
-               "  --list-datasets       show registered datasets and exit\n"
-               "  --scenario=NAMES      comma-separated scenario names, or"
-               " 'all'\n"
-               "  --dataset=REF         run on this dataset instead of the\n"
-               "                        scenario's own: a registry name, an\n"
-               "                        edge-list path, or a .dpkb path\n"
-               "  --dataset-cache       keep a .dpkb sidecar cache next to\n"
-               "                        a file-backed --dataset\n"
-               "  --mmap                serve file-backed datasets\n"
-               "                        out-of-core via an mmap'd .dpkb\n"
-               "                        (implies the sidecar cache for edge\n"
-               "                        lists); results are bit-identical\n"
-               "                        to in-RAM loads\n"
-               "  --threads=N           worker threads (default: hardware)\n"
-               "  --seed=N              override the scenario's seed\n"
-               "  --epsilon=X           override the privacy parameter\n"
-               "  --realizations=N      override 'Expected' realizations\n"
-               "  --trials=N            override mechanism trials per point\n"
-               "  --kronfit-iterations=N  override KronFit iterations\n"
-               "  --sweep-epsilons=a,b  override the epsilon sweep axis\n"
-               "                        (in --sweep mode: the ε grid)\n"
-               "  --smoke               shrink every axis for a fast pass\n"
-               "  --force-scalar        disable SIMD dispatch (also:\n"
-               "                        DPKRON_FORCE_SCALAR=1); outputs are\n"
-               "                        bit-identical either way — this is\n"
-               "                        for perf A/B and fallback testing\n"
-               "  --out=PATH            write BENCH_scenarios.json here\n"
-               "                        (BENCH_sweeps.json in --sweep mode)\n"
-               "\n"
-               "sweep mode (batch matrix with cross-run stat caching):\n"
-               "  --sweep               run scenarios x datasets x epsilons\n"
-               "                        x seeds concurrently; failures are\n"
-               "                        recorded per run, not fatal\n"
-               "  --sweep-seeds=N       seed-axis length (default 1; seed 0\n"
-               "                        is the base seed itself)\n"
-               "  --cache-stats         print StatCache hit/miss counters\n"
-               "                        (they are always in the JSON)\n"
-               "  --checkpoint=PATH     journal each completed cell to PATH\n"
-               "                        (fsynced per cell; switches the JSON\n"
-               "                        document to its stable form)\n"
-               "  --resume              skip cells already completed in the\n"
-               "                        --checkpoint journal; the merged\n"
-               "                        document is byte-identical to an\n"
-               "                        uninterrupted run\n"
-               "  --retries=N           extra attempts per cell for\n"
-               "                        transient (UNAVAILABLE) failures\n"
-               "                        (default 0)\n"
-               "  --disk-cache=DIR      attach the persistent StatCache\n"
-               "                        tier rooted at DIR (created if\n"
-               "                        needed); repeated runs and sweep\n"
-               "                        shards warm-start from it\n"
-               "  --cache-mem-budget=MB cap the in-memory StatCache\n"
-               "                        footprint; oldest entries evict\n"
-               "                        (and reload from --disk-cache)\n"
-               "  --disk-cache-budget=MB cap the on-disk cache size;\n"
-               "                        oldest entries are unlinked after\n"
-               "                        each store (in-flight entries are\n"
-               "                        pinned)\n"
-               "\n"
-               "multi-process sharding (requires --sweep --checkpoint):\n"
-               "  --sweep-shards=N      this run is one worker of an\n"
-               "                        N-worker fleet over the same spec\n"
-               "  --sweep-shard-id=I    which worker (0..N-1); the shard\n"
-               "                        journals to <checkpoint>.shard-I\n"
-               "  --sweep-merge         instead of running, merge the N\n"
-               "                        shard journals into the document\n"
-               "                        (byte-identical to an unsharded\n"
-               "                        run of the same spec)\n");
-}
 
 void PrintList() {
   std::printf("registered scenarios (run with --scenario=<name>):\n\n");
@@ -160,15 +86,15 @@ void PrintDatasetList() {
               " the text once and binary-load it\nthereafter.\n");
 }
 
-std::vector<std::string> SplitCommaList(const char* value) {
+std::vector<std::string> SplitCommaList(std::string_view value) {
   std::vector<std::string> items;
   std::string current;
-  for (const char* c = value; *c != '\0'; ++c) {
-    if (*c == ',') {
+  for (const char c : value) {
+    if (c == ',') {
       if (!current.empty()) items.push_back(current);
       current.clear();
     } else {
-      current += *c;
+      current += c;
     }
   }
   if (!current.empty()) items.push_back(current);
@@ -194,6 +120,20 @@ void PrintCacheStats() {
   }
 }
 
+// Writes --out via temp file + fsync + rename (an interrupted run never
+// leaves a truncated artifact); returns the exit code.
+int WriteDocument(const std::string& path, const std::string& json,
+                  size_t count, const char* noun) {
+  const Status wrote = WriteFileDurable(path, json + "\n");
+  if (!wrote.ok()) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 wrote.ToString().c_str());
+    return 1;
+  }
+  std::printf("# wrote %s (%zu %s)\n", path.c_str(), count, noun);
+  return 0;
+}
+
 int Main(int argc, char** argv) {
   RegisterAllScenarios();
 
@@ -206,127 +146,49 @@ int Main(int argc, char** argv) {
   uint32_t sweep_seeds = 1;
   uint32_t retries = 0;
   uint32_t sweep_shards = 1;
-  int sweep_shard_id = -1;  // -1 = flag not given
-  uint64_t cache_mem_budget_mb = 0;
-  uint64_t disk_cache_budget_mb = 0;
+  std::optional<uint32_t> sweep_shard_id;
   std::string checkpoint_path;
-  std::string disk_cache_path;
   std::vector<std::string> names;
   std::string out_path;
-  int threads = 0;
+  RuntimeFlags runtime;
   ScenarioOverrides overrides;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--list") == 0) {
-      list = true;
-    } else if (std::strcmp(arg, "--list-datasets") == 0) {
-      list_datasets = true;
-    } else if (std::strcmp(arg, "--sweep") == 0) {
-      sweep_mode = true;
-    } else if (std::strcmp(arg, "--cache-stats") == 0) {
-      cache_stats = true;
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      resume = true;
-    } else if (std::strncmp(arg, "--checkpoint=", 13) == 0) {
-      checkpoint_path = arg + 13;
-    } else if (std::strncmp(arg, "--disk-cache=", 13) == 0) {
-      disk_cache_path = arg + 13;
-    } else if (std::strncmp(arg, "--cache-mem-budget=", 19) == 0) {
-      const long long mb = std::atoll(arg + 19);
-      if (mb < 1) {
-        std::fprintf(stderr, "--cache-mem-budget must be >= 1 (MB)\n");
-        return 2;
-      }
-      cache_mem_budget_mb = static_cast<uint64_t>(mb);
-    } else if (std::strncmp(arg, "--disk-cache-budget=", 20) == 0) {
-      const long long mb = std::atoll(arg + 20);
-      if (mb < 1) {
-        std::fprintf(stderr, "--disk-cache-budget must be >= 1 (MB)\n");
-        return 2;
-      }
-      disk_cache_budget_mb = static_cast<uint64_t>(mb);
-    } else if (std::strcmp(arg, "--sweep-merge") == 0) {
-      sweep_merge = true;
-    } else if (std::strncmp(arg, "--sweep-shards=", 15) == 0) {
-      const int shards = std::atoi(arg + 15);
-      if (shards < 1) {
-        std::fprintf(stderr, "--sweep-shards must be >= 1\n");
-        return 2;
-      }
-      sweep_shards = static_cast<uint32_t>(shards);
-    } else if (std::strncmp(arg, "--sweep-shard-id=", 17) == 0) {
-      sweep_shard_id = std::atoi(arg + 17);
-      if (sweep_shard_id < 0) {
-        std::fprintf(stderr, "--sweep-shard-id must be >= 0\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-      const int value = std::atoi(arg + 10);
-      if (value < 0) {
-        std::fprintf(stderr, "--retries must be >= 0\n");
-        return 2;
-      }
-      retries = static_cast<uint32_t>(value);
-    } else if (std::strncmp(arg, "--sweep-seeds=", 14) == 0) {
-      const int seeds = std::atoi(arg + 14);
-      if (seeds < 1) {
-        std::fprintf(stderr, "--sweep-seeds must be >= 1\n");
-        return 2;
-      }
-      sweep_seeds = static_cast<uint32_t>(seeds);
-    } else if (std::strcmp(arg, "--smoke") == 0) {
-      overrides.smoke = true;
-    } else if (std::strcmp(arg, "--force-scalar") == 0) {
-      SetSimdLevelCap(SimdLevel::kScalar);
-    } else if (std::strcmp(arg, "--dataset-cache") == 0) {
-      overrides.dataset_cache = true;
-    } else if (std::strcmp(arg, "--mmap") == 0) {
-      overrides.dataset_mmap = true;
-    } else if (std::strncmp(arg, "--dataset=", 10) == 0) {
-      overrides.dataset = std::string(arg + 10);
-    } else if (std::strncmp(arg, "--scenario=", 11) == 0) {
-      for (std::string& name : SplitCommaList(arg + 11)) {
-        names.push_back(std::move(name));
-      }
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      // strtoull, not atoll: sweep-derived seeds are full 64-bit values
-      // and must round-trip from the JSON back through --seed.
-      overrides.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--epsilon=", 10) == 0) {
-      overrides.epsilon = std::atof(arg + 10);
-    } else if (std::strncmp(arg, "--realizations=", 15) == 0) {
-      overrides.realizations = static_cast<uint32_t>(std::atoi(arg + 15));
-    } else if (std::strncmp(arg, "--trials=", 9) == 0) {
-      const int trials = std::atoi(arg + 9);
-      if (trials < 1) {
-        std::fprintf(stderr, "--trials must be >= 1\n");
-        return 2;
-      }
-      overrides.trials = static_cast<uint32_t>(trials);
-    } else if (std::strncmp(arg, "--kronfit-iterations=", 21) == 0) {
-      const int iterations = std::atoi(arg + 21);
-      if (iterations < 1) {
-        std::fprintf(stderr, "--kronfit-iterations must be >= 1\n");
-        return 2;
-      }
-      overrides.kronfit_iterations = static_cast<uint32_t>(iterations);
-    } else if (std::strncmp(arg, "--sweep-epsilons=", 17) == 0) {
-      std::vector<double> sweep;
-      for (const std::string& item : SplitCommaList(arg + 17)) {
-        sweep.push_back(std::atof(item.c_str()));
-      }
-      overrides.sweep_epsilons = std::move(sweep);
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out_path = arg + 6;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n\n", arg);
-      PrintUsage(stderr);
-      return 2;
-    }
-  }
+  FlagTable flags("usage: dpkron_experiments [--list] --scenario=NAME[,...]");
+  flags.Bool("--list", &list, "show registered scenarios and exit");
+  flags.Bool("--list-datasets", &list_datasets, "show datasets and exit");
+  flags.Value(
+      "--scenario", "NAMES",
+      [&names](std::string_view text) {
+        for (std::string& name : SplitCommaList(text)) {
+          names.push_back(std::move(name));
+        }
+        return Status::Ok();
+      },
+      "comma-separated scenario names, or 'all'");
+  flags.String("--dataset", "REF", &overrides.dataset,
+               "a registry name, edge-list path or .dpkb path");
+  // Full 64-bit range: sweep-derived seeds round-trip through --seed.
+  flags.Number("--seed", &overrides.seed, uint64_t{0}, "scenario seed");
+  flags.Number("--epsilon", &overrides.epsilon, 0.0, "privacy parameter");
+  flags.Number("--realizations", &overrides.realizations, 0u,
+               "realizations per expected statistic");
+  flags.Number("--trials", &overrides.trials, 1u, "trials per point");
+  flags.NumberList("--sweep-epsilons", "A,B", &overrides.sweep_epsilons, 0.0,
+                   "the epsilon sweep axis (--sweep: the ε grid)");
+  flags.String("--out", "PATH", &out_path, "write the JSON document here");
+  AddRuntimeFlags(flags, &runtime, &overrides);
+  flags.Section("sweep mode (batch matrix with cross-run stat caching):");
+  flags.Bool("--sweep", &sweep_mode, "run scenarios x datasets x ε x seeds");
+  flags.Number("--sweep-seeds", &sweep_seeds, 1u, "seed-axis length");
+  flags.Bool("--cache-stats", &cache_stats, "print StatCache counters");
+  flags.String("--checkpoint", "PATH", &checkpoint_path, "per-cell journal");
+  flags.Bool("--resume", &resume, "skip cells already in the --checkpoint");
+  flags.Number("--retries", &retries, 0u, "retries of UNAVAILABLE cells");
+  flags.Section("multi-process sharding (requires --sweep --checkpoint):");
+  flags.Number("--sweep-shards", &sweep_shards, 1u, "N-worker fleet");
+  flags.Number("--sweep-shard-id", &sweep_shard_id, 0u, "this worker, < N");
+  flags.Bool("--sweep-merge", &sweep_merge, "merge the N shard journals");
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
 
   if (list) {
     PrintList();
@@ -336,62 +198,44 @@ int Main(int argc, char** argv) {
     PrintDatasetList();
     return 0;
   }
-  if (sweep_seeds != 1 && !sweep_mode) {
-    // Silently dropping the requested seed axis would hand back a
-    // single run with no diagnostic.
-    std::fprintf(stderr, "--sweep-seeds requires --sweep\n");
-    return 2;
-  }
-  if ((!checkpoint_path.empty() || resume || retries > 0) && !sweep_mode) {
-    std::fprintf(stderr,
-                 "--checkpoint / --resume / --retries require --sweep\n");
-    return 2;
-  }
-  if (resume && checkpoint_path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint=PATH\n");
-    return 2;
-  }
-  if ((sweep_shards > 1 || sweep_shard_id >= 0 || sweep_merge) &&
-      !sweep_mode) {
-    std::fprintf(stderr,
-                 "--sweep-shards / --sweep-shard-id / --sweep-merge require"
-                 " --sweep\n");
-    return 2;
-  }
-  if ((sweep_shards > 1 || sweep_merge) && checkpoint_path.empty()) {
-    // Shard journals and the merge input set both derive from the
-    // checkpoint base path — there is nothing to name them without it.
-    std::fprintf(stderr,
-                 "--sweep-shards / --sweep-merge require --checkpoint=PATH"
-                 " (the shard-journal base)\n");
-    return 2;
-  }
-  if (sweep_merge && sweep_shard_id >= 0) {
-    std::fprintf(stderr, "--sweep-merge is not a worker; drop"
-                         " --sweep-shard-id\n");
-    return 2;
-  }
-  if (sweep_merge && resume) {
-    std::fprintf(stderr, "--sweep-merge does not execute cells; use --resume"
-                         " on the workers instead\n");
-    return 2;
-  }
-  if (!sweep_merge && sweep_shards > 1 && sweep_shard_id < 0) {
-    std::fprintf(stderr, "--sweep-shards needs --sweep-shard-id=I (worker)"
-                         " or --sweep-merge\n");
-    return 2;
-  }
-  if (sweep_shard_id >= 0 &&
-      static_cast<uint32_t>(sweep_shard_id) >= sweep_shards) {
-    std::fprintf(stderr, "--sweep-shard-id must be < --sweep-shards\n");
-    return 2;
+  const bool sharded = sweep_shards > 1 || sweep_merge;
+  const std::pair<bool, const char*> refusals[] = {
+      // Silently dropping the requested seed axis would hand back a
+      // single run with no diagnostic.
+      {sweep_seeds != 1 && !sweep_mode, "--sweep-seeds requires --sweep"},
+      {(!checkpoint_path.empty() || resume || retries > 0) && !sweep_mode,
+       "--checkpoint / --resume / --retries require --sweep"},
+      {resume && checkpoint_path.empty(),
+       "--resume requires --checkpoint=PATH"},
+      {(sharded || sweep_shard_id) && !sweep_mode,
+       "--sweep-shards / --sweep-shard-id / --sweep-merge require --sweep"},
+      // Shard journals and the merge input set both derive from the
+      // checkpoint base path: there is nothing to name them without it.
+      {sharded && checkpoint_path.empty(),
+       "--sweep-shards / --sweep-merge require --checkpoint=PATH (the"
+       " shard-journal base)"},
+      {sweep_merge && sweep_shard_id,
+       "--sweep-merge is not a worker; drop --sweep-shard-id"},
+      {sweep_merge && resume,
+       "--sweep-merge does not execute cells; use --resume on the workers"
+       " instead"},
+      {!sweep_merge && sweep_shards > 1 && !sweep_shard_id,
+       "--sweep-shards needs --sweep-shard-id=I (worker) or --sweep-merge"},
+      {sweep_shard_id && *sweep_shard_id >= sweep_shards,
+       "--sweep-shard-id must be < --sweep-shards"},
+  };
+  for (const auto& [refused, message] : refusals) {
+    if (refused) {
+      std::fprintf(stderr, "%s\n", message);
+      return 2;
+    }
   }
   // In sweep mode --dataset is the dataset axis (comma-separated refs);
   // in single-run mode it is one ref. Either way, fail fast on a bad
   // reference instead of deep inside a scenario.
   std::vector<std::string> dataset_axis;
   if (overrides.dataset) {
-    dataset_axis = sweep_mode ? SplitCommaList(overrides.dataset->c_str())
+    dataset_axis = sweep_mode ? SplitCommaList(*overrides.dataset)
                               : std::vector<std::string>{*overrides.dataset};
     for (const std::string& ref : dataset_axis) {
       auto source = ResolveGraphSource(ref);
@@ -403,7 +247,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (names.empty()) {
-    PrintUsage(stderr);
+    flags.PrintUsage(stderr);
     return 2;
   }
   if (names.size() == 1 && names[0] == "all") {
@@ -412,27 +256,10 @@ int Main(int argc, char** argv) {
       names.push_back(spec.name);
     }
   }
-  if (threads > 0) SetParallelThreadCount(threads);
-  // Cross-run stat caching is on for the whole runner: in-run reuse
-  // (e.g. one sensitivity profile across Table 1's private trials) is
-  // free, and cached values are bit-identical to recomputation, so
-  // single-run output is unchanged.
-  StatCache::Instance().set_enabled(true);
-  if (!disk_cache_path.empty()) {
-    DiskCache::Options disk_options;
-    disk_options.byte_budget = disk_cache_budget_mb * (1ull << 20);
-    const Status attached =
-        StatCache::Instance().AttachDiskTier(disk_cache_path, disk_options);
-    if (!attached.ok()) {
-      std::fprintf(stderr, "--disk-cache: %s\n", attached.ToString().c_str());
-      return 2;
-    }
-  } else if (disk_cache_budget_mb > 0) {
-    std::fprintf(stderr, "--disk-cache-budget requires --disk-cache=DIR\n");
+  const Status applied = ApplyRuntimeFlags(runtime);
+  if (!applied.ok()) {
+    std::fprintf(stderr, "%s\n", applied.ToString().c_str());
     return 2;
-  }
-  if (cache_mem_budget_mb > 0) {
-    StatCache::Instance().set_byte_budget(cache_mem_budget_mb * (1ull << 20));
   }
 
   if (sweep_mode) {
@@ -467,23 +294,14 @@ int Main(int argc, char** argv) {
       std::printf("# sweep merge: %zu runs (%zu failed) from %u shards\n",
                   merged.value().runs.size(), merged.value().failed_runs,
                   sweep_shards);
-      if (!out_path.empty()) {
-        const std::string json =
-            SweepsJson(merged.value(), ParallelThreadCount());
-        const Status wrote = WriteFileDurable(out_path, json + "\n");
-        if (!wrote.ok()) {
-          std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                       wrote.ToString().c_str());
-          return 1;
-        }
-        std::printf("# wrote %s (%zu runs)\n", out_path.c_str(),
-                    merged.value().runs.size());
-      }
-      return 0;
+      if (out_path.empty()) return 0;
+      return WriteDocument(out_path,
+                           SweepsJson(merged.value(), ParallelThreadCount()),
+                           merged.value().runs.size(), "runs");
     }
     if (sweep_shards > 1) {
       sweep.shards = sweep_shards;
-      sweep.shard_id = static_cast<uint32_t>(sweep_shard_id);
+      sweep.shard_id = *sweep_shard_id;
       sweep.checkpoint_path =
           ShardCheckpointPath(checkpoint_path, sweep.shard_id);
     }
@@ -506,21 +324,10 @@ int Main(int argc, char** argv) {
       }
     }
     if (cache_stats) PrintCacheStats();
-    if (!out_path.empty()) {
-      const std::string json =
-          SweepsJson(result.value(), ParallelThreadCount());
-      // Temp-file + fsync + atomic rename: an interrupted run never
-      // leaves a truncated/unparseable benchmark artifact in place.
-      const Status wrote = WriteFileDurable(out_path, json + "\n");
-      if (!wrote.ok()) {
-        std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                     wrote.ToString().c_str());
-        return 1;
-      }
-      std::printf("# wrote %s (%zu runs)\n", out_path.c_str(),
-                  result.value().runs.size());
-    }
-    return 0;
+    if (out_path.empty()) return 0;
+    return WriteDocument(out_path,
+                         SweepsJson(result.value(), ParallelThreadCount()),
+                         result.value().runs.size(), "runs");
   }
 
   std::vector<ScenarioOutput> outputs;
@@ -545,20 +352,11 @@ int Main(int argc, char** argv) {
   }
   if (cache_stats) PrintCacheStats();
 
-  if (!out_path.empty()) {
-    std::vector<const ScenarioOutput*> runs;
-    for (const ScenarioOutput& output : outputs) runs.push_back(&output);
-    const std::string json = ScenariosJson(runs, ParallelThreadCount());
-    const Status wrote = WriteFileDurable(out_path, json + "\n");
-    if (!wrote.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                   wrote.ToString().c_str());
-      return 1;
-    }
-    std::printf("# wrote %s (%zu scenarios)\n", out_path.c_str(),
-                runs.size());
-  }
-  return 0;
+  if (out_path.empty()) return 0;
+  std::vector<const ScenarioOutput*> runs;
+  for (const ScenarioOutput& output : outputs) runs.push_back(&output);
+  return WriteDocument(out_path, ScenariosJson(runs, ParallelThreadCount()),
+                       runs.size(), "scenarios");
 }
 
 }  // namespace

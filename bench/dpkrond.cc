@@ -15,12 +15,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "src/common/parallel.h"
-#include "src/common/simd.h"
+#include "src/core/cli_flags.h"
 #include "src/server/server.h"
 
 namespace dpkron {
@@ -32,121 +32,48 @@ void HandleStopSignal(int /*signum*/) {
   g_stop.store(true, std::memory_order_relaxed);
 }
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: dpkrond --accountant=PATH [options]\n"
-      "\n"
-      "  --port=N              TCP port (default 7471; 0 = ephemeral,\n"
-      "                        printed on startup)\n"
-      "  --workers=N           request worker threads (default 4)\n"
-      "  --queue-depth=N       admission queue capacity (default 64);\n"
-      "                        requests beyond it are shed with\n"
-      "                        RESOURCE_EXHAUSTED + retry_after_ms\n"
-      "  --accountant=PATH     durable budget journal (required)\n"
-      "  --budgets=EPS[,DELTA] per-analyst budget (default 1.0,0.5);\n"
-      "                        pinned into the journal on first open\n"
-      "  --compact-threshold=N compact the journal on open when the\n"
-      "                        replayed history exceeds N records\n"
-      "  --disk-cache=DIR      persistent StatCache tier (created if\n"
-      "                        needed): a restarted daemon warm-starts\n"
-      "                        release computations from disk; healthz\n"
-      "                        reports disk_hits / disk_misses\n"
-      "  --cache-mem-budget=MB cap the in-memory StatCache footprint;\n"
-      "                        oldest entries evict (and reload from\n"
-      "                        --disk-cache when attached)\n"
-      "  --disk-cache-budget=MB cap the on-disk cache size; oldest\n"
-      "                        entries are unlinked after each store\n"
-      "                        (in-flight entries are pinned)\n"
-      "  --kronfit-iterations=N  override KronFit iterations per request\n"
-      "  --smoke               run scenarios with shrunk axes (CI)\n"
-      "  --dataset-cache       keep .dpkb sidecars for file datasets\n"
-      "                        (default on; --no-dataset-cache disables)\n"
-      "  --mmap                serve file datasets out-of-core via an\n"
-      "                        mmap'd .dpkb (releases are bit-identical;\n"
-      "                        pages are shared across requests)\n"
-      "  --threads=N           shared compute-pool threads\n"
-      "  --force-scalar        disable SIMD dispatch (also:\n"
-      "                        DPKRON_FORCE_SCALAR=1); responses are\n"
-      "                        bit-identical either way\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
-
 int Main(int argc, char** argv) {
-  int port = 7471;
+  bool help = false;
+  uint16_t port = 7471;
   ServerConfig config;
+  RuntimeFlags runtime;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (ParseFlag(argv[i], "--help", &value)) {
-      PrintUsage(stdout);
-      return 0;
-    } else if (ParseFlag(argv[i], "--port", &value) && value) {
-      port = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--workers", &value) && value) {
-      config.workers = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--queue-depth", &value) && value) {
-      config.queue_depth = static_cast<size_t>(std::atoll(value));
-    } else if (ParseFlag(argv[i], "--accountant", &value) && value) {
-      config.accountant_path = value;
-    } else if (ParseFlag(argv[i], "--budgets", &value) && value) {
-      char* rest = nullptr;
-      config.epsilon_budget = std::strtod(value, &rest);
-      if (rest != nullptr && *rest == ',') {
-        config.delta_budget = std::strtod(rest + 1, nullptr);
-      }
-    } else if (ParseFlag(argv[i], "--compact-threshold", &value) && value) {
-      config.compact_threshold = static_cast<uint64_t>(std::atoll(value));
-    } else if (ParseFlag(argv[i], "--disk-cache", &value) && value) {
-      config.disk_cache_path = value;
-    } else if (ParseFlag(argv[i], "--cache-mem-budget", &value) && value) {
-      const long long mb = std::atoll(value);
-      if (mb < 1) {
-        std::fprintf(stderr, "--cache-mem-budget must be >= 1 (MB)\n");
-        return 2;
-      }
-      config.cache_mem_budget = static_cast<uint64_t>(mb) * (1ull << 20);
-    } else if (ParseFlag(argv[i], "--disk-cache-budget", &value) && value) {
-      const long long mb = std::atoll(value);
-      if (mb < 1) {
-        std::fprintf(stderr, "--disk-cache-budget must be >= 1 (MB)\n");
-        return 2;
-      }
-      config.disk_cache_budget = static_cast<uint64_t>(mb) * (1ull << 20);
-    } else if (ParseFlag(argv[i], "--kronfit-iterations", &value) && value) {
-      config.kronfit_iterations = static_cast<uint32_t>(std::atoi(value));
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
-      config.smoke = true;
-    } else if (ParseFlag(argv[i], "--dataset-cache", &value)) {
-      config.dataset_cache = true;
-    } else if (ParseFlag(argv[i], "--no-dataset-cache", &value)) {
-      config.dataset_cache = false;
-    } else if (ParseFlag(argv[i], "--mmap", &value)) {
-      config.dataset_mmap = true;
-    } else if (ParseFlag(argv[i], "--force-scalar", &value)) {
-      SetSimdLevelCap(SimdLevel::kScalar);
-    } else if (ParseFlag(argv[i], "--threads", &value) && value) {
-      SetParallelThreadCount(std::atoi(value));
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n\n", argv[i]);
-      PrintUsage(stderr);
-      return 2;
-    }
+  FlagTable flags("usage: dpkrond --accountant=PATH [options]");
+  flags.Bool("--help", &help, "print this help and exit");
+  flags.Number("--port", &port, uint16_t{0},
+               "TCP port (default 7471; 0 = ephemeral, printed on startup)");
+  flags.Number("--workers", &config.workers, 1, "request worker threads");
+  flags.Number("--queue-depth", &config.queue_depth, size_t{1},
+               "admission queue capacity; the excess is shed");
+  flags.String("--accountant", "PATH", &config.accountant_path,
+               "durable budget journal (required)");
+  std::optional<std::vector<double>> budgets;
+  flags.NumberList("--budgets", "EPS[,DELTA]", &budgets, 0.0,
+                   "per-analyst budget (default 1.0,0.5), pinned at creation");
+  flags.Number("--compact-threshold", &config.compact_threshold, uint64_t{0},
+               "compact the journal on open beyond N records");
+  flags.Bool("--no-dataset-cache", &config.base.dataset_cache,
+             "no .dpkb sidecars for file datasets", false);
+  AddRuntimeFlags(flags, &runtime, &config.base);
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
+  if (help) {
+    flags.PrintUsage(stdout);
+    return 0;
   }
+  if (budgets && budgets->size() > 2) {
+    std::fprintf(stderr, "--budgets: expected EPS[,DELTA]\n");
+    return 2;
+  }
+  if (budgets) config.epsilon_budget = budgets->front();
+  if (budgets && budgets->size() == 2) config.delta_budget = budgets->back();
   if (config.accountant_path.empty()) {
     std::fprintf(stderr, "--accountant=PATH is required\n\n");
-    PrintUsage(stderr);
+    flags.PrintUsage(stderr);
+    return 2;
+  }
+  const Status applied = ApplyRuntimeFlags(runtime);
+  if (!applied.ok()) {
+    std::fprintf(stderr, "dpkrond: %s\n", applied.ToString().c_str());
     return 2;
   }
 

@@ -20,14 +20,13 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <chrono>
 #include <filesystem>
 #include <string>
 
 #include "src/common/rng.h"
 #include "src/common/table_writer.h"
+#include "src/core/cli_flags.h"
 #include "src/core/release.h"
 #include "src/graph/graph_io.h"
 #include "src/skg/sampler.h"
@@ -39,18 +38,6 @@ double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
 }
 
 void AppendPasses(JsonWriter& json, const PassCounter& passes) {
@@ -67,21 +54,13 @@ int Main(int argc, char** argv) {
   std::string out_path = "BENCH_outofcore.json";
   std::string dpkb_path;  // empty = temp file, removed on success
 
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (ParseFlag(argv[i], "--k", &value) && value) {
-      k = static_cast<uint32_t>(std::atoi(value));
-    } else if (ParseFlag(argv[i], "--out", &value) && value) {
-      out_path = value;
-    } else if (ParseFlag(argv[i], "--keep", &value) && value) {
-      dpkb_path = value;
-    } else {
-      std::fprintf(stderr,
-                   "usage: outofcore_bench [--k=N] [--out=PATH] "
-                   "[--keep=DPKB_PATH]\n");
-      return 2;
-    }
-  }
+  FlagTable flags("usage: outofcore_bench [options]");
+  flags.Number("--k", &k, 1u, "SKG Kronecker power (default 22)");
+  flags.String("--out", "PATH", &out_path,
+               "JSON artifact (default BENCH_outofcore.json)");
+  flags.String("--keep", "DPKB_PATH", &dpkb_path,
+               "keep the .dpkb here (default: a removed temp file)");
+  if (!flags.ParseOrUsage(argc, argv)) return 2;
   const bool keep_dpkb = !dpkb_path.empty();
   if (dpkb_path.empty()) {
     dpkb_path = (std::filesystem::temp_directory_path() /

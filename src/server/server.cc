@@ -64,18 +64,6 @@ Result<std::unique_ptr<DpkronServer>> DpkronServer::Create(
   // process-wide StatCache: repeated (scenario, dataset, ε, seed)
   // requests — retries above all — recompute nothing.
   StatCache::Instance().set_enabled(true);
-  if (!config.disk_cache_path.empty()) {
-    // Fail startup, not requests: a server told to persist its cache
-    // but unable to create the root is misconfigured.
-    DiskCache::Options disk_options;
-    disk_options.byte_budget = config.disk_cache_budget;
-    const Status attached = StatCache::Instance().AttachDiskTier(
-        config.disk_cache_path, disk_options);
-    if (!attached.ok()) return attached;
-  }
-  if (config.cache_mem_budget > 0) {
-    StatCache::Instance().set_byte_budget(config.cache_mem_budget);
-  }
   return server;
 }
 
@@ -205,17 +193,14 @@ std::string DpkronServer::Process(const QueuedRequest& task) {
   }
 
   // Compute — the deterministic half, StatCache-amortized.
-  ScenarioOverrides overrides;
+  ScenarioOverrides overrides = config_.base;
   overrides.epsilon = request.epsilon;
   if (request.seed.has_value()) overrides.seed = *request.seed;
-  overrides.smoke = config_.smoke;
-  if (config_.kronfit_iterations > 0) {
-    overrides.kronfit_iterations = config_.kronfit_iterations;
-  }
-  if (!request.dataset.empty()) {
-    overrides.dataset = request.dataset;
-    overrides.dataset_cache = config_.dataset_cache;
-    overrides.dataset_mmap = config_.dataset_mmap;
+  if (!request.dataset.empty()) overrides.dataset = request.dataset;
+  if (!overrides.dataset) {
+    // The sidecar choices reach run.params only for file datasets.
+    overrides.dataset_cache = false;
+    overrides.dataset_mmap = false;
   }
   ScenarioOutput output(request.scenario, /*text_out=*/nullptr);
   const Status ran = RunScenario(*spec, overrides, output);

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/scenario.h"
 #include "src/dp/privacy_accountant.h"
 #include "src/server/admission_queue.h"
 #include "src/server/clock.h"
@@ -52,6 +53,8 @@
 namespace dpkron {
 
 struct ServerConfig {
+  ServerConfig() { base.dataset_cache = true; }
+
   // Worker threads consuming the admission queue. Each request's
   // scenario kernels additionally use the shared parallel pool.
   int workers = 4;
@@ -67,28 +70,10 @@ struct ServerConfig {
   double epsilon_budget = 1.0;
   double delta_budget = 0.5;
   uint64_t compact_threshold = PrivacyAccountant::kDefaultCompactThreshold;
-  // When non-empty: attach the persistent StatCache tier rooted here at
-  // startup (created if needed), so a restarted server warm-starts the
-  // deterministic half of every release from disk instead of
-  // recomputing — healthz's cache block reports the warm/cold split as
-  // disk_hits / disk_misses.
-  std::string disk_cache_path;
-  // Cap on the in-memory StatCache footprint in bytes (0 = unbounded).
-  // Evicted entries reload from the disk tier when one is attached.
-  uint64_t cache_mem_budget = 0;
-  // Cap on the disk tier's total entry bytes (0 = unbounded): after each
-  // store, oldest entries are unlinked until the cache fits (in-flight
-  // entries pinned). Long-lived daemons otherwise grow the root without
-  // bound.
-  uint64_t disk_cache_budget = 0;
-  // Scenario execution knobs applied to every request.
-  bool smoke = false;
-  uint32_t kronfit_iterations = 0;  // 0 = scenario default
-  bool dataset_cache = true;        // .dpkb sidecars for file datasets
-  // Serve file datasets out-of-core via mmap'd .dpkb (bit-identical
-  // releases; a daemon hosting many large datasets shares their pages
-  // across requests instead of materializing per-load copies).
-  bool dataset_mmap = false;
+  // Scenario knobs for every request; the request supplies ε, seed and
+  // dataset (the sidecar/mmap choices apply only when it names one).
+  // Sidecars are on by default.
+  ScenarioOverrides base;
   // Back-off hint attached to shed-load rejections.
   int64_t shed_retry_after_ms = 50;
   // Time source; nullptr = the monotonic system clock. Tests inject

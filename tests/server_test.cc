@@ -77,8 +77,8 @@ class ServerTest : public ::testing::Test {
       EXPECT_TRUE(GetEnv()->RemoveFile(config.accountant_path).ok());
     }
     config.workers = 2;
-    config.smoke = true;
-    config.kronfit_iterations = 2;
+    config.base.smoke = true;
+    config.base.kronfit_iterations = 2;
     return config;
   }
 
@@ -528,8 +528,8 @@ TEST_F(ServerTest, TortureCrashRestartNeverLosesAckedSpendOrOverspends) {
     config.accountant_path = acct;
     config.epsilon_budget = kBudget;
     config.delta_budget = kDeltaBudget;
-    config.smoke = true;
-    config.kronfit_iterations = 2;
+    config.base.smoke = true;
+    config.base.kronfit_iterations = 2;
     return config;
   };
 
