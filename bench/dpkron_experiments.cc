@@ -171,7 +171,7 @@ int Main(int argc, char** argv) {
   flags.Number("--seed", &overrides.seed, uint64_t{0}, "scenario seed");
   flags.Number("--epsilon", &overrides.epsilon, 0.0, "privacy parameter");
   flags.Number("--realizations", &overrides.realizations, 0u,
-               "realizations per expected statistic");
+               "realizations per expected statistic", kMaxRealizations);
   flags.Number("--trials", &overrides.trials, 1u, "trials per point");
   flags.NumberList("--sweep-epsilons", "A,B", &overrides.sweep_epsilons, 0.0,
                    "the epsilon sweep axis (--sweep: the ε grid)");
@@ -179,11 +179,13 @@ int Main(int argc, char** argv) {
   AddRuntimeFlags(flags, &runtime, &overrides);
   flags.Section("sweep mode (batch matrix with cross-run stat caching):");
   flags.Bool("--sweep", &sweep_mode, "run scenarios x datasets x ε x seeds");
-  flags.Number("--sweep-seeds", &sweep_seeds, 1u, "seed-axis length");
+  flags.Number("--sweep-seeds", &sweep_seeds, 1u, "seed-axis length",
+               kMaxSweepSeeds);
   flags.Bool("--cache-stats", &cache_stats, "print StatCache counters");
   flags.String("--checkpoint", "PATH", &checkpoint_path, "per-cell journal");
   flags.Bool("--resume", &resume, "skip cells already in the --checkpoint");
-  flags.Number("--retries", &retries, 0u, "retries of UNAVAILABLE cells");
+  flags.Number("--retries", &retries, 0u, "retries of UNAVAILABLE cells",
+               kMaxSweepRetries);
   flags.Section("multi-process sharding (requires --sweep --checkpoint):");
   flags.Number("--sweep-shards", &sweep_shards, 1u, "N-worker fleet");
   flags.Number("--sweep-shard-id", &sweep_shard_id, 0u, "this worker, < N");

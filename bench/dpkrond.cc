@@ -42,7 +42,8 @@ int Main(int argc, char** argv) {
   flags.Bool("--help", &help, "print this help and exit");
   flags.Number("--port", &port, uint16_t{0},
                "TCP port (default 7471; 0 = ephemeral, printed on startup)");
-  flags.Number("--workers", &config.workers, 1, "request worker threads");
+  flags.Number("--workers", &config.workers, 1, "request worker threads",
+               kMaxThreads);
   flags.Number("--queue-depth", &config.queue_depth, size_t{1},
                "admission queue capacity; the excess is shed");
   flags.String("--accountant", "PATH", &config.accountant_path,

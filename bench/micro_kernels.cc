@@ -132,10 +132,11 @@ void BM_ExpectedStatistics(benchmark::State& state) {
   ScopedBenchThreads threads(static_cast<int>(state.range(0)));
   StatisticsOptions options;
   options.num_singular_values = 16;
+  const ReleasePipeline pipeline(options);
   for (auto _ : state) {
     Rng rng(77);
     benchmark::DoNotOptimize(
-        ExpectedStatistics({0.99, 0.55, 0.35}, 10, 16, rng, options));
+        pipeline.Expected({0.99, 0.55, 0.35}, 10, 16, rng));
   }
 }
 BENCHMARK(BM_ExpectedStatistics)->Arg(1)->Arg(2)->Arg(4)->Arg(8)

@@ -12,10 +12,10 @@
 
 #include "src/common/rng.h"
 #include "src/core/private_estimator.h"
-#include "src/core/release.h"
 #include "src/datasets/affiliation.h"
 #include "src/graph/clustering.h"
 #include "src/graph/hop_plot.h"
+#include "src/skg/sampler.h"
 
 int main() {
   using namespace dpkron;
@@ -49,9 +49,8 @@ int main() {
   std::printf("%s", budget.ToString().c_str());
 
   // 3. Anyone can now sample synthetic graphs from the published model.
-  const Graph synthetic = SampleSyntheticGraph(
-      estimate.value().theta, estimate.value().k, rng,
-      SkgSampleMethod::kExact);
+  const Graph synthetic =
+      SampleSkg(estimate.value().theta, estimate.value().k, rng);
 
   // 4. Compare a few statistics.
   const auto hops_orig = ExactHopPlot(sensitive);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -18,10 +17,6 @@ namespace {
 thread_local bool t_inside_parallel_region = false;
 
 int DefaultThreadCount() {
-  if (const char* env = std::getenv("DPKRON_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -15,9 +15,9 @@
 // Under this contract every kernel in dpkron produces bit-identical
 // results at 1, 2 or 64 threads (tests/parallel_test.cc enforces it).
 //
-// Thread count: DPKRON_THREADS environment variable if set, else
-// std::thread::hardware_concurrency(); overridable at runtime with
-// SetParallelThreadCount(). Nested ParallelFor calls degrade gracefully
+// Thread count: std::thread::hardware_concurrency(), overridable at
+// runtime with SetParallelThreadCount() (the binaries' --threads flag
+// and DPKRON_THREADS, see ApplyRuntimeFlags in core/cli_flags.h). Nested ParallelFor calls degrade gracefully
 // to serial execution inside a worker.
 
 #ifndef DPKRON_COMMON_PARALLEL_H_

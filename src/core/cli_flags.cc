@@ -1,6 +1,7 @@
 #include "src/core/cli_flags.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "src/common/parallel.h"
 #include "src/common/simd.h"
@@ -117,7 +118,8 @@ void AddRuntimeFlags(FlagTable& table, RuntimeFlags* runtime,
                      ScenarioOverrides* overrides) {
   table.Section("runtime (dpkron_experiments and dpkrond):");
   table.Number("--threads", &runtime->threads, 1,
-               "compute-pool threads (default: DPKRON_THREADS, else all)");
+               "compute-pool threads (default: DPKRON_THREADS, else all)",
+               kMaxThreads);
   table.Bool("--force-scalar", &runtime->force_scalar,
              "disable SIMD dispatch (also DPKRON_FORCE_SCALAR=1)");
   table.String("--disk-cache", "DIR", &runtime->disk_cache,
@@ -140,7 +142,14 @@ Status ApplyRuntimeFlags(const RuntimeFlags& runtime) {
     return Status::InvalidArgument(
         "--disk-cache-budget requires --disk-cache=DIR");
   }
-  if (runtime.threads > 0) SetParallelThreadCount(runtime.threads);
+  int threads = runtime.threads;
+  const char* env_threads = std::getenv("DPKRON_THREADS");
+  if (threads == 0 && env_threads != nullptr) {
+    const Status parsed = ParseNumber("DPKRON_THREADS", env_threads, 1,
+                                      &threads, kMaxThreads);
+    if (!parsed.ok()) return parsed;
+  }
+  if (threads > 0) SetParallelThreadCount(threads);
   if (runtime.force_scalar) SetSimdLevelCap(SimdLevel::kScalar);
   // Cross-run stat caching is on in both binaries: cached values are
   // bit-identical to recomputation, so no output changes.

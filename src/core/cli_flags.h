@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,23 +27,33 @@
 
 namespace dpkron {
 
-// Parses all of `text` as a T >= `min` (T: an integer type or double).
+// The most compute-pool threads (--threads, DPKRON_THREADS) or dpkrond
+// request workers (--workers) a binary starts.
+inline constexpr int kMaxThreads = 1024;
+
+// Parses all of `text` as a T in [min, max] (T: an integer type or
+// double).
 template <typename T>
 Status ParseNumber(std::string_view flag, std::string_view text, T min,
-                   T* out) {
+                   T* out, T max = std::numeric_limits<T>::max()) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   bool ok = ec == std::errc() && ptr == end && value >= min;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (ok) {
+  if (ok && value <= max) {
     *out = value;
     return Status::Ok();
   }
+  // An integer too large for T is over the maximum too.
+  const bool too_big =
+      ok || (std::is_integral_v<T> && ptr == end &&
+             ec == std::errc::result_out_of_range && text.front() != '-');
   std::ostringstream message;
   message << flag << ": expected "
           << (std::is_integral_v<T> ? "an integer" : "a finite number")
-          << " >= " << +min << ", got '" << text << "'";
+          << (too_big ? " <= " : " >= ") << +(too_big ? max : min)
+          << ", got '" << text << "'";
   return Status::InvalidArgument(message.str());
 }
 
@@ -68,13 +79,15 @@ class FlagTable {
           },
           std::move(help));
   }
-  // --name=N (--name=X for a double) into a T or std::optional<T>.
+  // --name=N (--name=X for a double) in [min, max] into a T or
+  // std::optional<T>.
   template <typename T, typename Dest>
-  void Number(std::string name, Dest* dest, T min, std::string help) {
+  void Number(std::string name, Dest* dest, T min, std::string help,
+              T max = std::numeric_limits<T>::max()) {
     Value(name, std::is_integral_v<T> ? "N" : "X",
-          [name, dest, min](std::string_view text) {
+          [name, dest, min, max](std::string_view text) {
             T value{};
-            const Status parsed = ParseNumber(name, text, min, &value);
+            const Status parsed = ParseNumber(name, text, min, &value, max);
             if (parsed.ok()) *dest = value;
             return parsed;
           },
@@ -130,9 +143,11 @@ struct RuntimeFlags {
 void AddRuntimeFlags(FlagTable& table, RuntimeFlags* runtime,
                      ScenarioOverrides* overrides);
 
-// Sets the thread count and the SIMD cap, enables the process-wide
-// StatCache, attaches its disk tier and sets both byte budgets. The
-// flag combination is checked before anything is applied.
+// Sets the thread count (--threads, else a DPKRON_THREADS environment
+// value, which is parsed like --threads) and the SIMD cap, enables the
+// process-wide StatCache, attaches its disk tier and sets both byte
+// budgets. The flag combination and DPKRON_THREADS are checked before
+// anything is applied.
 Status ApplyRuntimeFlags(const RuntimeFlags& runtime);
 
 }  // namespace dpkron

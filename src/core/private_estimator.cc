@@ -14,9 +14,7 @@ Result<PrivateEstimatorResult> EstimatePrivateSkg(
       graph, epsilon, delta, budget, rng, options.features);
   if (!features.ok()) return features.status();
 
-  const uint32_t k = options.k > 0
-                         ? options.k
-                         : ChooseKroneckerOrder(graph.NumNodes());
+  const uint32_t k = ChooseKroneckerOrder(graph.NumNodes());
 
   // A privatized count that was clamped up to the floor is pure noise —
   // at (ε/2, δ) the triangle count of a sparse graph routinely is — and

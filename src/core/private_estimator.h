@@ -28,8 +28,6 @@ namespace dpkron {
 struct PrivateEstimatorOptions {
   PrivateFeaturesOptions features;
   KronMomOptions kronmom;
-  // Kronecker order; 0 means ChooseKroneckerOrder(NumNodes()).
-  uint32_t k = 0;
 };
 
 struct PrivateEstimatorResult {
@@ -48,8 +46,9 @@ struct PrivateEstimatorResult {
   bool exact_sensitivity = true;
 };
 
-// Runs Algorithm 1 on `graph` with privacy parameters (epsilon, delta),
-// charging the two mechanism invocations to `budget`.
+// Runs Algorithm 1 on `graph` with privacy parameters (epsilon, delta) at
+// Kronecker order ChooseKroneckerOrder(NumNodes()), charging the two
+// mechanism invocations to `budget`.
 Result<PrivateEstimatorResult> EstimatePrivateSkg(
     GraphView graph, double epsilon, double delta, PrivacyBudget& budget,
     Rng& rng, const PrivateEstimatorOptions& options = {});

@@ -49,9 +49,8 @@ size_t ApproxCacheBytes(const StatisticsCacheEntry& entry) {
 
 }  // namespace
 
-ReleasePipeline::ReleasePipeline(StatisticsOptions options,
-                                 SkgSampleMethod method)
-    : options_(options), method_(method) {}
+ReleasePipeline::ReleasePipeline(StatisticsOptions options)
+    : options_(options) {}
 
 GraphStatistics ReleasePipeline::Compute(GraphView graph,
                                          Rng& rng) const {
@@ -178,8 +177,8 @@ GraphStatistics ReleasePipeline::Expected(const Initiator2& theta, uint32_t k,
 
   // The parent stream is split BEFORE the cache lookup and regardless of
   // its outcome, so `rng` advances identically on hit and miss — the
-  // expected table is a pure function of (θ, k, R, options, method,
-  // parent state), which is exactly the cache key.
+  // expected table is a pure function of (θ, k, R, options, parent
+  // state), which is exactly the cache key.
   StatCache& cache = StatCache::Instance();
   const uint64_t rng_fingerprint = rng.StateFingerprint();
   std::vector<Rng> streams = SplitRngStreams(rng, realizations);
@@ -194,7 +193,6 @@ GraphStatistics ReleasePipeline::Expected(const Initiator2& theta, uint32_t k,
                            .Mix(options_.num_network_values)
                            .Mix(options_.exact_hop_plot_limit)
                            .Mix(options_.anf_trials)
-                           .Mix(static_cast<uint64_t>(method_))
                            .Mix(rng_fingerprint)
                            .digest();
   return *cache.GetOrComputeDurable<GraphStatistics>(
@@ -285,27 +283,7 @@ GraphStatistics ReleasePipeline::ExpectedEphemeral(const Initiator2& theta,
 
 Graph ReleasePipeline::Sample(const Initiator2& theta, uint32_t k,
                               Rng& rng) const {
-  SkgSampleOptions options;
-  options.method = method_;
-  return SampleSkg(theta, k, rng, options);
-}
-
-GraphStatistics ComputeStatistics(GraphView graph, Rng& rng,
-                                  const StatisticsOptions& options) {
-  return ReleasePipeline(options).Compute(graph, rng);
-}
-
-GraphStatistics ExpectedStatistics(const Initiator2& theta, uint32_t k,
-                                   uint32_t realizations, Rng& rng,
-                                   const StatisticsOptions& options,
-                                   SkgSampleMethod method) {
-  return ReleasePipeline(options, method).Expected(theta, k, realizations,
-                                                   rng);
-}
-
-Graph SampleSyntheticGraph(const Initiator2& theta, uint32_t k, Rng& rng,
-                           SkgSampleMethod method) {
-  return ReleasePipeline({}, method).Sample(theta, k, rng);
+  return SampleSkg(theta, k, rng, {SkgSampleMethod::kClassSkip});
 }
 
 }  // namespace dpkron

@@ -80,9 +80,7 @@ struct StatisticsOptions {
 // each deterministic panel set once, not once per ε.
 class ReleasePipeline {
  public:
-  explicit ReleasePipeline(
-      StatisticsOptions options = {},
-      SkgSampleMethod method = SkgSampleMethod::kClassSkip);
+  explicit ReleasePipeline(StatisticsOptions options = {});
 
   // All five statistics of one concrete graph. The degree vector and
   // per-node triangle counts are materialized once — served through the
@@ -100,7 +98,8 @@ class ReleasePipeline {
                            uint32_t realizations, Rng& rng) const;
 
   // One synthetic graph from an estimated parameter (the "KronFit" /
-  // "KronMom" / "Private" single-realization series).
+  // "KronMom" / "Private" single-realization series), drawn with
+  // SkgSampleMethod::kClassSkip.
   Graph Sample(const Initiator2& theta, uint32_t k, Rng& rng) const;
 
   // Compute()/Expected() without memoization, for inputs that cannot
@@ -114,7 +113,6 @@ class ReleasePipeline {
                                     uint32_t realizations, Rng& rng) const;
 
   const StatisticsOptions& options() const { return options_; }
-  SkgSampleMethod method() const { return method_; }
 
  private:
   // The five panels from `graph` and its node stats: Compute() passes
@@ -127,22 +125,7 @@ class ReleasePipeline {
                                std::vector<Rng>& streams) const;
 
   StatisticsOptions options_;
-  SkgSampleMethod method_;
 };
-
-// Free-function façade over a default-constructed pipeline (the pre-
-// pipeline API; examples and tests use it for one-off computations).
-GraphStatistics ComputeStatistics(GraphView graph, Rng& rng,
-                                  const StatisticsOptions& options = {});
-
-GraphStatistics ExpectedStatistics(const Initiator2& theta, uint32_t k,
-                                   uint32_t realizations, Rng& rng,
-                                   const StatisticsOptions& options = {},
-                                   SkgSampleMethod method =
-                                       SkgSampleMethod::kClassSkip);
-
-Graph SampleSyntheticGraph(const Initiator2& theta, uint32_t k, Rng& rng,
-                           SkgSampleMethod method = SkgSampleMethod::kClassSkip);
 
 }  // namespace dpkron
 

@@ -277,6 +277,12 @@ Status RunScenario(const ScenarioSpec& spec,
     return Status::InvalidArgument(spec.name + ": delta must be in (0, 1), got " +
                                    std::to_string(params.delta));
   }
+  if (params.realizations > kMaxRealizations) {
+    return Status::InvalidArgument(
+        spec.name + ": realizations must be <= " +
+        std::to_string(kMaxRealizations) + ", got " +
+        std::to_string(params.realizations));
+  }
   output.Printf("# %s: seed=%llu epsilon=%g delta=%g realizations=%u"
                 " trials=%u%s%s%s\n",
                 spec.name.c_str(),

@@ -2,8 +2,8 @@
 //
 // Every evaluation the paper reports (Figs 1–4, Table 1, the ablations,
 // the Sala-et-al. comparison) is a ScenarioSpec: a named, declarative
-// description (dataset, estimator routes, privacy parameters,
-// realizations, sweep axes) plus a run function, registered in a global
+// description (datasets, privacy parameters, realizations, sweep axes)
+// plus a run function, registered in a global
 // registry the way datasets/registry names graphs. One runner executes
 // any of them with shared flag parsing and uniform output: TSV via
 // SeriesTable, human-readable summaries, and a structured JSON document
@@ -65,6 +65,11 @@ struct ScenarioParams {
   // in the run JSON or mixed into sweep fingerprints.
   bool dataset_mmap = false;
 };
+
+// The most realizations one run averages. Each realization holds a
+// sampled graph and its panels, so RunScenario refuses more, as an
+// INVALID_ARGUMENT, before any budget is charged.
+inline constexpr uint32_t kMaxRealizations = 10000;
 
 // Optional per-flag overrides of a spec's defaults.
 struct ScenarioOverrides {
@@ -176,8 +181,6 @@ struct ScenarioSpec {
   std::string description;    // one line, shown by --list
   // datasets/registry names exercised ({} = scenario-internal graphs).
   std::vector<std::string> datasets;
-  // Estimator routes exercised, for --list ("kronfit", "kronmom", ...).
-  std::vector<std::string> estimators;
   ScenarioParams defaults;
   std::function<Status(const ScenarioSpec&, const ScenarioParams&,
                        ScenarioOutput&)>

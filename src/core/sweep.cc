@@ -184,6 +184,11 @@ Status ExpandMatrix(const SweepSpec& spec, std::vector<RunPlan>* plans,
   if (spec.seeds == 0) {
     return Status::InvalidArgument("sweep needs at least one seed");
   }
+  if (spec.seeds > kMaxSweepSeeds) {
+    return Status::InvalidArgument(
+        "sweep seeds must be <= " + std::to_string(kMaxSweepSeeds) +
+        ", got " + std::to_string(spec.seeds));
+  }
   std::vector<const ScenarioSpec*> scenario_specs;
   for (const std::string& name : spec.scenarios) {
     const ScenarioSpec* scenario = FindScenario(name);
@@ -239,8 +244,11 @@ std::vector<uint64_t> SweepSeeds(uint64_t base_seed, uint32_t count) {
 }
 
 Result<SweepResult> RunSweep(const SweepSpec& spec) {
-  if (spec.max_attempts == 0) {
-    return Status::InvalidArgument("sweep needs max_attempts >= 1");
+  if (spec.max_attempts == 0 || spec.max_attempts > kMaxSweepRetries + 1) {
+    return Status::InvalidArgument(
+        "sweep needs 1 <= max_attempts <= " +
+        std::to_string(kMaxSweepRetries + 1) + ", got " +
+        std::to_string(spec.max_attempts));
   }
   if (spec.resume && spec.checkpoint_path.empty()) {
     return Status::InvalidArgument("resume requires a checkpoint path");

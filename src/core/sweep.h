@@ -42,6 +42,11 @@
 
 namespace dpkron {
 
+// The longest seed axis, and the most retries of a cell (so at most
+// kMaxSweepRetries + 1 attempts), a sweep accepts.
+inline constexpr uint32_t kMaxSweepSeeds = 10000;
+inline constexpr uint32_t kMaxSweepRetries = 100;
+
 // The declarative run matrix: every combination of the four axes is one
 // run. Empty axes collapse to a single "spec default" entry.
 struct SweepSpec {
@@ -52,8 +57,8 @@ struct SweepSpec {
   std::vector<std::string> datasets;
   // ε grid; empty = each scenario's default (or base.epsilon) only.
   std::vector<double> epsilons;
-  // Seed-axis length (>= 1): seeds are derived per scenario from its
-  // effective base seed via SweepSeeds.
+  // Seed-axis length (1..kMaxSweepSeeds): seeds are derived per scenario
+  // from its effective base seed via SweepSeeds.
   uint32_t seeds = 1;
   // Everything else (smoke, trials, realizations, kronfit iterations,
   // base seed, dataset cache) applies to every run. base.epsilon /
@@ -79,7 +84,8 @@ struct SweepSpec {
   // Attempts per cell: a cell whose run fails with the TRANSIENT status
   // (UNAVAILABLE — injectable via FaultInjectionEnv, returned by flaky
   // storage) is retried up to this many times with deterministic
-  // exponential backoff. Non-transient failures never retry. >= 1.
+  // exponential backoff. Non-transient failures never retry.
+  // 1..kMaxSweepRetries + 1.
   uint32_t max_attempts = 1;
 
   // ------------------------------------------------- multi-process shards

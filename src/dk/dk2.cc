@@ -80,10 +80,8 @@ Result<Dk2Table> PrivatizeDk2(const Dk2Table& exact, double epsilon,
   const double sensitivity = 4.0 * double(cap) + 1.0;
   const double scale = sensitivity / epsilon;
   const double num_cells = double(cap) * double(cap + 1) / 2.0;
-  const double threshold = options.threshold_sparsify
-                               ? options.threshold_factor * scale *
-                                     std::log(std::max(num_cells, 2.0))
-                               : 0.0;
+  const double threshold = options.threshold_factor * scale *
+                           std::log(std::max(num_cells, 2.0));
 
   Dk2Table noisy;
   // Noise every cell of the capped grid, including empty ones — releasing
@@ -92,7 +90,7 @@ Result<Dk2Table> PrivatizeDk2(const Dk2Table& exact, double epsilon,
     for (uint32_t y = x; y <= cap; ++y) {
       double value = exact.Count(x, y) + rng.NextLaplace(scale);
       if (value < threshold) value = 0.0;
-      if (options.clamp_nonnegative) value = std::max(value, 0.0);
+      value = std::max(value, 0.0);
       if (value > 0.0) noisy.Set(x, y, value);
     }
   }
@@ -182,15 +180,6 @@ Graph SampleDk2Graph(const Dk2Table& table, Rng& rng) {
     }
   }
   return builder.Build();
-}
-
-Result<Graph> PrivateDk2Release(GraphView graph, double epsilon,
-                                PrivacyBudget& budget, Rng& rng,
-                                const Dk2PrivatizeOptions& options) {
-  const Dk2Table exact = Dk2Table::FromGraph(graph);
-  Result<Dk2Table> noisy = PrivatizeDk2(exact, epsilon, budget, rng, options);
-  if (!noisy.ok()) return noisy.status();
-  return SampleDk2Graph(noisy.value(), rng);
 }
 
 }  // namespace dpkron

@@ -69,15 +69,13 @@ struct Dk2PrivatizeOptions {
   // degrees above the cap are dropped (their edges are not represented) —
   // the custodian chooses the cap as public knowledge, per Sala et al.
   uint32_t degree_cap = 0;  // 0 = use the table's own max degree
-  // Post-processing: zero out negative noisy counts.
-  bool clamp_nonnegative = true;
-  // Post-processing: zero cells below threshold_factor·scale·ln(#cells).
-  // Without this, the ~cap²/2 clamped noise draws contribute a spurious
-  // edge mass that dwarfs the real graph at small ε (this blowup is the
-  // dK-2 approach's fundamental ε cost relative to the 3-parameter SKG
-  // release, and the reason Sala et al. evaluate at large ε / engineer
-  // their partitioned-noise variant).
-  bool threshold_sparsify = true;
+  // Post-processing zeroes cells below threshold_factor·scale·ln(#cells)
+  // and then every negative noisy count. Without the threshold, the
+  // ~cap²/2 clamped noise draws contribute a spurious edge mass that
+  // dwarfs the real graph at small ε (this blowup is the dK-2 approach's
+  // fundamental ε cost relative to the 3-parameter SKG release, and the
+  // reason Sala et al. evaluate at large ε / engineer their
+  // partitioned-noise variant).
   double threshold_factor = 1.0;
 };
 
@@ -94,11 +92,6 @@ Result<Dk2Table> PrivatizeDk2(const Dk2Table& exact, double epsilon,
 // JDD matches the (rounded) table closely but not exactly — standard for
 // 2K construction.
 Graph SampleDk2Graph(const Dk2Table& table, Rng& rng);
-
-// End-to-end Sala-style release: extract → privatize(ε) → generate.
-Result<Graph> PrivateDk2Release(GraphView graph, double epsilon,
-                                PrivacyBudget& budget, Rng& rng,
-                                const Dk2PrivatizeOptions& options = {});
 
 }  // namespace dpkron
 

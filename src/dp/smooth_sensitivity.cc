@@ -237,10 +237,6 @@ CachedTriangleSensitivityProfile(GraphView graph) {
       });
 }
 
-double SmoothSensitivityTriangles(GraphView graph, double beta) {
-  return CachedTriangleSensitivityProfile(graph)->SmoothSensitivity(beta);
-}
-
 PrivateTriangleResult PrivateTriangleCount(GraphView graph, double epsilon,
                                            double delta, Rng& rng) {
   return PrivateTriangleCount(graph, TotalTriangles(*CachedNodeStats(graph)),

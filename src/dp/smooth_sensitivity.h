@@ -95,9 +95,6 @@ inline size_t ApproxCacheBytes(const TriangleSensitivityProfile& profile) {
 std::shared_ptr<const TriangleSensitivityProfile>
 CachedTriangleSensitivityProfile(GraphView graph);
 
-// Convenience wrapper: SS_{β,∆}(graph).
-double SmoothSensitivityTriangles(GraphView graph, double beta);
-
 struct PrivateTriangleResult {
   double value = 0.0;               // ∆̃
   double exact = 0.0;               // ∆ (kept private by callers!)

@@ -7,6 +7,7 @@
 
 #include "src/common/macros.h"
 #include "src/common/stat_cache.h"
+#include "src/estimation/nelder_mead.h"
 
 namespace dpkron {
 
@@ -22,6 +23,11 @@ uint32_t ChooseKroneckerOrder(uint64_t num_nodes) {
 }
 
 namespace {
+
+// Coarse-lattice resolution per axis for start-point selection.
+constexpr uint32_t kGridPoints = 7;
+// How many of the best lattice points seed a full Nelder–Mead run.
+constexpr uint32_t kNumStarts = 5;
 
 // The grid search + multi-start Nelder-Mead behind FitKronMomToFeatures.
 KronMomResult FitKronMomToFeaturesImpl(const GraphFeatures& observed,
@@ -39,7 +45,7 @@ KronMomResult FitKronMomToFeaturesImpl(const GraphFeatures& observed,
     double value;
   };
   std::vector<Candidate> candidates;
-  const uint32_t g = options.grid_points;
+  const uint32_t g = kGridPoints;
   candidates.reserve(static_cast<size_t>(g) * g * g);
   for (uint32_t ia = 0; ia < g; ++ia) {
     for (uint32_t ib = 0; ib < g; ++ib) {
@@ -59,13 +65,10 @@ KronMomResult FitKronMomToFeaturesImpl(const GraphFeatures& observed,
   KronMomResult best;
   best.k = k;
   best.objective = std::numeric_limits<double>::infinity();
-  const uint32_t starts =
-      std::min<uint32_t>(options.num_starts,
-                         static_cast<uint32_t>(candidates.size()));
-  for (uint32_t s = 0; s < starts; ++s) {
+  for (uint32_t s = 0; s < kNumStarts; ++s) {
     const Initiator2& start = candidates[s].theta;
-    NelderMeadResult run = NelderMead(
-        objective, {start.a, start.b, start.c}, options.solver);
+    NelderMeadResult run =
+        NelderMead(objective, {start.a, start.b, start.c});
     if (run.value < best.objective) {
       best.objective = run.value;
       best.theta = Initiator2{run.point[0], run.point[1], run.point[2]}
@@ -82,8 +85,6 @@ KronMomResult FitKronMomToFeaturesImpl(const GraphFeatures& observed,
 KronMomResult FitKronMomToFeatures(const GraphFeatures& observed, uint32_t k,
                                    const KronMomOptions& options) {
   DPKRON_CHECK_GE(k, 1u);
-  DPKRON_CHECK_GE(options.grid_points, 2u);
-  DPKRON_CHECK_GE(options.num_starts, 1u);
   // The fit is a deterministic pure function of (features, k, options):
   // memoize it by value through the StatCache. In an ε sweep the exact-
   // feature fit recurs in every run of a dataset; fits on privatized
@@ -100,16 +101,6 @@ KronMomResult FitKronMomToFeatures(const GraphFeatures& observed, uint32_t k,
                            .Mix(options.objective.use_hairpins)
                            .Mix(options.objective.use_triangles)
                            .Mix(options.objective.use_tripins)
-                           .Mix(options.solver.max_iterations)
-                           .MixDouble(options.solver.value_tolerance)
-                           .MixDouble(options.solver.point_tolerance)
-                           .MixDouble(options.solver.initial_step)
-                           .MixDouble(options.solver.reflection)
-                           .MixDouble(options.solver.expansion)
-                           .MixDouble(options.solver.contraction)
-                           .MixDouble(options.solver.shrink)
-                           .Mix(options.grid_points)
-                           .Mix(options.num_starts)
                            .digest();
   return *StatCache::Instance().GetOrComputeDurable<KronMomResult>(
       "kronmom_fit", key,

@@ -1,5 +1,7 @@
 // KronMom: the Gleich–Owen moment-matching estimator of the SKG initiator
-// (§3.4). Multi-start Nelder–Mead over (a, b, c) on the Eq. (2) objective.
+// (§3.4). Multi-start Nelder–Mead over (a, b, c) on the Eq. (2) objective:
+// the 5 best points of a 7×7×7 lattice over the closed box each seed a
+// Nelder–Mead run.
 //
 // This is the non-private estimator the paper's "KronMom" columns/series
 // refer to, and the optimization core that Algorithm 1 reuses with
@@ -11,7 +13,6 @@
 #include <cstdint>
 
 #include "src/estimation/features.h"
-#include "src/estimation/nelder_mead.h"
 #include "src/estimation/objective.h"
 #include "src/graph/graph_view.h"
 #include "src/skg/initiator.h"
@@ -20,11 +21,6 @@ namespace dpkron {
 
 struct KronMomOptions {
   ObjectiveOptions objective;
-  NelderMeadOptions solver;
-  // Coarse-lattice resolution per axis for start-point selection.
-  uint32_t grid_points = 7;
-  // How many of the best lattice points seed a full Nelder–Mead run.
-  uint32_t num_starts = 5;
 };
 
 struct KronMomResult {

@@ -94,25 +94,27 @@ double MomentObjectiveN(const std::vector<double>& upper_triangle,
 }
 
 KronMomNResult FitKronMomN(const GraphFeatures& observed, uint32_t dim,
-                           uint32_t k, Rng& rng,
-                           const KronMomNOptions& options) {
+                           uint32_t k, Rng& rng) {
+  // Random multi-starts, and the Nelder–Mead budget of each.
+  constexpr uint32_t kNumStarts = 24;
+  constexpr uint32_t kMaxIterations = 3000;
   DPKRON_CHECK_GE(dim, 2u);
   DPKRON_CHECK_GE(k, 1u);
   const size_t num_params = size_t(dim) * (dim + 1) / 2;
 
   auto objective = [&](const std::vector<double>& x) {
-    return MomentObjectiveN(x, dim, k, observed, options.objective);
+    return MomentObjectiveN(x, dim, k, observed);
   };
 
   NelderMeadOptions nm;
-  nm.max_iterations = options.max_iterations;
+  nm.max_iterations = kMaxIterations;
   nm.initial_step = 0.15;
 
   KronMomNResult best;
   best.dim = dim;
   best.k = k;
   best.objective = std::numeric_limits<double>::infinity();
-  for (uint32_t start = 0; start < options.num_starts; ++start) {
+  for (uint32_t start = 0; start < kNumStarts; ++start) {
     std::vector<double> x0(num_params);
     if (start == 0) {
       // Canonical decreasing start: strong core, weaker periphery.
@@ -134,12 +136,6 @@ KronMomNResult FitKronMomN(const GraphFeatures& observed, uint32_t dim,
     }
   }
   return best;
-}
-
-KronMomNResult FitKronMomN(GraphView graph, uint32_t dim, Rng& rng,
-                           const KronMomNOptions& options) {
-  return FitKronMomN(ComputeFeatures(graph), dim,
-                     ChooseOrderN(graph.NumNodes(), dim), rng, options);
 }
 
 }  // namespace dpkron

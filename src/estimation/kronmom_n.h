@@ -14,16 +14,9 @@
 #include "src/common/rng.h"
 #include "src/estimation/features.h"
 #include "src/estimation/objective.h"
-#include "src/graph/graph_view.h"
 #include "src/skg/initiator.h"
 
 namespace dpkron {
-
-struct KronMomNOptions {
-  ObjectiveOptions objective;
-  uint32_t num_starts = 24;       // random multi-starts
-  uint32_t max_iterations = 3000; // per Nelder–Mead run
-};
 
 struct KronMomNResult {
   // Fitted symmetric initiator (row-major, dim*dim entries).
@@ -44,15 +37,12 @@ double MomentObjectiveN(const std::vector<double>& upper_triangle,
                         const GraphFeatures& observed,
                         const ObjectiveOptions& options = {});
 
-// Fits a symmetric dim×dim initiator to observed features at order k.
+// Fits a symmetric dim×dim initiator to observed features at order k
+// under the default Eq. (2) objective: 24 Nelder–Mead runs of up to 3000
+// iterations each, from a canonical decreasing start and 23 random ones.
 // `rng` drives the multi-start; results are deterministic given the seed.
 KronMomNResult FitKronMomN(const GraphFeatures& observed, uint32_t dim,
-                           uint32_t k, Rng& rng,
-                           const KronMomNOptions& options = {});
-
-// Convenience: features from `graph`, k = ChooseOrderN(nodes, dim).
-KronMomNResult FitKronMomN(GraphView graph, uint32_t dim, Rng& rng,
-                           const KronMomNOptions& options = {});
+                           uint32_t k, Rng& rng);
 
 }  // namespace dpkron
 

@@ -10,6 +10,15 @@ namespace {
 
 using Point = std::vector<double>;
 
+// Convergence tolerances on the simplex's value spread and diameter.
+constexpr double kValueTolerance = 1e-12;
+constexpr double kPointTolerance = 1e-10;
+// The standard simplex coefficients.
+constexpr double kReflection = 1.0;
+constexpr double kExpansion = 2.0;
+constexpr double kContraction = 0.5;
+constexpr double kShrink = 0.5;
+
 Point Combine(const Point& x, const Point& y, double alpha) {
   // x + alpha * (x - y)
   Point out(x.size());
@@ -51,8 +60,7 @@ NelderMeadResult NelderMead(
       diameter = std::max(
           diameter, std::fabs(simplex.back().x[i] - simplex.front().x[i]));
     }
-    if (spread <= options.value_tolerance &&
-        diameter <= options.point_tolerance) {
+    if (spread <= kValueTolerance && diameter <= kPointTolerance) {
       result.converged = true;
       break;
     }
@@ -65,12 +73,12 @@ NelderMeadResult NelderMead(
     for (double& coordinate : centroid) coordinate /= double(dim);
 
     const Vertex& worst = simplex.back();
-    const Point reflected = Combine(centroid, worst.x, options.reflection);
+    const Point reflected = Combine(centroid, worst.x, kReflection);
     const double f_reflected = objective(reflected);
 
     if (f_reflected < simplex.front().f) {
       // Try to expand further along the same direction.
-      const Point expanded = Combine(centroid, worst.x, options.expansion);
+      const Point expanded = Combine(centroid, worst.x, kExpansion);
       const double f_expanded = objective(expanded);
       simplex.back() = f_expanded < f_reflected
                            ? Vertex{expanded, f_expanded}
@@ -84,9 +92,8 @@ NelderMeadResult NelderMead(
     // Contract (outside if the reflection helped at all, inside otherwise).
     const bool outside = f_reflected < worst.f;
     const Point contracted =
-        outside ? Combine(centroid, worst.x,
-                          options.contraction * options.reflection)
-                : Combine(centroid, worst.x, -options.contraction);
+        outside ? Combine(centroid, worst.x, kContraction * kReflection)
+                : Combine(centroid, worst.x, -kContraction);
     const double f_contracted = objective(contracted);
     if (f_contracted < std::min(f_reflected, worst.f)) {
       simplex.back() = {contracted, f_contracted};
@@ -96,7 +103,7 @@ NelderMeadResult NelderMead(
     for (size_t v = 1; v <= dim; ++v) {
       for (size_t i = 0; i < dim; ++i) {
         simplex[v].x[i] = simplex[0].x[i] +
-                          options.shrink * (simplex[v].x[i] - simplex[0].x[i]);
+                          kShrink * (simplex[v].x[i] - simplex[0].x[i]);
       }
       simplex[v].f = objective(simplex[v].x);
     }

@@ -17,17 +17,8 @@ namespace dpkron {
 
 struct NelderMeadOptions {
   uint32_t max_iterations = 2000;
-  // Stop when the simplex's value spread and diameter both drop below
-  // these tolerances.
-  double value_tolerance = 1e-12;
-  double point_tolerance = 1e-10;
   // Initial simplex edge length around the start point.
   double initial_step = 0.1;
-  // Standard coefficients.
-  double reflection = 1.0;
-  double expansion = 2.0;
-  double contraction = 0.5;
-  double shrink = 0.5;
 };
 
 struct NelderMeadResult {
@@ -37,7 +28,10 @@ struct NelderMeadResult {
   bool converged = false;
 };
 
-// Minimizes `objective` starting from `start` (dimension = start.size()).
+// Minimizes `objective` starting from `start` (dimension = start.size())
+// with the standard coefficients (reflection 1, expansion 2, contraction
+// and shrink 1/2). Stops when the simplex's value spread is at most
+// 1e-12 and its diameter at most 1e-10, or after max_iterations.
 NelderMeadResult NelderMead(
     const std::function<double(const std::vector<double>&)>& objective,
     const std::vector<double>& start, const NelderMeadOptions& options = {});

@@ -18,6 +18,9 @@ constexpr double kFmPhi = 0.77351;
 // Per-node work is O(degree · trials); mid-size chunks balance hubs.
 constexpr size_t kAnfGrain = 512;
 
+// Hard cap on expansion rounds (hops).
+constexpr uint32_t kMaxHops = 64;
+
 // Index of the lowest zero bit of x (0-based); 64 if x is all ones.
 inline uint32_t LowestZeroBit(uint64_t x) {
   const uint64_t inverted = ~x;
@@ -76,7 +79,7 @@ std::vector<uint64_t> ApproxHopPlot(GraphView graph, Rng& rng,
   hop_plot.push_back(estimate_total());  // h = 0
 
   std::vector<uint64_t> next(masks.size());
-  for (uint32_t hop = 1; hop <= options.max_hops; ++hop) {
+  for (uint32_t hop = 1; hop <= kMaxHops; ++hop) {
     // One full CSR traversal per expand round — the irreducible pass
     // count of the iterative ANF family.
     graph.CountPass("anf_round");

@@ -22,12 +22,11 @@ struct AnfOptions {
   // Parallel FM trials; the estimate averages lowest-zero-bit positions
   // across trials. 32 gives ~ ±7% typical relative error.
   uint32_t num_trials = 32;
-  // Hard cap on rounds (hops). The expansion also stops when every
-  // sketch is saturated (no mask changed in a round).
-  uint32_t max_hops = 64;
 };
 
-// Approximate hop plot; same shape as ExactHopPlot's result.
+// Approximate hop plot; same shape as ExactHopPlot's result. The
+// expansion stops when every sketch is saturated (no mask changed in a
+// round), and after 64 hops at the latest.
 std::vector<uint64_t> ApproxHopPlot(GraphView graph, Rng& rng,
                                     const AnfOptions& options = {});
 

@@ -5,17 +5,8 @@
 #include <map>
 
 #include "src/graph/degree.h"
-#include "src/graph/triangles.h"
 
 namespace dpkron {
-
-std::vector<std::pair<uint64_t, uint64_t>> TriangleParticipation(
-    GraphView graph) {
-  const std::vector<uint64_t> per_node = PerNodeTriangles(graph);
-  std::map<uint64_t, uint64_t> counts;
-  for (uint64_t t : per_node) ++counts[t];
-  return {counts.begin(), counts.end()};
-}
 
 double DegreeAssortativity(GraphView graph) {
   // Pearson correlation over the 2M ordered edge endpoints (x = deg u,

@@ -1,7 +1,7 @@
 // Additional whole-graph statistics from the Kronecker-graphs evaluation
-// toolbox: node triangle participation (named explicitly by the paper in
-// §3.1's list of studied patterns), degree assortativity, and k-core
-// decomposition. Used by extended tests and the release diagnostics.
+// toolbox: degree assortativity and k-core decomposition. (Node triangle
+// participation, which the paper names in §3.1's list of studied
+// patterns, is PerNodeTriangles in triangles.h.)
 
 #ifndef DPKRON_GRAPH_EXTRA_STATS_H_
 #define DPKRON_GRAPH_EXTRA_STATS_H_
@@ -13,11 +13,6 @@
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
-
-// (t, number of nodes participating in exactly t triangles), ascending t,
-// only t values with non-zero counts.
-std::vector<std::pair<uint64_t, uint64_t>> TriangleParticipation(
-    GraphView graph);
 
 // Pearson correlation of endpoint degrees over edges (Newman's degree
 // assortativity, in [−1, 1]). Returns 0 for graphs with < 2 edges or a

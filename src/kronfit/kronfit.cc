@@ -21,6 +21,26 @@ Graph PadWithIsolatedNodes(GraphView graph, uint32_t num_nodes) {
 
 namespace {
 
+// The fixed schedule of the paper's KronFit baseline.
+// Metropolis warm-up swaps before the first sample, as a multiple of N.
+constexpr double kWarmupFactor = 10.0;
+// Independent permutation chains averaged per gradient estimate (one
+// Metropolis sample each per iteration).
+constexpr uint32_t kNumChains = 4;
+// Swaps between consecutive samples, as a multiple of N.
+constexpr double kDecorrelationFactor = 2.0;
+// Largest per-iteration movement of any parameter; the raw gradient is
+// rescaled to respect it (the likelihood gradients are O(E/θ), so a raw
+// step would leave the box immediately). Linear decay: the limit at
+// iteration t is kMaxStep/(1 + t·kStepDecay).
+constexpr double kMaxStep = 0.02;
+constexpr double kStepDecay = 0.05;
+// Average the iterates of the last kTailAverage iterations (Polyak tail
+// averaging smooths the permutation-sampling noise).
+constexpr uint32_t kTailAverage = 10;
+// Starting initiator.
+constexpr Initiator2 kInit{0.9, 0.6, 0.2};
+
 // Runs `count` Metropolis swap steps on sigma under the current model.
 // Serial: one chain is one Markov trajectory.
 void RunSwaps(GraphView graph, const KronFitLikelihood& model,
@@ -111,34 +131,31 @@ KronFitResult FitKronFit(GraphView graph, Rng& rng,
     padded = padded_storage;
   }
 
-  Initiator2 theta = options.init.Clamped(0.005, 0.995);
-  const uint32_t num_chains = std::max(options.samples_per_iteration, 1u);
-  MetropolisChains chains(padded, k, num_chains, rng);
+  Initiator2 theta = kInit.Clamped(0.005, 0.995);
+  MetropolisChains chains(padded, k, kNumChains, rng);
 
   // Initial burn-in under the starting parameters.
   {
     const KronFitLikelihood model(theta, k);
-    chains.Advance(model,
-                   static_cast<uint64_t>(options.warmup_factor * n));
+    chains.Advance(model, static_cast<uint64_t>(kWarmupFactor * n));
   }
 
   double tail_a = 0.0, tail_b = 0.0, tail_c = 0.0;
   uint32_t tail_count = 0;
   const uint32_t tail_start =
-      options.iterations > options.tail_average
-          ? options.iterations - options.tail_average
-          : 0;
+      options.iterations > kTailAverage ? options.iterations - kTailAverage
+                                        : 0;
 
   for (uint32_t it = 0; it < options.iterations; ++it) {
     const KronFitLikelihood model(theta, k);
     // Chain-averaged edge gradient, one decorrelated sample per chain.
     Gradient3 gradient = chains.SampleGradient(
-        model, static_cast<uint64_t>(options.decorrelation_factor * n));
+        model, static_cast<uint64_t>(kDecorrelationFactor * n));
     const Gradient3 no_edge = model.NoEdgeGradient();
     for (int i = 0; i < 3; ++i) gradient[i] -= no_edge[i];
 
     // Ascent step, rescaled to the trust region.
-    const double limit = options.max_step / (1.0 + options.step_decay * it);
+    const double limit = kMaxStep / (1.0 + kStepDecay * it);
     const double magnitude = std::max(
         {std::fabs(gradient[0]), std::fabs(gradient[1]),
          std::fabs(gradient[2]), 1e-30});
@@ -178,15 +195,6 @@ KronFitResult FitKronFitCached(GraphView graph, Rng& rng,
           .Mix(graph.ContentFingerprint())
           .Mix(rng.StateFingerprint())
           .Mix(options.iterations)
-          .MixDouble(options.warmup_factor)
-          .Mix(options.samples_per_iteration)
-          .MixDouble(options.decorrelation_factor)
-          .MixDouble(options.max_step)
-          .MixDouble(options.step_decay)
-          .Mix(options.tail_average)
-          .MixDouble(options.init.a)
-          .MixDouble(options.init.b)
-          .MixDouble(options.init.c)
           .digest();
   struct Entry {
     KronFitResult result;

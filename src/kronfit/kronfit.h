@@ -6,15 +6,14 @@
 // chains (permutation sampling). The observed graph is padded with
 // isolated nodes to 2^k, as in the original implementation.
 //
-// Parallel architecture: instead of one chain sampled
-// `samples_per_iteration` times back-to-back, the sampler keeps that
-// many *independent* chains — each with its own PermutationState and
-// Rng::Split stream — and fans them across the thread pool, averaging
-// their edge gradients in chain-index order. Total swap work per
-// iteration is unchanged; wall-clock divides by min(chains, threads),
-// and the chain-indexed RNG streams plus chunk-ordered reductions make
-// FitKronFit bit-identical for any thread count
-// (tests/parallel_test.cc enforces 1 vs 2 vs 8).
+// Parallel architecture: instead of one chain sampled four times
+// back-to-back, the sampler keeps four *independent* chains — each with
+// its own PermutationState and Rng::Split stream — and fans them across
+// the thread pool, averaging their edge gradients in chain-index order.
+// Total swap work per iteration is unchanged; wall-clock divides by
+// min(chains, threads), and the chain-indexed RNG streams plus
+// chunk-ordered reductions make FitKronFit bit-identical for any thread
+// count (tests/parallel_test.cc enforces 1 vs 2 vs 8).
 
 #ifndef DPKRON_KRONFIT_KRONFIT_H_
 #define DPKRON_KRONFIT_KRONFIT_H_
@@ -33,23 +32,6 @@ namespace dpkron {
 struct KronFitOptions {
   // Gradient-ascent iterations.
   uint32_t iterations = 60;
-  // Metropolis warm-up swaps before the first sample, as a multiple of N.
-  double warmup_factor = 10.0;
-  // Number of independent permutation chains averaged per gradient
-  // estimate (one Metropolis sample each per iteration).
-  uint32_t samples_per_iteration = 4;
-  // Swaps between consecutive samples, as a multiple of N.
-  double decorrelation_factor = 2.0;
-  // Largest per-iteration movement of any parameter; the raw gradient is
-  // rescaled to respect it (the likelihood gradients are O(E/θ), so a raw
-  // step would leave the box immediately).
-  double max_step = 0.02;
-  // Linear decay: step limit at iteration t is max_step/(1 + t·decay).
-  double step_decay = 0.05;
-  // Average the iterates of the last `tail_average` iterations (Polyak
-  // tail averaging smooths the permutation-sampling noise).
-  uint32_t tail_average = 10;
-  Initiator2 init{0.9, 0.6, 0.2};
 };
 
 struct KronFitResult {
@@ -102,7 +84,7 @@ KronFitResult FitKronFit(GraphView graph, Rng& rng,
                          const KronFitOptions& options = {});
 
 // FitKronFit served through the process-wide StatCache when it is
-// enabled, keyed by (graph fingerprint, rng state fingerprint, options)
+// enabled, keyed by (graph fingerprint, rng state fingerprint, iterations)
 // — the inputs the fit is a pure function of. On a hit `rng` is
 // restored to the state the original fit left it in, so downstream
 // draws are identical whether the fit ran or was served; a sweep that

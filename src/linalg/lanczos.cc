@@ -159,13 +159,10 @@ std::vector<double> RitzValues(GraphView graph, uint32_t iterations,
 
 }  // namespace
 
-std::vector<double> TopEigenvalues(GraphView graph, uint32_t k, Rng& rng,
-                                   const LanczosOptions& options) {
+std::vector<double> TopEigenvalues(GraphView graph, uint32_t k, Rng& rng) {
   DPKRON_CHECK_GE(k, 1u);
   DPKRON_CHECK_LE(k, graph.NumNodes());
-  const uint32_t iterations =
-      options.iterations > 0 ? options.iterations
-                             : std::min(graph.NumNodes(), 3 * k + 30);
+  const uint32_t iterations = std::min(graph.NumNodes(), 3 * k + 30);
   std::vector<double> ritz = RitzValues(graph, iterations, rng);
   std::sort(ritz.begin(), ritz.end(), [](double a, double b) {
     return std::fabs(a) > std::fabs(b);
@@ -174,10 +171,8 @@ std::vector<double> TopEigenvalues(GraphView graph, uint32_t k, Rng& rng,
   return ritz;
 }
 
-std::vector<double> TopSingularValues(GraphView graph, uint32_t k,
-                                      Rng& rng,
-                                      const LanczosOptions& options) {
-  std::vector<double> eigenvalues = TopEigenvalues(graph, k, rng, options);
+std::vector<double> TopSingularValues(GraphView graph, uint32_t k, Rng& rng) {
+  std::vector<double> eigenvalues = TopEigenvalues(graph, k, rng);
   for (double& value : eigenvalues) value = std::fabs(value);
   std::sort(eigenvalues.rbegin(), eigenvalues.rend());
   return eigenvalues;

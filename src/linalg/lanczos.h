@@ -28,20 +28,13 @@ struct TridiagonalEigenResult {
 TridiagonalEigenResult TridiagonalEigen(std::vector<double> diag,
                                         std::vector<double> offdiag);
 
-struct LanczosOptions {
-  // Krylov dimension; 0 means min(n, 3k + 30).
-  uint32_t iterations = 0;
-};
-
-// Top-k adjacency eigenvalues of `graph` sorted by descending magnitude.
+// Top-k adjacency eigenvalues of `graph` sorted by descending magnitude,
+// from a Krylov space of dimension min(n, 3k + 30).
 // Requires 1 <= k <= NumNodes().
-std::vector<double> TopEigenvalues(GraphView graph, uint32_t k, Rng& rng,
-                                   const LanczosOptions& options = {});
+std::vector<double> TopEigenvalues(GraphView graph, uint32_t k, Rng& rng);
 
 // Top-k singular values (|eigenvalue|, descending) — the scree plot.
-std::vector<double> TopSingularValues(GraphView graph, uint32_t k,
-                                      Rng& rng,
-                                      const LanczosOptions& options = {});
+std::vector<double> TopSingularValues(GraphView graph, uint32_t k, Rng& rng);
 
 }  // namespace dpkron
 

@@ -181,9 +181,8 @@ Status RunModelSelection(const ScenarioSpec& spec, const ScenarioParams& p,
 
     // N1 = 3 via the general fitter.
     Rng fit_rng = rng.Split();
-    KronMomNOptions options;
     const KronMomNResult fit3 = FitKronMomN(
-        observed, 3, ChooseOrderN(graph.NumNodes(), 3), fit_rng, options);
+        observed, 3, ChooseOrderN(graph.NumNodes(), 3), fit_rng);
 
     const auto theta3 = InitiatorN::Create(3, fit3.entries).value();
     const SkgMoments m3 = ExpectedMomentsN(theta3, fit3.k);
@@ -403,7 +402,6 @@ void RegisterAblationScenarios() {
     ScenarioSpec spec = AblationSpec(
         "epsilon_sweep", "ablation_epsilon_sweep",
         "Ablation: private-estimator utility across an epsilon sweep");
-    spec.estimators = {"kronmom", "private"};
     spec.defaults.seed = 42;
     spec.defaults.trials = 5;
     spec.defaults.sweep_epsilons = {0.05, 0.1, 0.2, 0.5, 1.0, 2.0};
@@ -415,7 +413,6 @@ void RegisterAblationScenarios() {
         "feature_route", "ablation_feature_route",
         "Ablation: Algorithm 1 degree route vs direct smooth-sensitivity "
         "route");
-    spec.estimators = {"degree-route", "direct-route"};
     spec.defaults.seed = 2718;
     spec.defaults.trials = 8;
     spec.defaults.sweep_epsilons = {0.1, 0.2, 0.5, 1.0, 2.0};
@@ -429,7 +426,6 @@ void RegisterAblationScenarios() {
     for (const DatasetInfo& info : PaperDatasets()) {
       spec.datasets.push_back(info.name);
     }
-    spec.estimators = {"kronmom", "kronmom_n"};
     spec.defaults.seed = 31415;
     spec.run = RunModelSelection;
     RegisterScenario(std::move(spec));
@@ -438,7 +434,6 @@ void RegisterAblationScenarios() {
     ScenarioSpec spec = AblationSpec(
         "objective_ablation", "ablation_objective",
         "Ablation: the Dist x Norm menu of Equation (2)");
-    spec.estimators = {"kronmom"};
     spec.defaults.seed = 99;
     spec.defaults.trials = 5;
     spec.run = RunObjectiveAblation;
@@ -448,7 +443,6 @@ void RegisterAblationScenarios() {
     ScenarioSpec spec = AblationSpec(
         "postprocess_ablation", "ablation_postprocess",
         "Ablation: Hay et al. constrained-inference post-processing");
-    spec.estimators = {"degree-route"};
     spec.defaults.seed = 123;
     spec.defaults.trials = 10;
     spec.defaults.sweep_epsilons = {0.05, 0.1, 0.2, 0.5, 1.0};
@@ -459,7 +453,6 @@ void RegisterAblationScenarios() {
     ScenarioSpec spec = AblationSpec(
         "smooth_sensitivity", "ablation_smooth_sensitivity",
         "Ablation: smooth sensitivity of the triangle count vs graph size");
-    spec.estimators = {"smooth-sensitivity"};
     spec.defaults.seed = 7;
     spec.defaults.epsilon = 0.1;  // the ε/2 share of Algorithm 1 at ε = 0.2
     spec.run = RunSmoothSensitivity;

@@ -149,7 +149,6 @@ ScenarioSpec FigureSpec(std::string name, std::string legacy,
   spec.legacy_binary = std::move(legacy);
   spec.description = std::move(description);
   spec.datasets = {std::move(dataset)};
-  spec.estimators = {"kronfit", "kronmom", "private"};
   spec.defaults.realizations = realizations;
   spec.run = RunFigure;
   return spec;

@@ -277,7 +277,6 @@ void RegisterTableScenarios() {
     for (const DatasetInfo& info : PaperDatasets()) {
       spec.datasets.push_back(info.name);
     }
-    spec.estimators = {"kronfit", "kronmom", "private"};
     spec.run = RunTable1;
     RegisterScenario(std::move(spec));
   }
@@ -289,7 +288,6 @@ void RegisterTableScenarios() {
         "Section 5 comparison: private SKG release vs Sala-style dK-2 "
         "over an epsilon sweep";
     spec.datasets = {"CA-GrQC-like"};
-    spec.estimators = {"private", "dk2"};
     spec.defaults.seed = 1234;
     spec.defaults.sweep_epsilons = {0.2, 1.0, 5.0, 20.0, 100.0};
     spec.run = RunComparisonDk2;

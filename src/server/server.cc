@@ -25,6 +25,9 @@ namespace {
 // complements the admission queue's request bound.
 constexpr size_t kMaxLineBytes = 1 << 20;
 
+// Back-off hint attached to shed-load rejections.
+constexpr int64_t kShedRetryAfterMs = 50;
+
 // Budget refusals cross the wire as RESOURCE_EXHAUSTED: the accountant
 // reports kFailedPrecondition (an invariant of the ledger), but to a
 // client "this analyst's budget cannot admit this charge" is a spent
@@ -128,7 +131,7 @@ std::string DpkronServer::HandleLine(std::string_view line) {
   if (!admitted.ok()) {
     const int64_t retry_after =
         admitted.code() == StatusCode::kResourceExhausted
-            ? config_.shed_retry_after_ms
+            ? kShedRetryAfterMs
             : -1;
     return ErrorResponseJson(request.request_id, admitted, retry_after);
   }

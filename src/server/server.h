@@ -74,8 +74,6 @@ struct ServerConfig {
   // dataset (the sidecar/mmap choices apply only when it names one).
   // Sidecars are on by default.
   ScenarioOverrides base;
-  // Back-off hint attached to shed-load rejections.
-  int64_t shed_retry_after_ms = 50;
   // Time source; nullptr = the monotonic system clock. Tests inject
   // FakeClock to drive the deadline checkpoints deterministically.
   Clock* clock = nullptr;
@@ -115,7 +113,7 @@ class DpkronServer {
   // Admission (non-blocking). OK ⇒ `done` will be invoked exactly once
   // from a worker; non-OK ⇒ `done` is never invoked and the caller owns
   // the error response (kResourceExhausted = shed, retry after
-  // config.shed_retry_after_ms; kUnavailable = draining). healthz
+  // 50 ms; kUnavailable = draining). healthz
   // requests are answered inline through `done` without queueing —
   // health must be observable precisely when the queue is full.
   Status Submit(const ReleaseRequest& request, ResponseCallback done);

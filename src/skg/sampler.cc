@@ -88,8 +88,10 @@ inline void DescendSingleBall(uint32_t u, uint32_t v, uint32_t level,
   if (u != v) keys->push_back(PackEdgeKey(u, v));
 }
 
-Graph SampleBallDrop(const Initiator2& theta, uint32_t k, Rng& rng,
-                     const SkgSampleOptions& options) {
+Graph SampleBallDrop(const Initiator2& theta, uint32_t k, Rng& rng) {
+  // Placements attempted per target edge before duplicate-avoidance
+  // gives up.
+  constexpr double kAttemptFactor = 30.0;
   DPKRON_CHECK_LT(k, 32u);
   const uint32_t n = uint32_t{1} << k;
   const double sum = theta.EntrySum();
@@ -107,7 +109,7 @@ Graph SampleBallDrop(const Initiator2& theta, uint32_t k, Rng& rng,
   keys.reserve(static_cast<size_t>(std::min(target + target / 16 + 64,
                                             kMaxReserve)));
   const uint64_t max_attempts = static_cast<uint64_t>(
-      options.attempt_factor * static_cast<double>(target)) + 64;
+      kAttemptFactor * static_cast<double>(target)) + 64;
   uint64_t attempts = 0;
   uint64_t distinct = 0;
   while (distinct < target && attempts < max_attempts) {
@@ -260,7 +262,7 @@ Graph SampleSkg(const Initiator2& theta, uint32_t k, Rng& rng,
     case SkgSampleMethod::kExact:
       return SampleExact2(theta, k, rng);
     case SkgSampleMethod::kBallDrop:
-      return SampleBallDrop(theta, k, rng, options);
+      return SampleBallDrop(theta, k, rng);
     case SkgSampleMethod::kClassSkip:
       return SampleSkgClassSkip(theta, k, rng);
     case SkgSampleMethod::kEdgeSkip:

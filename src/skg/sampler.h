@@ -40,7 +40,9 @@ namespace dpkron {
 enum class SkgSampleMethod {
   // All-pairs Bernoulli sweep: exact distribution, O(4^k).
   kExact,
-  // krongen-style recursive quadrant descent: fast, approximate.
+  // krongen-style recursive quadrant descent: fast, approximate. Gives
+  // up on duplicate-avoidance after 30 × target placements (dense
+  // corners can make distinct placements scarce).
   kBallDrop,
   // Probability-class skipping (class_sampler.h): exact distribution in
   // O(E) expected time — the best default for k > 12.
@@ -53,10 +55,6 @@ enum class SkgSampleMethod {
 
 struct SkgSampleOptions {
   SkgSampleMethod method = SkgSampleMethod::kExact;
-  // BallDrop: give up on duplicate-avoidance after
-  // attempt_factor × target placements (dense corners can make distinct
-  // placements scarce).
-  double attempt_factor = 30.0;
 };
 
 // One realization of the SKG defined by Θ^[k] on 2^k nodes.

@@ -6,33 +6,36 @@
 #include "src/core/cli_flags.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
+#include "src/core/sweep.h"
 
 namespace dpkron {
 namespace {
 
 // Every numeric flag of dpkron_experiments and dpkrond, declared with
-// the destination types and minimums the binaries give them.
+// the destination types, minimums and maximums the binaries give them.
 struct BinaryFlags {
   BinaryFlags() {
     AddRuntimeFlags(table, &runtime, &overrides);
     table.Number("--seed", &overrides.seed, uint64_t{0}, "");
     table.Number("--epsilon", &overrides.epsilon, 0.0, "");
-    table.Number("--realizations", &overrides.realizations, 0u, "");
+    table.Number("--realizations", &overrides.realizations, 0u, "",
+                 kMaxRealizations);
     table.Number("--trials", &overrides.trials, 1u, "");
     table.NumberList("--sweep-epsilons", "A,B", &overrides.sweep_epsilons,
                      0.0, "");
-    table.Number("--sweep-seeds", &sweep_seeds, 1u, "");
-    table.Number("--retries", &retries, 0u, "");
+    table.Number("--sweep-seeds", &sweep_seeds, 1u, "", kMaxSweepSeeds);
+    table.Number("--retries", &retries, 0u, "", kMaxSweepRetries);
     table.Number("--sweep-shards", &sweep_shards, 1u, "");
     table.Number("--sweep-shard-id", &sweep_shard_id, 0u, "");
     table.Number("--port", &port, uint16_t{0}, "");
-    table.Number("--workers", &workers, 1, "");
+    table.Number("--workers", &workers, 1, "", kMaxThreads);
     table.Number("--queue-depth", &queue_depth, size_t{1}, "");
     table.Number("--compact-threshold", &compact_threshold, uint64_t{0}, "");
     table.NumberList("--budgets", "EPS[,DELTA]", &budgets, 0.0, "");
@@ -156,6 +159,80 @@ TEST(CliFlagsTest, ValidValuesSetTheFields) {
   EXPECT_EQ(flags.queue_depth, 8u);
   EXPECT_EQ(flags.compact_threshold, 0u);
   EXPECT_EQ(flags.budgets, (std::vector<double>{2.0, 0.25}));
+}
+
+// Every count that sizes an allocation or a thread pool has a stated
+// maximum: the maximum itself passes, one more is refused naming the
+// flag and the maximum.
+TEST(CliFlagsTest, CountsAcceptTheirMaximumAndRefuseOneMore) {
+  struct Bound {
+    const char* name;
+    uint64_t max;
+  };
+  const Bound bounds[] = {
+      {"--realizations", kMaxRealizations}, {"--sweep-seeds", kMaxSweepSeeds},
+      {"--retries", kMaxSweepRetries},      {"--threads", kMaxThreads},
+      {"--workers", kMaxThreads},
+  };
+  for (const Bound& bound : bounds) {
+    const std::string flag = std::string(bound.name) + "=";
+    BinaryFlags flags;
+    EXPECT_TRUE(flags.Parse({flag + std::to_string(bound.max)}).ok())
+        << bound.name;
+    const std::string over = std::to_string(bound.max + 1);
+    const Status refused = flags.Parse({flag + over});
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << bound.name;
+    EXPECT_EQ(refused.message(),
+              std::string(bound.name) + ": expected an integer <= " +
+                  std::to_string(bound.max) + ", got '" + over + "'");
+  }
+  BinaryFlags flags;
+  ASSERT_TRUE(flags.Parse({"--realizations=10000", "--sweep-seeds=10000",
+                           "--retries=100", "--threads=1024",
+                           "--workers=1024"})
+                  .ok());
+  EXPECT_EQ(flags.overrides.realizations, 10000u);
+  EXPECT_EQ(flags.sweep_seeds, 10000u);
+  EXPECT_EQ(flags.retries, 100u);
+  EXPECT_EQ(flags.runtime.threads, 1024);
+  EXPECT_EQ(flags.workers, 1024);
+}
+
+// DPKRON_THREADS is parsed like --threads, and only when --threads is
+// absent; a malformed value is refused before anything is applied.
+TEST(CliFlagsTest, ApplyParsesDpkronThreadsStrictly) {
+  const char* saved = std::getenv("DPKRON_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  const int threads = ParallelThreadCount();
+  const bool was_enabled = StatCache::Instance().enabled();
+  for (const char* value : {"4x", "abc", "0", "-3", "", " 2", "99999999999",
+                            "1025"}) {
+    ASSERT_EQ(::setenv("DPKRON_THREADS", value, 1), 0);
+    const Status applied = ApplyRuntimeFlags(RuntimeFlags{});
+    EXPECT_EQ(applied.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_EQ(applied.message().rfind("DPKRON_THREADS: expected an integer", 0),
+              0u)
+        << applied.message();
+    EXPECT_EQ(ParallelThreadCount(), threads) << value;
+    EXPECT_EQ(StatCache::Instance().enabled(), was_enabled) << value;
+  }
+  const int other = threads == 3 ? 2 : 3;
+  ASSERT_EQ(::setenv("DPKRON_THREADS", std::to_string(other).c_str(), 1), 0);
+  EXPECT_TRUE(ApplyRuntimeFlags(RuntimeFlags{}).ok());
+  EXPECT_EQ(ParallelThreadCount(), other);
+  // --threads wins; the environment is not even parsed.
+  ASSERT_EQ(::setenv("DPKRON_THREADS", "abc", 1), 0);
+  RuntimeFlags runtime;
+  runtime.threads = threads;
+  EXPECT_TRUE(ApplyRuntimeFlags(runtime).ok());
+  EXPECT_EQ(ParallelThreadCount(), threads);
+
+  if (saved != nullptr) {
+    ::setenv("DPKRON_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("DPKRON_THREADS");
+  }
+  StatCache::Instance().set_enabled(was_enabled);
 }
 
 TEST(CliFlagsTest, UnknownFlagsAndMisplacedValuesAreRefused) {

@@ -86,9 +86,7 @@ TEST(PrivatizeDk2Test, HighEpsilonPreservesTable) {
   const Graph g = StarGraph(40);
   const Dk2Table exact = Dk2Table::FromGraph(g);
   PrivacyBudget budget(1e6, 0.0);
-  Dk2PrivatizeOptions options;
-  options.threshold_sparsify = false;
-  const auto noisy = PrivatizeDk2(exact, 1e6, budget, rng, options);
+  const auto noisy = PrivatizeDk2(exact, 1e6, budget, rng);
   ASSERT_TRUE(noisy.ok());
   EXPECT_LT(Dk2Table::L1Distance(exact, noisy.value()), 1.0);
 }
@@ -131,6 +129,16 @@ TEST(SampleDk2GraphTest, EmptyTableGivesEmptyGraph) {
   EXPECT_EQ(g.NumEdges(), 0u);
 }
 
+// The Sala-style release the comparison scenario runs: extract →
+// privatize(ε) → generate.
+Result<Graph> Dk2Release(const Graph& graph, double epsilon,
+                         PrivacyBudget& budget, Rng& rng) {
+  const auto noisy =
+      PrivatizeDk2(Dk2Table::FromGraph(graph), epsilon, budget, rng);
+  if (!noisy.ok()) return noisy.status();
+  return SampleDk2Graph(noisy.value(), rng);
+}
+
 TEST(PrivateDk2ReleaseTest, EndToEnd) {
   Rng rng(8);
   AffiliationOptions options;
@@ -138,19 +146,18 @@ TEST(PrivateDk2ReleaseTest, EndToEnd) {
   options.num_papers = 320;
   const Graph original = AffiliationGraph(options, rng);
   PrivacyBudget budget(20.0, 0.0);
-  const auto released = PrivateDk2Release(original, 20.0, budget, rng);
+  const auto released = Dk2Release(original, 20.0, budget, rng);
   ASSERT_TRUE(released.ok());
   EXPECT_GT(released.value().NumEdges(), 0u);
   EXPECT_NEAR(budget.epsilon_spent(), 20.0, 1e-12);
 }
 
 TEST(PrivateDk2ReleaseTest, DeterministicGivenSeed) {
-  Rng g_rng(9);
   const Graph g = testing::CompleteGraph(24);
   Rng rng1(10), rng2(10);
   PrivacyBudget b1(5.0, 0.0), b2(5.0, 0.0);
-  const auto r1 = PrivateDk2Release(g, 5.0, b1, rng1);
-  const auto r2 = PrivateDk2Release(g, 5.0, b2, rng2);
+  const auto r1 = Dk2Release(g, 5.0, b1, rng1);
+  const auto r2 = Dk2Release(g, 5.0, b2, rng2);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().Edges(), r2.value().Edges());

@@ -18,28 +18,27 @@ using testing::PathGraph;
 using testing::PetersenGraph;
 using testing::StarGraph;
 
+// Triangle participation: the number of triangles each node is in.
 TEST(TriangleParticipationTest, CompleteGraph) {
   // Every node of K_5 is in C(4,2) = 6 triangles.
-  const auto tp = TriangleParticipation(CompleteGraph(5));
-  ASSERT_EQ(tp.size(), 1u);
-  EXPECT_EQ(tp[0], (std::pair<uint64_t, uint64_t>{6, 5}));
+  EXPECT_EQ(PerNodeTriangles(CompleteGraph(5)),
+            std::vector<uint64_t>(5, 6));
 }
 
 TEST(TriangleParticipationTest, MixedGraph) {
   // Triangle {0,1,2} plus pendant 3 attached to 0.
   const Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {0, 3}});
-  const auto tp = TriangleParticipation(g);
-  ASSERT_EQ(tp.size(), 2u);
-  EXPECT_EQ(tp[0], (std::pair<uint64_t, uint64_t>{0, 1}));  // node 3
-  EXPECT_EQ(tp[1], (std::pair<uint64_t, uint64_t>{1, 3}));
+  EXPECT_EQ(PerNodeTriangles(g), (std::vector<uint64_t>{1, 1, 1, 0}));
 }
 
 TEST(TriangleParticipationTest, CountsSumToNodes) {
   Rng rng(3);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 8, rng);
+  const std::vector<uint64_t> participation = PerNodeTriangles(g);
+  EXPECT_EQ(participation.size(), g.NumNodes());
   uint64_t total = 0;
-  for (const auto& [t, count] : TriangleParticipation(g)) total += count;
-  EXPECT_EQ(total, g.NumNodes());
+  for (uint64_t t : participation) total += t;
+  EXPECT_EQ(total, 3 * CountTriangles(g));
 }
 
 TEST(DegreeAssortativityTest, StarIsPerfectlyDisassortative) {

@@ -67,8 +67,7 @@ TEST(IntegrationTest, SyntheticGraphsFromPrivateEstimateMatchStatistics) {
   Rng rng(32);
   const auto fit = EstimatePrivateSkg(original, 0.5, 0.01, rng);
   ASSERT_TRUE(fit.ok());
-  const Graph synthetic = SampleSyntheticGraph(
-      fit.value().theta, fit.value().k, rng, SkgSampleMethod::kExact);
+  const Graph synthetic = SampleSkg(fit.value().theta, fit.value().k, rng);
 
   // Edge counts in the same ballpark.
   EXPECT_NEAR(double(synthetic.NumEdges()), double(original.NumEdges()),
@@ -88,8 +87,7 @@ TEST(IntegrationTest, SkgUnderfitsCoauthorshipClustering) {
   const Graph original = SmallCoauthorship(41);
   Rng rng(42);
   const KronMomResult fit = FitKronMom(original);
-  const Graph synthetic =
-      SampleSyntheticGraph(fit.theta, fit.k, rng, SkgSampleMethod::kExact);
+  const Graph synthetic = SampleSkg(fit.theta, fit.k, rng);
   EXPECT_GT(AverageClustering(original),
             5.0 * AverageClustering(synthetic) - 1e-12);
 }

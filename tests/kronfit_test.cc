@@ -209,10 +209,10 @@ TEST(KronFitTest, LikelihoodImprovesOverInit) {
   const Graph g = SampleSkg(truth, k, rng);
   KronFitOptions options;
   options.iterations = 30;
-  options.init = {0.6, 0.6, 0.6};
   const KronFitResult fit = FitKronFit(g, rng, options);
 
-  const KronFitLikelihood init_model(options.init, k);
+  // FitKronFit's fixed starting initiator.
+  const KronFitLikelihood init_model({0.9, 0.6, 0.2}, k);
   PermutationState sigma = DegreeGuidedInit(g, k);
   const double init_ll = init_model.LogLikelihood(g, sigma);
   EXPECT_GT(fit.log_likelihood, init_ll);

@@ -79,10 +79,8 @@ TEST(FitKronMomNTest, DeterministicGivenSeed) {
   const GraphFeatures observed =
       FromMoments(ExpectedMoments({0.9, 0.5, 0.2}, 10));
   Rng rng1(5), rng2(5);
-  KronMomNOptions options;
-  options.num_starts = 6;
-  const auto f1 = FitKronMomN(observed, 2, 10, rng1, options);
-  const auto f2 = FitKronMomN(observed, 2, 10, rng2, options);
+  const auto f1 = FitKronMomN(observed, 2, 10, rng1);
+  const auto f2 = FitKronMomN(observed, 2, 10, rng2);
   EXPECT_EQ(f1.entries, f2.entries);
 }
 

@@ -251,8 +251,6 @@ TEST(KernelInvarianceTest, LanczosBothSidesOfTheInlineThreshold) {
   ASSERT_EQ(size_t{1} << log2_threshold, kMinParallelVector);
   SkgSampleOptions sample_options;
   sample_options.method = SkgSampleMethod::kEdgeSkip;
-  LanczosOptions lanczos_options;
-  lanczos_options.iterations = 12;
   for (const uint32_t k : {log2_threshold - 1, log2_threshold + 1}) {
     Rng sample_rng(k);
     const Graph g = SampleSkg({0.9, 0.5, 0.2}, k, sample_rng, sample_options);
@@ -260,7 +258,7 @@ TEST(KernelInvarianceTest, LanczosBothSidesOfTheInlineThreshold) {
     ASSERT_GE(g.NumNodes(), 3 * 8192u);  // several chunks even inline
     ExpectThreadCountInvariant([&] {
       Rng rng(31);
-      return TopSingularValues(g, 4, rng, lanczos_options);
+      return TopSingularValues(g, 4, rng);
     });
     ExpectThreadCountInvariant([&] {
       Rng rng(32);
@@ -320,8 +318,6 @@ TEST(KernelInvarianceTest, FitKronFit) {
   const Graph g = SampleSkg({0.9, 0.5, 0.2}, 8, g_rng);
   KronFitOptions options;
   options.iterations = 8;
-  options.warmup_factor = 2.0;
-  options.tail_average = 4;
   ExpectThreadCountInvariant([&] {
     Rng rng(42);
     const KronFitResult fit = FitKronFit(g, rng, options);
@@ -360,7 +356,7 @@ TEST(KernelInvarianceTest, ExpectedStatistics) {
   options.anf_trials = 8;
   ExpectThreadCountInvariant([&] {
     Rng rng(20120330);
-    return ExpectedStatistics({0.9, 0.5, 0.2}, 8, 6, rng, options);
+    return ReleasePipeline(options).Expected({0.9, 0.5, 0.2}, 8, 6, rng);
   });
 }
 

@@ -63,16 +63,6 @@ TEST(PrivateEstimatorTest, FailsWhenBudgetExhausted) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(PrivateEstimatorTest, ExplicitKOverride) {
-  Rng rng(6);
-  const Graph g = testing::CycleGraph(100);  // ChooseK would give 7
-  PrivateEstimatorOptions options;
-  options.k = 9;
-  const auto result = EstimatePrivateSkg(g, 1.0, 0.01, rng, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().k, 9u);
-}
-
 TEST(PrivateEstimatorTest, OutputIsCanonicalAndValid) {
   Rng rng(7);
   const Graph g = SampleSkg({0.9, 0.6, 0.1}, 10, rng);

@@ -256,9 +256,11 @@ TEST(SmoothSensitivityTest, SmoothnessAcrossRandomNeighbors) {
     if (!g.HasEdge(i, j)) builder.AddEdge(i, j);  // or add
     const Graph neighbor = builder.Build();
 
+    const TriangleSensitivityProfile profile_g(g);
+    const TriangleSensitivityProfile profile_n(neighbor);
     for (double beta : {0.0167, 0.1, 0.5}) {
-      const double ss_g = SmoothSensitivityTriangles(g, beta);
-      const double ss_n = SmoothSensitivityTriangles(neighbor, beta);
+      const double ss_g = profile_g.SmoothSensitivity(beta);
+      const double ss_n = profile_n.SmoothSensitivity(beta);
       EXPECT_LE(ss_g, std::exp(beta) * ss_n + 1e-9) << "beta " << beta;
       EXPECT_LE(ss_n, std::exp(beta) * ss_g + 1e-9) << "beta " << beta;
     }

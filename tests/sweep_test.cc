@@ -215,6 +215,40 @@ TEST_F(SweepTest, DegenerateRunFailsInReportNotBatch) {
   EXPECT_NE(json.find("\"exact_sensitivity\":"), std::string::npos);
 }
 
+// A hostile realization count is data too: it fails its own cell, in
+// RunScenario before any budget is charged, instead of exhausting memory
+// and aborting the batch.
+TEST_F(SweepTest, RealizationsOverTheMaximumFailTheCellNotTheBatch) {
+  SweepSpec spec;
+  spec.scenarios = {"fig2_as20"};
+  spec.seeds = 2;
+  spec.base.smoke = true;
+  spec.base.realizations = kMaxRealizations + 1;
+  const auto result = RunSweep(spec);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().runs.size(), 2u);
+  EXPECT_EQ(result.value().failed_runs, 2u);
+  for (const SweepRun& run : result.value().runs) {
+    EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status.message().find("realizations must be <= 10000"),
+              std::string::npos)
+        << run.status.ToString();
+  }
+  EXPECT_EQ(SweepsJson(result.value(), 1).find("\"budgets\":[{"),
+            std::string::npos);
+}
+
+TEST_F(SweepTest, RejectsSeedAndAttemptCountsOverTheMaximum) {
+  SweepSpec seeds;
+  seeds.scenarios = {"fig2_as20"};
+  seeds.seeds = kMaxSweepSeeds + 1;
+  EXPECT_EQ(RunSweep(seeds).status().code(), StatusCode::kInvalidArgument);
+  SweepSpec attempts;
+  attempts.scenarios = {"fig2_as20"};
+  attempts.max_attempts = kMaxSweepRetries + 2;
+  EXPECT_EQ(RunSweep(attempts).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(SweepTest, DatasetAxisOverridesScenarioDatasets) {
   const std::string path = UniqueTempPath("sweep_axis");
   {
