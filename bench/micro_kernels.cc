@@ -52,7 +52,7 @@ void BM_SampleSkgExact(benchmark::State& state) {
     benchmark::DoNotOptimize(SampleSkg({0.99, 0.45, 0.25}, k, rng));
   }
 }
-BENCHMARK(BM_SampleSkgExact)->Arg(8)->Arg(10)->Arg(12);
+BENCHMARK(BM_SampleSkgExact)->Arg(8)->Arg(10)->Arg(12)->Arg(14);
 
 void BM_SampleSkgBallDrop(benchmark::State& state) {
   Rng rng(3);

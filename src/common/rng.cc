@@ -1,6 +1,8 @@
 #include "src/common/rng.h"
 
 #include <cmath>
+#include <deque>
+#include <mutex>
 
 #include "src/common/fnv.h"
 #include "src/common/macros.h"
@@ -18,6 +20,64 @@ inline uint64_t SplitMix64(uint64_t& x) {
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// xoshiro256's state transition (the linear engine; the ** scrambler
+// only shapes the output).
+inline void StepState(uint64_t s[4]) {
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+}
+
+// A 256×256 matrix over GF(2) acting on the state, stored by columns:
+// col[j] is the image of the state whose only set bit is bit j % 64 of
+// word j / 64.
+struct Gf2Matrix {
+  uint64_t col[256][4];
+};
+
+void ApplyGf2(const Gf2Matrix& m, uint64_t s[4]) {
+  uint64_t out[4] = {0, 0, 0, 0};
+  for (int j = 0; j < 256; ++j) {
+    const uint64_t take = 0 - ((s[j / 64] >> (j % 64)) & 1);
+    for (int w = 0; w < 4; ++w) out[w] ^= m.col[j][w] & take;
+  }
+  for (int w = 0; w < 4; ++w) s[w] = out[w];
+}
+
+// Discard steps the low kDirectBits bits of n one by one (at most 255
+// steps, cheaper than a matrix product) and jumps the rest.
+constexpr int kDirectBits = 8;
+
+// M^(2^i), where M is the one-step matrix. Squared out on demand (8 KiB
+// and ~0.2 ms each) and kept for the process, so a caller that only ever
+// jumps 2^16 pays for 17 matrices, not 64. The deque keeps returned
+// references valid while later callers append.
+const Gf2Matrix& JumpPower(int i) {
+  static std::mutex mu;
+  static std::deque<Gf2Matrix> powers;
+  std::lock_guard<std::mutex> lock(mu);
+  if (powers.empty()) {
+    Gf2Matrix& m = powers.emplace_back();
+    for (int j = 0; j < 256; ++j) {
+      uint64_t* col = m.col[j];
+      for (int w = 0; w < 4; ++w) col[w] = 0;
+      col[j / 64] = uint64_t{1} << (j % 64);
+      StepState(col);
+    }
+  }
+  while (static_cast<int>(powers.size()) <= i) {
+    // Square: column j of M·M is M applied to column j of M.
+    const Gf2Matrix& m = powers.back();
+    Gf2Matrix& squared = powers.emplace_back(m);
+    for (int j = 0; j < 256; ++j) ApplyGf2(m, squared.col[j]);
+  }
+  return powers[i];
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -30,13 +90,7 @@ Rng::Rng(uint64_t seed) {
 
 uint64_t Rng::NextU64() {
   const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
+  StepState(state_);
   return result;
 }
 
@@ -169,6 +223,17 @@ uint64_t Rng::StateFingerprint() const {
   hash = Fnv1a64(&gaussian, sizeof(gaussian), hash);
   hash = Fnv1a64(&spare_gaussian_, sizeof(spare_gaussian_), hash);
   return hash;
+}
+
+void Rng::Discard(uint64_t n) {
+  for (uint64_t i = n & ((uint64_t{1} << kDirectBits) - 1); i > 0; --i) {
+    StepState(state_);
+  }
+  n >>= kDirectBits;
+  // Powers of M commute, so the jumps apply in any order.
+  for (int i = kDirectBits; n != 0; ++i, n >>= 1) {
+    if (n & 1) ApplyGf2(JumpPower(i), state_);
+  }
 }
 
 Rng Rng::Split() {

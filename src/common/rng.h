@@ -75,6 +75,15 @@ class Rng {
   void FillLaplace(double scale, double* out, size_t n);
   void FillBinomial(uint64_t trials, double p, uint64_t* out, size_t n);
 
+  // Advances the stream exactly as n NextU64() calls would, in
+  // O(popcount(n)) 256×256 GF(2) matrix-vector products (xoshiro's
+  // state transition is linear over GF(2); the powers M^(2^i) are built
+  // on first use and kept for the process). The Gaussian spare is
+  // untouched. This is what lets a kernel run several stretches of one
+  // stream side by side and still leave it where a sequential loop
+  // would. Thread-safe.
+  void Discard(uint64_t n);
+
   // A new Rng whose stream is independent of this one (and of further
   // outputs of this one), derived from the current state.
   Rng Split();
@@ -83,9 +92,10 @@ class Rng {
   // computations (StatCache): a cache entry stores the state the stream
   // reached when the computation was first run, and a cache hit restores
   // it so the caller's stream advances exactly as if the computation had
-  // re-run. Restoring a state anywhere else duplicates a stream — the
-  // bug the deleted copy constructor exists to prevent — so these are
-  // not for general use.
+  // re-run. The exact SKG sampler uses the same pair to step the stream
+  // on a local copy and write it back. Restoring a state anywhere else
+  // duplicates a stream — the bug the deleted copy constructor exists to
+  // prevent — so these are not for general use.
   struct State {
     uint64_t s[4];
     bool have_gaussian;

@@ -20,7 +20,7 @@ Graph GraphBuilder::Build() {
   std::vector<uint64_t> keys;
   keys.reserve(edges_.size());
   for (const auto& [u, v] : edges_) {
-    keys.push_back((uint64_t{u} << 32) | v);
+    keys.push_back(PackEdge(u, v));
   }
   edges_.clear();
   return FromPackedEdges(num_nodes_, std::move(keys));
@@ -36,7 +36,10 @@ Graph GraphBuilder::FromEdges(
 
 Graph GraphBuilder::FromPackedEdges(uint32_t num_nodes,
                                     std::vector<uint64_t> keys) {
-  std::sort(keys.begin(), keys.end());
+  // The exact SKG sampler and in-order AddEdge calls arrive sorted.
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(keys.begin(), keys.end());
+  }
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
   std::vector<uint32_t> degree(num_nodes, 0);

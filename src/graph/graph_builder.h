@@ -29,6 +29,12 @@ class GraphBuilder {
   // accepted and removed at Build(). Aborts if u or v is out of range.
   void AddEdge(Graph::NodeId u, Graph::NodeId v);
 
+  // The packed key (u << 32) | v of edge {u, v}, u < v: the format
+  // FromPackedEdges takes.
+  static uint64_t PackEdge(Graph::NodeId u, Graph::NodeId v) {
+    return (uint64_t{u} << 32) | v;
+  }
+
   // Number of AddEdge calls so far (pre-dedup).
   size_t PendingEdges() const { return edges_.size(); }
 

@@ -46,8 +46,13 @@ class EdgeProbability2 {
     const uint32_t n11 = static_cast<uint32_t>(__builtin_popcountll(both));
     const uint32_t nb = static_cast<uint32_t>(__builtin_popcountll(only_u) +
                                               __builtin_popcountll(only_v));
-    const uint32_t n00 = k_ - n11 - nb;
-    return pow_a_[n00] * pow_b_[nb] * pow_c_[n11];
+    return ClassProbability(n11, nb);
+  }
+
+  // P_uv of every pair with n11 digit pairs (1,1) and nb mixed digit
+  // pairs (n11 + nb ≤ k): a^(k−n11−nb) · b^nb · c^n11.
+  double ClassProbability(uint32_t n11, uint32_t nb) const {
+    return pow_a_[k_ - n11 - nb] * pow_b_[nb] * pow_c_[n11];
   }
 
  private:

@@ -5,8 +5,10 @@
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
+#include "src/common/simd.h"
 #include "src/graph/graph_builder.h"
 #include "src/skg/class_sampler.h"
+#include "src/skg/exact_sampler_kernels.h"
 #include "src/skg/kronecker.h"
 #include "src/skg/moments.h"
 
@@ -14,7 +16,7 @@ namespace dpkron {
 namespace {
 
 inline uint64_t PackEdgeKey(uint32_t u, uint32_t v) {
-  return (uint64_t{std::min(u, v)} << 32) | std::max(u, v);
+  return GraphBuilder::PackEdge(std::min(u, v), std::max(u, v));
 }
 
 // Normalized quadrant law of a 2×2 initiator, in the fixed digit order
@@ -52,17 +54,140 @@ uint64_t DrawTargetEdges(const Initiator2& theta, uint32_t k, Rng& rng) {
   return static_cast<uint64_t>(std::llround(target));
 }
 
-Graph SampleExact2(const Initiator2& theta, uint32_t k, Rng& rng) {
-  DPKRON_CHECK_MSG(k <= 14, "exact sampler limited to k <= 14 (O(4^k))");
+// ------------------------------ exact sampler ------------------------------
+//
+// One coin per pair (u, v), u < v, in row-major order on the caller's
+// stream, decided by integer thresholds (exact_sampler_kernels.h). The
+// draws, the graph and the stream's end state are those of the per-pair
+// loop `if (rng.NextBernoulli(prob(u, v))) AddEdge(u, v)`.
+
+ExactSweepTables MakeExactSweepTables(const Initiator2& theta, uint32_t k) {
   const EdgeProbability2 prob(theta, k);
-  const uint32_t n = static_cast<uint32_t>(prob.num_nodes());
-  GraphBuilder builder(n);
-  for (uint32_t u = 0; u < n; ++u) {
-    for (uint32_t v = u + 1; v < n; ++v) {
-      if (rng.NextBernoulli(prob(u, v))) builder.AddEdge(u, v);
+  ExactSweepTables tables;
+  tables.k = k;
+  tables.threshold.assign((k + 1) * (k + 1), ExactSweepTables::kNoDraw);
+  for (uint32_t n11 = 0; n11 <= k; ++n11) {
+    for (uint32_t nb = 0; n11 + nb <= k; ++nb) {
+      tables.threshold[n11 * (k + 1) + nb] =
+          ExactCoinThreshold(prob.ClassProbability(n11, nb));
     }
   }
-  return builder.Build();
+  // The pairs (u, v > u) of a row with popcount(u) = w fall in classes
+  // n11 ≤ w, nb = (w − n11) + j, where j counts the digits with a 0 in u
+  // and a 1 in v: 1 ≤ j ≤ k − w, since v > u has such a digit.
+  tables.row_bound.assign(k + 1, 0);
+  tables.every_pair_draws = true;
+  for (uint32_t w = 0; w <= k; ++w) {
+    for (uint32_t n11 = 0; n11 <= w; ++n11) {
+      for (uint32_t nb = w - n11 + 1; nb <= k - n11; ++nb) {
+        const uint64_t t = tables.threshold[n11 * (k + 1) + nb];
+        if (t == ExactSweepTables::kNoDraw ||
+            t == ExactSweepTables::kAlwaysEdge) {
+          tables.every_pair_draws = false;
+        }
+        tables.row_bound[w] = std::max(tables.row_bound[w], t);
+      }
+    }
+  }
+  return tables;
+}
+
+// xoshiro256** on four words held in locals (so they stay in registers
+// across the edge pushes), returning NextDouble()'s 53-bit integer.
+struct LocalStream {
+  uint64_t s0, s1, s2, s3;
+
+  uint64_t NextDraw() {
+    const uint64_t x = s1 * 5;
+    const uint64_t out = ((x << 7) | (x >> 57)) * 9;
+    const uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = (s3 << 45) | (s3 >> 19);
+    return out >> 11;
+  }
+};
+
+// The sweep from pair (u, v) to the end on one stream position `s`.
+void SweepExactScalar(const ExactSweepTables& tables, uint32_t n,
+                      uint32_t u, uint32_t v, uint64_t s[4],
+                      std::vector<uint64_t>* keys) {
+  const uint64_t* threshold = tables.threshold.data();
+  LocalStream stream{s[0], s[1], s[2], s[3]};
+  for (; u + 1 < n; ++u, v = u + 1) {
+    if (tables.every_pair_draws) {
+      const uint64_t bound = tables.row_bound[__builtin_popcount(u)];
+      for (; v < n; ++v) {
+        const uint64_t draw = stream.NextDraw();
+        if (__builtin_expect(draw < bound, 0) &&
+            draw < threshold[tables.ClassIndex(u, v)]) {
+          keys->push_back(GraphBuilder::PackEdge(u, v));
+        }
+      }
+    } else {
+      for (; v < n; ++v) {
+        const uint64_t t = threshold[tables.ClassIndex(u, v)];
+        if (t == ExactSweepTables::kNoDraw) continue;
+        if (t == ExactSweepTables::kAlwaysEdge || stream.NextDraw() < t) {
+          keys->push_back(GraphBuilder::PackEdge(u, v));
+        }
+      }
+    }
+  }
+  s[0] = stream.s0;
+  s[1] = stream.s1;
+  s[2] = stream.s2;
+  s[3] = stream.s3;
+}
+
+// Draws per lane stretch. The output does not depend on it; it sets how
+// often the lanes jump (three Discard calls per group of four).
+constexpr uint64_t kExactLaneBlock = uint64_t{1} << 16;
+
+// Runs on the calling thread, never on the pool: one request's 4^k sweep
+// holding the pool workers would stall every other request's parallel
+// sections (a pool-fanned variant raised `dpkrond` p50 latency ~2×).
+Graph SampleExact2(const Initiator2& theta, uint32_t k, Rng& rng) {
+  DPKRON_CHECK_MSG(k <= 14, "exact sampler limited to k <= 14 (O(4^k))");
+  const ExactSweepTables tables = MakeExactSweepTables(theta, k);
+  const uint32_t n = uint32_t{1} << k;
+  std::vector<uint64_t> keys;
+  // The stream is stepped on a local copy of its words; the Gaussian
+  // spare is written back untouched.
+  Rng::State state = rng.SaveState();
+  uint32_t u = 0, v = 1;
+  if (tables.every_pair_draws && Avx2Active()) {
+    // Groups of four consecutive stretches; lane j starts where j
+    // stretches of sequential draws would leave the stream. The tail
+    // (less than one group) runs on the scalar loop below.
+    const uint64_t pairs = uint64_t{n} * (n - 1) / 2;
+    Rng jumper;
+    ExactLane lanes[4];
+    for (uint64_t start = 0; start + 4 * kExactLaneBlock <= pairs;
+         start += 4 * kExactLaneBlock) {
+      jumper.RestoreState(state);
+      for (int j = 0; j < 4; ++j) {
+        if (j > 0) {
+          jumper.Discard(kExactLaneBlock);
+          AdvancePair(n, kExactLaneBlock, u, v);
+        }
+        const Rng::State lane_state = jumper.SaveState();
+        std::copy(lane_state.s, lane_state.s + 4, lanes[j].s);
+        lanes[j].u = u;
+        lanes[j].v = v;
+      }
+      SweepExactLanesAvx2(tables, n, kExactLaneBlock, lanes, &keys);
+      std::copy(lanes[3].s, lanes[3].s + 4, state.s);
+      u = lanes[3].u;
+      v = lanes[3].v;
+    }
+  }
+  SweepExactScalar(tables, n, u, v, state.s, &keys);
+  rng.RestoreState(state);
+  return GraphBuilder::FromPackedEdges(n, std::move(keys));
 }
 
 // One krongen-style quadrant descent from (u, v) at `level` down to the

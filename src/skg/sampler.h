@@ -6,7 +6,12 @@
 //
 // Four samplers:
 //   * Exact: flips all N(N−1)/2 coins. O(4^k) time, exact distribution.
-//     Practical through k = 14 (~1.3·10^8 coin flips).
+//     Practical through k = 14 (~1.3·10^8 coin flips, ~0.15 s): integer
+//     thresholds per probability class, a per-row bound that skips the
+//     class lookup for most draws, and — under AVX2, when every pair
+//     takes a draw — four jumped-ahead stream positions stepped together.
+//     Same draws and same graph as one NextBernoulli per pair; runs on
+//     the calling thread, never on the pool.
 //   * BallDrop: the standard fast Kronecker generator (krongen-style
 //     recursive quadrant descent). Samples a target edge count from the
 //     normal approximation of the Poisson-binomial edge-count law, then

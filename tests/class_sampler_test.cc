@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
@@ -164,6 +165,74 @@ TEST(ClassSamplerTest, AgreesWithExactSamplerInDistribution) {
   const double var_b = sq_b / runs - mean_b * mean_b;
   EXPECT_NEAR(mean_b, mean_a, 0.05 * mean_a);
   EXPECT_NEAR(var_b, var_a, 0.5 * var_a + 5);
+}
+
+// Edges of `g` per probability class, at counts[n11 * (k + 1) + nb].
+void AddClassCounts(const Graph& g, uint32_t k, std::vector<uint64_t>* counts) {
+  for (const auto& [u, v] : g.Edges()) {
+    const uint32_t n11 = static_cast<uint32_t>(__builtin_popcount(u & v));
+    const uint32_t nb = static_cast<uint32_t>(__builtin_popcount(u ^ v));
+    ++(*counts)[n11 * (k + 1) + nb];
+  }
+}
+
+// Half-width t with P(|S| ≥ t) ≤ alpha for S a sum of independent
+// zero-mean terms bounded by 1 in absolute value with total variance
+// `variance` (Bernstein: 2·exp(−t² / (2(σ² + t/3)))). No normal
+// approximation, so the bound holds for tiny class counts too.
+double BernsteinHalfWidth(double variance, double alpha) {
+  const double l = std::log(2.0 / alpha);
+  return l / 3.0 + std::sqrt(l * l / 9.0 + 2.0 * l * variance);
+}
+
+TEST(ClassSamplerTest, PerClassFrequencyMatchesExactSampler) {
+  // Both samplers flip one coin of probability p(n11, nb) per pair, so
+  // over `runs` realizations a class's edge count is exactly
+  // Binomial(runs · |class|, p) under each. Per class, three checks:
+  // each sampler's count against that mean, and the two counts against
+  // each other. Fixed seeds; Bonferroni over every check keeps the
+  // overall false-alarm probability at most 1e-6.
+  struct Case {
+    Initiator2 theta;
+    uint32_t k;
+    int runs;
+  };
+  const std::vector<Case> cases = {{{0.99, 0.45, 0.25}, 8, 1000},
+                                   {{0.9, 0.6, 0.3}, 6, 2000},
+                                   {{0.7, 0.2, 0.05}, 4, 4000}};
+  int checks = 0;
+  for (const Case& c : cases) checks += 3 * int(c.k * (c.k + 1) / 2);
+  const double alpha = 1e-6 / checks;
+
+  Rng rng_exact(101), rng_class(103);
+  SkgSampleOptions class_skip;
+  class_skip.method = SkgSampleMethod::kClassSkip;
+  for (const Case& c : cases) {
+    const uint32_t k = c.k;
+    const EdgeProbability2 prob(c.theta, k);
+    std::vector<uint64_t> exact((k + 1) * (k + 1)), skip((k + 1) * (k + 1));
+    for (int r = 0; r < c.runs; ++r) {
+      AddClassCounts(SampleSkg(c.theta, k, rng_exact), k, &exact);
+      AddClassCounts(SampleSkg(c.theta, k, rng_class, class_skip), k, &skip);
+    }
+    for (uint32_t n11 = 0; n11 < k; ++n11) {
+      for (uint32_t nb = 1; n11 + nb <= k; ++nb) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " n11=" << n11
+                                          << " nb=" << nb);
+        const double p = prob.ClassProbability(n11, nb);
+        const double trials =
+            double(c.runs) * double(ClassSize(k, n11, nb));
+        const double variance = trials * p * (1.0 - p);
+        const double x = double(exact[n11 * (k + 1) + nb]);
+        const double y = double(skip[n11 * (k + 1) + nb]);
+        EXPECT_LT(std::fabs(x - trials * p),
+                  BernsteinHalfWidth(variance, alpha));
+        EXPECT_LT(std::fabs(y - trials * p),
+                  BernsteinHalfWidth(variance, alpha));
+        EXPECT_LT(std::fabs(x - y), BernsteinHalfWidth(2 * variance, alpha));
+      }
+    }
+  }
 }
 
 TEST(ClassSamplerTest, LargeOrderRuns) {

@@ -21,24 +21,8 @@
 namespace dpkron {
 namespace {
 
-// Restores the ambient pool width on scope exit (thread-sweep tests).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
-
-bool SameCsr(const Graph& a, const Graph& b) {
-  return std::vector<uint32_t>(a.Offsets().begin(), a.Offsets().end()) ==
-             std::vector<uint32_t>(b.Offsets().begin(), b.Offsets().end()) &&
-         std::vector<uint32_t>(a.Adjacency().begin(), a.Adjacency().end()) ==
-             std::vector<uint32_t>(b.Adjacency().begin(), b.Adjacency().end());
-}
+using testing::SameCsr;
+using testing::ScopedThreads;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,6 +250,71 @@ TEST(RngTest, SplitStreamsPairwiseUncorrelated) {
       // 5σ band around n/2 for a fair coin (σ = √n / 2 = 32).
       EXPECT_NEAR(agree, n / 2, 160) << "streams " << s << " vs " << t;
     }
+  }
+}
+
+TEST(RngTest, DiscardMatchesSequentialDraws) {
+  // Around the stepping/jumping split (2^8) and the exact sampler's
+  // lane stretch (2^16), plus random lengths up to 2^20.
+  std::vector<uint64_t> lengths = {0,   1,     63,    64,    65,   255,
+                                   256, 257,   65535, 65536, 65537};
+  Rng pick(71);
+  for (int i = 0; i < 6; ++i) {
+    lengths.push_back(pick.NextBounded((uint64_t{1} << 20) + 1));
+  }
+  for (const uint64_t n : lengths) {
+    Rng jumped(73), stepped(73);
+    jumped.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) stepped.NextU64();
+    EXPECT_EQ(jumped.StateFingerprint(), stepped.StateFingerprint()) << n;
+    EXPECT_EQ(jumped.NextU64(), stepped.NextU64()) << n;
+  }
+}
+
+TEST(RngTest, DiscardComposes) {
+  const uint64_t a = (uint64_t{1} << 40) + 12345;
+  const uint64_t b = (uint64_t{1} << 62) - 977;
+  Rng twice(79), once(79), swapped(79);
+  twice.Discard(a);
+  twice.Discard(b);
+  once.Discard(a + b);
+  swapped.Discard(b);
+  swapped.Discard(a);
+  EXPECT_EQ(twice.StateFingerprint(), once.StateFingerprint());
+  EXPECT_EQ(swapped.StateFingerprint(), once.StateFingerprint());
+  EXPECT_EQ(twice.NextU64(), once.NextU64());
+}
+
+TEST(RngTest, DiscardKeepsGaussianSpare) {
+  Rng jumped(83), stepped(83);
+  jumped.NextGaussian();  // leaves a cached spare in both
+  stepped.NextGaussian();
+  jumped.Discard(100003);
+  for (int i = 0; i < 100003; ++i) stepped.NextU64();
+  EXPECT_EQ(jumped.StateFingerprint(), stepped.StateFingerprint());
+  EXPECT_EQ(jumped.NextGaussian(), stepped.NextGaussian());
+  EXPECT_EQ(jumped.NextU64(), stepped.NextU64());
+}
+
+TEST(RngTest, DiscardFromConcurrentThreads) {
+  // The jump matrices are built on first use; threads that race to
+  // extend them must all see finished ones.
+  const uint64_t lengths[4] = {(uint64_t{1} << 62) + 3, (uint64_t{1} << 45),
+                               (uint64_t{1} << 30) + 99, uint64_t{1} << 16};
+  uint64_t concurrent[4];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(97);
+      rng.Discard(lengths[t]);
+      concurrent[t] = rng.NextU64();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 4; ++t) {
+    Rng rng(97);
+    rng.Discard(lengths[t]);
+    EXPECT_EQ(concurrent[t], rng.NextU64()) << t;
   }
 }
 

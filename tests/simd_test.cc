@@ -25,20 +25,12 @@
 #include "src/kronfit/permutation.h"
 #include "src/linalg/spmv.h"
 #include "src/skg/sampler.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
+using testing::ScopedThreads;
 
 // Levels to sweep: the forced fallbacks always, plus AVX2 when this
 // machine can actually run it. (On a non-AVX2 machine the sweep

@@ -38,16 +38,7 @@ class ScopedCache {
   }
 };
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
+using testing::ScopedThreads;
 
 TEST(GraphFingerprintTest, StableAcrossIdenticalCsrAndBuildRoutes) {
   // Two independently built but identical graphs fingerprint equally;

@@ -21,6 +21,7 @@
 #include "src/datasets/preferential_attachment.h"
 #include "src/graph/graph_io.h"
 #include "src/scenarios/scenarios.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
@@ -40,16 +41,7 @@ class SweepTest : public ::testing::Test {
   }
 };
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
+using testing::ScopedThreads;
 
 // Process-unique fixture path: concurrent test runs from different
 // build trees share /tmp, so a fixed name lets one process delete a

@@ -6,12 +6,35 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_builder.h"
 
 namespace dpkron::testing {
 
 using EdgeList = std::vector<std::pair<Graph::NodeId, Graph::NodeId>>;
+
+// Restores the ambient pool width on scope exit (thread-sweep tests).
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
+    SetParallelThreadCount(threads);
+  }
+  ~ScopedThreads() { SetParallelThreadCount(saved_); }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  int saved_;
+};
+
+// Equal CSR arrays: the same graph, bit for bit.
+inline bool SameCsr(const Graph& a, const Graph& b) {
+  return std::vector<uint32_t>(a.Offsets().begin(), a.Offsets().end()) ==
+             std::vector<uint32_t>(b.Offsets().begin(), b.Offsets().end()) &&
+         std::vector<uint32_t>(a.Adjacency().begin(), a.Adjacency().end()) ==
+             std::vector<uint32_t>(b.Adjacency().begin(), b.Adjacency().end());
+}
 
 inline Graph MakeGraph(uint32_t n, const EdgeList& edges) {
   return GraphBuilder::FromEdges(n, edges);
