@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/macros.h"
 #include "src/linalg/spmv.h"
@@ -25,21 +26,15 @@ inline double Pythag(double a, double b) {
 
 }  // namespace
 
-TridiagonalEigenResult TridiagonalEigen(std::vector<double> diag,
-                                        std::vector<double> offdiag) {
+std::vector<double> TridiagonalEigen(std::vector<double> diag,
+                                     std::vector<double> offdiag) {
   const size_t m = diag.size();
   DPKRON_CHECK_GT(m, 0u);
   DPKRON_CHECK_EQ(offdiag.size(), m - 1);
 
   // e[i] holds the subdiagonal shifted up by one (NR convention).
-  std::vector<double> e(m, 0.0);
-  for (size_t i = 1; i < m; ++i) e[i - 1] = offdiag[i - 1];
-  e[m - 1] = 0.0;
-
-  // z: eigenvector accumulation, starts as identity (column-major access
-  // z[row*m + col]; column col will hold eigenvector col).
-  std::vector<double> z(m * m, 0.0);
-  for (size_t i = 0; i < m; ++i) z[i * m + i] = 1.0;
+  std::vector<double> e = std::move(offdiag);
+  e.push_back(0.0);
 
   for (size_t l = 0; l < m; ++l) {
     int iterations = 0;
@@ -61,7 +56,7 @@ TridiagonalEigenResult TridiagonalEigen(std::vector<double> diag,
       g = diag[split] - diag[target] + e[target] / (g + Sign(r, g));
       double s = 1.0, c = 1.0, p = 0.0;
       for (size_t i = split; i-- > target;) {
-        double f = s * e[i];
+        const double f = s * e[i];
         const double b = c * e[i];
         r = Pythag(f, g);
         e[i + 1] = r;
@@ -77,12 +72,6 @@ TridiagonalEigenResult TridiagonalEigen(std::vector<double> diag,
         p = s * r;
         diag[i + 1] = g + p;
         g = c * r - b;
-        // Accumulate the rotation into the eigenvector matrix.
-        for (size_t row = 0; row < m; ++row) {
-          f = z[row * m + (i + 1)];
-          z[row * m + (i + 1)] = s * z[row * m + i] + c * f;
-          z[row * m + i] = c * z[row * m + i] - s * f;
-        }
       }
       if (r == 0.0 && split > target) continue;
       diag[target] -= p;
@@ -91,16 +80,7 @@ TridiagonalEigenResult TridiagonalEigen(std::vector<double> diag,
     }
   }
 
-  // Repackage: eigenvalue i with eigenvector row i.
-  TridiagonalEigenResult result;
-  result.eigenvalues = diag;
-  result.eigenvectors.resize(m * m);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t row = 0; row < m; ++row) {
-      result.eigenvectors[i * m + row] = z[row * m + i];
-    }
-  }
-  return result;
+  return diag;
 }
 
 namespace {
@@ -127,20 +107,16 @@ std::vector<double> RitzValues(GraphView graph, uint32_t iterations,
     Axpy(-a, basis[j], &w);
     if (j > 0) Axpy(-beta[j - 1], basis[j - 1], &w);
     // Full reorthogonalization: two passes of modified Gram–Schmidt (each
-    // Dot is taken against the already-updated w, one basis vector at a
+    // dot is taken against the already-updated w, one basis vector at a
     // time).
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& q : basis) Axpy(-Dot(q, w), q, &w);
-    }
+    for (int pass = 0; pass < 2; ++pass) OrthogonalizeAgainst(basis, &w);
     const double b = Norm2(w);
     if (j + 1 == m) break;
     if (b < 1e-12) {
       // Invariant subspace exhausted: restart with a random vector
       // orthogonal to the current basis.
       for (double& value : w) value = rng.NextGaussian();
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const auto& q : basis) Axpy(-Dot(q, w), q, &w);
-      }
+      for (int pass = 0; pass < 2; ++pass) OrthogonalizeAgainst(basis, &w);
       const double wn = Norm2(w);
       if (wn < 1e-12) break;  // Full spectrum captured.
       Scale(1.0 / wn, &w);
@@ -152,9 +128,7 @@ std::vector<double> RitzValues(GraphView graph, uint32_t iterations,
     basis.push_back(w);
   }
 
-  TridiagonalEigenResult eigen = TridiagonalEigen(
-      alpha, std::vector<double>(beta.begin(), beta.end()));
-  return eigen.eigenvalues;
+  return TridiagonalEigen(std::move(alpha), std::move(beta));
 }
 
 }  // namespace

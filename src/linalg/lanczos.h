@@ -16,17 +16,12 @@
 
 namespace dpkron {
 
-// Eigenvalues (all m Ritz values) and eigenvectors of the symmetric
-// tridiagonal matrix with diagonal `diag` (size m) and off-diagonal
-// `offdiag` (size m-1). Eigenvectors are returned row-major: vector i is
-// eigenvectors[i*m .. i*m+m-1], matching eigenvalues[i]. Implicit-shift QL
-// iteration. Exposed for testing.
-struct TridiagonalEigenResult {
-  std::vector<double> eigenvalues;
-  std::vector<double> eigenvectors;  // row-major m x m
-};
-TridiagonalEigenResult TridiagonalEigen(std::vector<double> diag,
-                                        std::vector<double> offdiag);
+// Eigenvalues (all m, unsorted) of the symmetric tridiagonal matrix with
+// diagonal `diag` (size m) and off-diagonal `offdiag` (size m-1).
+// Implicit-shift QL iteration without eigenvector accumulation: the
+// rotations never feed back into the eigenvalues. Exposed for testing.
+std::vector<double> TridiagonalEigen(std::vector<double> diag,
+                                     std::vector<double> offdiag);
 
 // Top-k adjacency eigenvalues of `graph` sorted by descending magnitude,
 // from a Krylov space of dimension min(n, 3k + 30).

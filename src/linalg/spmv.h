@@ -34,6 +34,16 @@ void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y);
 // x *= alpha
 void Scale(double alpha, std::vector<double>* x);
 
+// One modified Gram–Schmidt pass: for each q in `basis`, in order,
+// w -= (q·w) q. Bit for bit the loop
+//   for (const auto& q : basis) Axpy(-Dot(q, *w), q, w);
+// but each q's Axpy is deferred into the loop that takes the next q's
+// dot, so w is swept once per basis vector (one pool section each at
+// kMinParallelVector elements and up) instead of twice. w must not be
+// one of the basis vectors.
+void OrthogonalizeAgainst(const std::vector<std::vector<double>>& basis,
+                          std::vector<double>* w);
+
 }  // namespace dpkron
 
 #endif  // DPKRON_LINALG_SPMV_H_

@@ -5,6 +5,7 @@
 // are exact (EXPECT_EQ on doubles), never approximate.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -302,11 +303,14 @@ double ChunkOrderedDot(const std::vector<double>& x,
 }
 
 TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
-  // 3*8192+5 runs several chunks inline on the caller; the last two
-  // sizes straddle the threshold where the helpers switch to the pool.
+  // 3*8192+5 runs several chunks inline on the caller; 2*8192+1,
+  // 4*8192+1 and 5*8192+7 end a 4-chunk group with a short chunk; the
+  // last two sizes straddle the threshold where the helpers switch to
+  // the pool.
   for (const size_t size :
        {size_t{0}, size_t{1}, size_t{5}, size_t{7}, size_t{8},
-        size_t{3 * 8192 + 5}, kMinParallelVector - 1, kMinParallelVector,
+        size_t{2 * 8192 + 1}, size_t{3 * 8192 + 5}, size_t{4 * 8192 + 1},
+        size_t{5 * 8192 + 7}, kMinParallelVector - 1, kMinParallelVector,
         size_t{100000}}) {
     std::vector<double> x(size), y0(size);
     Rng rng(size + 3);
@@ -335,6 +339,51 @@ TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
         EXPECT_EQ(*axpy_ref, y);
         EXPECT_EQ(*scale_ref, s);
         EXPECT_EQ(*dot_ref, dot);
+      }
+    }
+  }
+}
+
+// The reorthogonalization loop Lanczos ran before the fused pass, with
+// Dot's defining value: the oracle OrthogonalizeAgainst must equal.
+void OracleOrthogonalize(const std::vector<std::vector<double>>& basis,
+                         std::vector<double>* w) {
+  for (const auto& q : basis) Axpy(-ChunkOrderedDot(q, *w), q, w);
+}
+
+TEST(SimdParityTest, OrthogonalizeAgainstMatchesDotAxpyLoop) {
+  // Sizes: one chunk and its edges, groups of 2–4 chunks with and
+  // without a short last chunk, a 5th chunk opening a second group, and
+  // both sides of kMinParallelVector (inline vs one pool section per
+  // basis vector).
+  for (const size_t size :
+       {size_t{1}, size_t{8191}, size_t{8192}, size_t{8193},
+        size_t{2 * 8192}, size_t{3 * 8192 + 5}, size_t{4 * 8192},
+        size_t{4 * 8192 + 1}, size_t{5 * 8192 + 7}, kMinParallelVector - 1,
+        kMinParallelVector, kMinParallelVector + 1, size_t{100000}}) {
+    Rng rng(size + 11);
+    const double scale = 1.0 / std::sqrt(static_cast<double>(size));
+    std::vector<std::vector<double>> basis(5, std::vector<double>(size));
+    for (auto& q : basis) {
+      for (double& value : q) value = rng.NextGaussian() * scale;
+    }
+    std::vector<double> w0(size);
+    for (double& value : w0) value = rng.NextGaussian();
+    for (const size_t basis_size : {0, 1, 2, 5}) {
+      const std::vector<std::vector<double>> prefix(
+          basis.begin(), basis.begin() + basis_size);
+      std::vector<double> expected = w0;
+      OracleOrthogonalize(prefix, &expected);
+      for (SimdLevel level : TestableLevels()) {
+        ScopedSimdLevelCap cap(level);
+        for (const int threads : {1, 2, 8}) {
+          ScopedThreads scoped(threads);
+          std::vector<double> w = w0;
+          OrthogonalizeAgainst(prefix, &w);
+          EXPECT_EQ(expected, w)
+              << "size=" << size << " basis=" << basis_size
+              << " level=" << SimdLevelName(level) << " threads=" << threads;
+        }
       }
     }
   }
