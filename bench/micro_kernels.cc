@@ -24,7 +24,7 @@
 #include "src/kronfit/likelihood.h"
 #include "src/kronfit/permutation.h"
 #include "src/graph/clustering.h"
-#include "src/graph/triangles.h"
+#include "src/graph/node_stats.h"
 #include "src/linalg/lanczos.h"
 #include "src/skg/moments.h"
 #include "src/skg/sampler.h"
@@ -110,11 +110,13 @@ class ScopedBenchThreads {
 
 // Thread-scaling curves for the two heaviest statistics kernels on the
 // k=12 graph — the perf-trajectory series CI archives as BENCH_micro.json.
+// BM_Triangles times the node-stats pass (degrees + per-node triangles),
+// the one triangle path the pipeline has.
 void BM_Triangles(benchmark::State& state) {
   const Graph& g = TestGraph(12);
   ScopedBenchThreads threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountTriangles(g));
+    benchmark::DoNotOptimize(ComputeNodeStats(g));
   }
 }
 BENCHMARK(BM_Triangles)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -226,18 +228,12 @@ void BM_KronFitEdgeGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_KronFitEdgeGradient)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_CountTriangles(benchmark::State& state) {
-  const Graph& g = TestGraph(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountTriangles(g));
-  }
-}
-BENCHMARK(BM_CountTriangles)->Arg(10)->Arg(12);
-
+// The by-degree aggregation alone, over precomputed node stats.
 void BM_ClusteringByDegree(benchmark::State& state) {
-  const Graph& g = TestGraph(12);
+  const NodeStats stats = ComputeNodeStats(TestGraph(12));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ClusteringByDegree(g));
+    benchmark::DoNotOptimize(
+        ClusteringByDegreeFromParts(stats.degrees, stats.triangles));
   }
 }
 BENCHMARK(BM_ClusteringByDegree);
@@ -435,10 +431,11 @@ void BM_EdgeListCacheReload(benchmark::State& state) {
 BENCHMARK(BM_EdgeListCacheReload)->Unit(benchmark::kMillisecond);
 
 // The largest single-machine realization the paper's scaling story
-// needs: k=24 (~16.8M nodes) via the edge-skip sampler, then the full
-// triangle count over it. One iteration, measured in real seconds —
-// this is a minutes-scale data point, not a statistical sample, and
-// BENCH_micro.json records it as the capacity ceiling of the pipeline.
+// needs: k=24 (~16.8M nodes) via the edge-skip sampler, then the
+// node-stats pass (degrees + per-node triangles) over it. One
+// iteration, measured in real seconds — this is a minutes-scale data
+// point, not a statistical sample, and BENCH_micro.json records it as
+// the capacity ceiling of the pipeline.
 void BM_EdgeSkipRealizeK24(benchmark::State& state) {
   uint64_t edges = 0;
   for (auto _ : state) {
@@ -447,7 +444,7 @@ void BM_EdgeSkipRealizeK24(benchmark::State& state) {
     options.method = SkgSampleMethod::kEdgeSkip;
     const Graph g = SampleSkg({0.95, 0.40, 0.25}, 24, rng, options);
     edges = g.NumEdges();
-    benchmark::DoNotOptimize(CountTriangles(g));
+    benchmark::DoNotOptimize(ComputeNodeStats(g));
     state.counters["nodes"] = static_cast<double>(g.NumNodes());
     state.counters["edges"] = static_cast<double>(edges);
   }

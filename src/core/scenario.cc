@@ -300,39 +300,47 @@ Status RunScenario(const ScenarioSpec& spec,
   return Status::Ok();
 }
 
-void AppendStatCacheJson(JsonWriter& json, bool enabled) {
-  StatCache& cache = StatCache::Instance();
-  const StatCache::Counters total = cache.TotalCounters();
-  json.BeginObject();
-  json.Key("enabled");
-  json.Bool(enabled);
+namespace {
+
+void AppendCacheCounters(JsonWriter& json,
+                         const StatCache::Counters& counters) {
   json.Key("hits");
-  json.UInt(total.hits);
+  json.UInt(counters.hits);
   json.Key("misses");
-  json.UInt(total.misses);
+  json.UInt(counters.misses);
   // Warm/cold split of the misses that consulted the persistent tier
   // (both stay 0 when no disk cache is attached).
   json.Key("disk_hits");
-  json.UInt(total.disk_hits);
+  json.UInt(counters.disk_hits);
   json.Key("disk_misses");
-  json.UInt(total.disk_misses);
+  json.UInt(counters.disk_misses);
+}
+
+}  // namespace
+
+void AppendStatCacheJson(
+    JsonWriter& json, bool enabled, const StatCache::Counters& total,
+    const std::vector<std::pair<std::string, StatCache::Counters>>& domains) {
+  json.BeginObject();
+  json.Key("enabled");
+  json.Bool(enabled);
+  AppendCacheCounters(json, total);
   json.Key("domains");
   json.BeginObject();
-  for (const auto& [domain, counters] : cache.DomainCounters()) {
+  for (const auto& [domain, counters] : domains) {
     json.Key(domain);
     json.BeginObject();
-    json.Key("hits");
-    json.UInt(counters.hits);
-    json.Key("misses");
-    json.UInt(counters.misses);
-    json.Key("disk_hits");
-    json.UInt(counters.disk_hits);
-    json.Key("disk_misses");
-    json.UInt(counters.disk_misses);
+    AppendCacheCounters(json, counters);
     json.EndObject();
   }
   json.EndObject();
   json.EndObject();
+}
+
+void AppendStatCacheJson(JsonWriter& json, bool enabled) {
+  const StatCache& cache = StatCache::Instance();
+  AppendStatCacheJson(json, enabled, cache.TotalCounters(),
+                      cache.DomainCounters());
 }
 
 std::string ScenariosJson(const std::vector<const ScenarioOutput*>& runs,

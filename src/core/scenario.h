@@ -19,9 +19,11 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
 #include "src/common/status.h"
 #include "src/common/table_writer.h"
 #include "src/datasets/registry.h"
@@ -202,12 +204,19 @@ Status RunScenario(const ScenarioSpec& spec,
                    const ScenarioOverrides& overrides,
                    ScenarioOutput& output);
 
-// Appends the process-wide StatCache counters as one JSON object
-// ({enabled, hits, misses, domains: {...}}) — shared by the scenario and
-// sweep documents. `enabled` is passed by the caller because the
-// document must report the state the runs executed under, not the
-// live state at serialization time (RunSweep restores the caller's
-// state before its result is serialized).
+// Appends StatCache counters as one JSON object ({enabled, hits, misses,
+// disk_hits, disk_misses, domains: {...}}): the one writer of that block,
+// shared by the sweep document (its own deltas) and, through the
+// overload below, the scenario document and dpkrond's healthz (the
+// process totals). `enabled` is passed by the caller because the
+// document must report the state the runs executed under, not the live
+// state at serialization time (RunSweep restores the caller's state
+// before its result is serialized).
+void AppendStatCacheJson(
+    JsonWriter& json, bool enabled, const StatCache::Counters& total,
+    const std::vector<std::pair<std::string, StatCache::Counters>>& domains);
+
+// The same block with the process-wide StatCache totals.
 void AppendStatCacheJson(JsonWriter& json, bool enabled);
 
 // The BENCH_scenarios.json document:

@@ -551,36 +551,15 @@ std::string SweepsJson(const SweepResult& result, int threads) {
   json.UInt(result.failed_runs);
   // This sweep's own deltas, not the live process totals.
   json.Key("cache");
-  json.BeginObject();
-  json.Key("enabled");
-  json.Bool(result.cache_enabled);
-  if (!result.stable_document) {
-    json.Key("hits");
-    json.UInt(result.cache_total.hits);
-    json.Key("misses");
-    json.UInt(result.cache_total.misses);
-    json.Key("disk_hits");
-    json.UInt(result.cache_total.disk_hits);
-    json.Key("disk_misses");
-    json.UInt(result.cache_total.disk_misses);
-    json.Key("domains");
+  if (result.stable_document) {
     json.BeginObject();
-    for (const auto& [domain, counters] : result.cache_domains) {
-      json.Key(domain);
-      json.BeginObject();
-      json.Key("hits");
-      json.UInt(counters.hits);
-      json.Key("misses");
-      json.UInt(counters.misses);
-      json.Key("disk_hits");
-      json.UInt(counters.disk_hits);
-      json.Key("disk_misses");
-      json.UInt(counters.disk_misses);
-      json.EndObject();
-    }
+    json.Key("enabled");
+    json.Bool(result.cache_enabled);
     json.EndObject();
+  } else {
+    AppendStatCacheJson(json, result.cache_enabled, result.cache_total,
+                        result.cache_domains);
   }
-  json.EndObject();
   json.Key("runs");
   json.BeginArray();
   for (const SweepRun& run : result.runs) {

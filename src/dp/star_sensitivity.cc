@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "src/common/macros.h"
 #include "src/dp/laplace_mechanism.h"
 #include "src/dp/smooth_sensitivity.h"
-#include "src/graph/degree.h"
+#include "src/estimation/features.h"
 
 namespace dpkron {
 namespace {
@@ -78,26 +79,24 @@ PrivateCountResult PrivatizeWithSmoothSensitivity(double exact, double ss,
 
 }  // namespace
 
-PrivateCountResult PrivateWedgeCount(GraphView graph, double epsilon,
-                                     double delta, Rng& rng) {
+PrivateCountResult PrivateWedgeCount(GraphView graph, double wedges,
+                                     double epsilon, double delta, Rng& rng) {
   DPKRON_CHECK_GT(epsilon, 0.0);
   DPKRON_CHECK_GT(delta, 0.0);
   DPKRON_CHECK_LT(delta, 1.0);
   const double beta = epsilon / (2.0 * std::log(2.0 / delta));
   return PrivatizeWithSmoothSensitivity(
-      double(CountWedges(graph)), SmoothSensitivityWedges(graph, beta),
-      epsilon, beta, rng);
+      wedges, SmoothSensitivityWedges(graph, beta), epsilon, beta, rng);
 }
 
-PrivateCountResult PrivateTripinCount(GraphView graph, double epsilon,
-                                      double delta, Rng& rng) {
+PrivateCountResult PrivateTripinCount(GraphView graph, double tripins,
+                                      double epsilon, double delta, Rng& rng) {
   DPKRON_CHECK_GT(epsilon, 0.0);
   DPKRON_CHECK_GT(delta, 0.0);
   DPKRON_CHECK_LT(delta, 1.0);
   const double beta = epsilon / (2.0 * std::log(2.0 / delta));
   return PrivatizeWithSmoothSensitivity(
-      double(CountTripins(graph)), SmoothSensitivityTripins(graph, beta),
-      epsilon, beta, rng);
+      tripins, SmoothSensitivityTripins(graph, beta), epsilon, beta, rng);
 }
 
 Result<GraphFeatures> ComputeDirectPrivateFeatures(
@@ -128,17 +127,22 @@ Result<GraphFeatures> ComputeDirectPrivateFeatures(
     return s;
   }
 
+  // One node-stats fetch feeds all three smooth-sensitivity mechanisms.
+  const std::shared_ptr<const NodeStats> stats = CachedNodeStats(graph);
+  const GraphFeatures exact = FeaturesFromNodeStats(graph.NumEdges(), *stats);
   GraphFeatures features;
-  const auto noisy_edges =
-      AddLaplaceNoise(double(graph.NumEdges()), 1.0, eps_each, rng);
+  const auto noisy_edges = AddLaplaceNoise(exact.edges, 1.0, eps_each, rng);
   if (!noisy_edges.ok()) return noisy_edges.status();
   features.edges = noisy_edges.value();
   features.hairpins =
-      PrivateWedgeCount(graph, eps_each, delta_each, rng).value;
+      PrivateWedgeCount(graph, exact.hairpins, eps_each, delta_each, rng)
+          .value;
   features.tripins =
-      PrivateTripinCount(graph, eps_each, delta_each, rng).value;
-  features.triangles =
-      PrivateTriangleCount(graph, eps_each, delta_each, rng).value;
+      PrivateTripinCount(graph, exact.tripins, eps_each, delta_each, rng)
+          .value;
+  features.triangles = PrivateTriangleCount(graph, TotalTriangles(*stats),
+                                            eps_each, delta_each, rng)
+                           .value;
   return ClampFeatures(features, feature_floor);
 }
 

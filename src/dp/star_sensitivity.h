@@ -45,11 +45,13 @@ struct PrivateCountResult {
   double beta = 0.0;
 };
 
-// (ε, δ)-private wedge / tripin counts via Theorem 4.8.
-PrivateCountResult PrivateWedgeCount(GraphView graph, double epsilon,
-                                     double delta, Rng& rng);
-PrivateCountResult PrivateTripinCount(GraphView graph, double epsilon,
-                                      double delta, Rng& rng);
+// (ε, δ)-private wedge / tripin counts via Theorem 4.8, around the
+// exact count of `graph`: `wedges` / `tripins` must be the hairpins /
+// tripins of FeaturesFromNodeStats over the graph's node stats.
+PrivateCountResult PrivateWedgeCount(GraphView graph, double wedges,
+                                     double epsilon, double delta, Rng& rng);
+PrivateCountResult PrivateTripinCount(GraphView graph, double tripins,
+                                      double epsilon, double delta, Rng& rng);
 
 // The "direct route" feature vector: E via the Laplace mechanism (global
 // sensitivity 1) at ε/4, and H, T, ∆ via their smooth-sensitivity

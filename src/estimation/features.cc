@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/graph/degree.h"
-#include "src/graph/triangles.h"
 
 namespace dpkron {
 
@@ -15,22 +14,12 @@ std::string GraphFeatures::ToString() const {
   return buf;
 }
 
-GraphFeatures ComputeFeatures(GraphView graph) {
-  GraphFeatures f;
-  f.edges = static_cast<double>(graph.NumEdges());
-  f.hairpins = static_cast<double>(CountWedges(graph));
-  f.triangles = static_cast<double>(CountTriangles(graph));
-  f.tripins = static_cast<double>(CountTripins(graph));
-  return f;
-}
-
 GraphFeatures ComputeFeaturesCached(GraphView graph) {
   return FeaturesFromNodeStats(graph.NumEdges(), *CachedNodeStats(graph));
 }
 
 GraphFeatures FeaturesFromNodeStats(uint64_t num_edges,
                                     const NodeStats& stats) {
-  // Integer sums, term for term those of CountWedges / CountTripins.
   uint64_t wedges = 0, tripins = 0;
   for (const uint64_t d : stats.degrees) {
     wedges += d * (d - 1) / 2;

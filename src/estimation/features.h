@@ -26,18 +26,15 @@ struct GraphFeatures {
   std::string ToString() const;
 };
 
-// Exact feature extraction (triangles via the forward algorithm, stars
-// from the degree sequence).
-GraphFeatures ComputeFeatures(GraphView graph);
-
-// ComputeFeatures derived from the graph's cached node stats
-// (graph/node_stats.h). The KronMom and private estimation routes call
-// this, so a sweep walks each graph's CSR once instead of once per
-// feature per run.
+// FeaturesFromNodeStats over the graph's cached node stats. The KronMom
+// and private estimation routes call this, so a sweep walks each
+// graph's CSR once instead of once per run.
 GraphFeatures ComputeFeaturesCached(GraphView graph);
 
-// The exact features from a graph's edge count and node stats:
-// H = Σ d(d−1)/2, T = Σ d(d−1)(d−2)/6 and ∆ = Σ t_u / 3.
+// The exact features from a graph's edge count and node stats
+// (graph/node_stats.h): H = Σ d(d−1)/2, T = Σ d(d−1)(d−2)/6 and
+// ∆ = Σ t_u / 3, summed as integers. Every exact feature comes from
+// here; no per-feature walker re-reads the CSR.
 GraphFeatures FeaturesFromNodeStats(uint64_t num_edges,
                                     const NodeStats& stats);
 

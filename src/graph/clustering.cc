@@ -4,28 +4,22 @@
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
-#include "src/graph/degree.h"
-#include "src/graph/triangles.h"
 
 namespace dpkron {
+namespace {
 
-std::vector<double> LocalClustering(GraphView graph) {
-  const std::vector<uint64_t> triangles = PerNodeTriangles(graph);
-  const uint32_t n = graph.NumNodes();
-  std::vector<double> clustering(n, 0.0);
-  ParallelFor(n, 4096, [&](size_t u) {
-    const uint64_t d = graph.Degree(static_cast<Graph::NodeId>(u));
-    if (d >= 2) {
-      clustering[u] =
-          2.0 * static_cast<double>(triangles[u]) / (double(d) * (d - 1));
-    }
-  });
-  return clustering;
+// c_u, for d_u ≥ 2.
+double ClusteringCoefficient(uint32_t degree, uint64_t triangles) {
+  return 2.0 * static_cast<double>(triangles) /
+         (double(degree) * (degree - 1));
 }
 
-double AverageClustering(GraphView graph) {
-  const std::vector<double> clustering = LocalClustering(graph);
-  const uint32_t n = graph.NumNodes();
+}  // namespace
+
+double AverageClusteringFromParts(const std::vector<uint32_t>& degrees,
+                                  const std::vector<uint64_t>& triangles) {
+  DPKRON_CHECK_EQ(degrees.size(), triangles.size());
+  const size_t n = degrees.size();
   // Chunk-ordered partial sums: the double reduction is a fixed function
   // of (n, grain), so the result is thread-count-invariant.
   constexpr size_t kGrain = 4096;
@@ -35,8 +29,8 @@ double AverageClustering(GraphView graph) {
     double sum = 0.0;
     uint64_t eligible = 0;
     for (size_t u = chunk.begin; u < chunk.end; ++u) {
-      if (graph.Degree(static_cast<Graph::NodeId>(u)) >= 2) {
-        sum += clustering[u];
+      if (degrees[u] >= 2) {
+        sum += ClusteringCoefficient(degrees[u], triangles[u]);
         ++eligible;
       }
     }
@@ -50,19 +44,6 @@ double AverageClustering(GraphView graph) {
     eligible += counts[chunk];
   }
   return eligible == 0 ? 0.0 : sum / static_cast<double>(eligible);
-}
-
-double GlobalClustering(GraphView graph) {
-  const uint64_t wedges = CountWedges(graph);
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(graph)) /
-         static_cast<double>(wedges);
-}
-
-std::vector<std::pair<uint32_t, double>> ClusteringByDegree(
-    GraphView graph) {
-  return ClusteringByDegreeFromParts(DegreeVector(graph),
-                                     PerNodeTriangles(graph));
 }
 
 std::vector<std::pair<uint32_t, double>> ClusteringByDegreeFromParts(
@@ -79,8 +60,7 @@ std::vector<std::pair<uint32_t, double>> ClusteringByDegreeFromParts(
   for (size_t u = 0; u < degrees.size(); ++u) {
     const uint32_t d = degrees[u];
     if (d >= 2) {
-      sum[d] += 2.0 * static_cast<double>(triangles[u]) /
-                (double(d) * (d - 1));
+      sum[d] += ClusteringCoefficient(d, triangles[u]);
       ++count[d];
     }
   }

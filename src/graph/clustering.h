@@ -1,4 +1,7 @@
-// Clustering coefficients.
+// Clustering coefficients from a graph's per-node degrees d_u and
+// triangle counts t_u (its NodeStats, graph/node_stats.h):
+// c_u = 2·t_u / (d_u (d_u − 1)) for d_u ≥ 2. No function here walks a
+// graph; the one pass that produces d_u and t_u is ComputeNodeStats.
 //
 // The "clustering" panels of Figs 1–4 plot the average clustering
 // coefficient of degree-d nodes against d (log-log), the convention of
@@ -11,29 +14,14 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/graph_view.h"
-
 namespace dpkron {
 
-// c_u = 2·t_u / (d_u (d_u − 1)) for d_u ≥ 2, else 0.
-std::vector<double> LocalClustering(GraphView graph);
+// Mean of c_u over all nodes with degree ≥ 2 (0 when there are none).
+double AverageClusteringFromParts(const std::vector<uint32_t>& degrees,
+                                  const std::vector<uint64_t>& triangles);
 
-// Mean of c_u over all nodes with degree ≥ 2.
-double AverageClustering(GraphView graph);
-
-// Global (transitivity) coefficient: 3∆ / H. Returns 0 for wedge-free
-// graphs.
-double GlobalClustering(GraphView graph);
-
-// (degree d, mean clustering of degree-d nodes) for every d ≥ 2 present in
-// the graph, ascending.
-std::vector<std::pair<uint32_t, double>> ClusteringByDegree(
-    GraphView graph);
-
-// Variant over precomputed per-node degrees and triangle counts, so a
-// statistics pipeline that already holds both (degree histogram, local
-// clustering) doesn't recompute them. Identical output to
-// ClusteringByDegree(graph).
+// (degree d, mean clustering of degree-d nodes) for every d ≥ 2 present,
+// ascending.
 std::vector<std::pair<uint32_t, double>> ClusteringByDegreeFromParts(
     const std::vector<uint32_t>& degrees,
     const std::vector<uint64_t>& triangles);

@@ -1,6 +1,9 @@
-// Degree-based statistics: degree vectors, histograms, and the exact
-// degree-derived feature counts (edges E, hairpins H, tripins T) used by
-// the moment estimator (paper §3.4 / §4.1).
+// Degree-based statistics over a materialized degree vector (a graph's
+// node stats, graph/node_stats.h, or Algorithm 1's noisy release): the
+// degree histogram and the degree-derived feature counts (edges E,
+// hairpins H, tripins T) used by the moment estimator (paper §3.4 / §4.1).
+// No function here walks a graph; the one pass that reads the degrees
+// off the CSR is ComputeNodeStats.
 
 #ifndef DPKRON_GRAPH_DEGREE_H_
 #define DPKRON_GRAPH_DEGREE_H_
@@ -9,14 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/graph_view.h"
-
 namespace dpkron {
-
-// d_i for every node i.
-std::vector<uint32_t> DegreeVector(GraphView graph);
-
-uint32_t MaxDegree(GraphView graph);
 
 // (degree, count) pairs for every degree value with count > 0, ascending —
 // the "degree distribution" panels of Figs 1–4 — from a materialized
@@ -24,20 +20,18 @@ uint32_t MaxDegree(GraphView graph);
 std::vector<std::pair<uint32_t, uint64_t>> DegreeHistogramFromDegrees(
     const std::vector<uint32_t>& degrees);
 
-// Exact degree-derived features, computed from any degree vector d:
+// Degree-derived features, computed from any degree vector d:
 //   E = (1/2) Σ d_i            (number of edges)
 //   H = (1/2) Σ d_i (d_i − 1)  (hairpins / wedges / 2-stars)
 //   T = (1/6) Σ d_i (d_i −1)(d_i − 2)   (tripins / 3-stars)
 // These are the formulas Algorithm 1 applies to the *noisy* degree vector;
-// on real degree vectors they coincide with the combinatorial counts.
-// Declared on doubles so they accept privatized (fractional) degrees.
+// on real degree vectors they coincide with the combinatorial counts
+// (whose integer-exact form is FeaturesFromNodeStats, estimation/
+// features.h). Declared on doubles so they accept privatized
+// (fractional) degrees.
 double EdgesFromDegrees(const std::vector<double>& degrees);
 double HairpinsFromDegrees(const std::vector<double>& degrees);
 double TripinsFromDegrees(const std::vector<double>& degrees);
-
-// Integer-exact counterparts for true degree vectors.
-uint64_t CountWedges(GraphView graph);   // H
-uint64_t CountTripins(GraphView graph);  // T
 
 }  // namespace dpkron
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "src/graph/degree.h"
-
 namespace dpkron {
 
 double DegreeAssortativity(GraphView graph) {
@@ -31,7 +29,8 @@ double DegreeAssortativity(GraphView graph) {
 
 std::vector<uint32_t> CoreNumbers(GraphView graph) {
   const uint32_t n = graph.NumNodes();
-  std::vector<uint32_t> core(DegreeVector(graph));
+  std::vector<uint32_t> core(n);
+  for (uint32_t u = 0; u < n; ++u) core[u] = graph.Degree(u);
   if (n == 0) return core;
 
   // Bucket sort nodes by current degree (classic Batagelj–Zaveršnik).

@@ -1,7 +1,7 @@
 // Additional whole-graph statistics from the Kronecker-graphs evaluation
 // toolbox: degree assortativity and k-core decomposition. (Node triangle
 // participation, which the paper names in §3.1's list of studied
-// patterns, is PerNodeTriangles in triangles.h.)
+// patterns, is NodeStats::triangles in node_stats.h.)
 
 #ifndef DPKRON_GRAPH_EXTRA_STATS_H_
 #define DPKRON_GRAPH_EXTRA_STATS_H_

@@ -27,19 +27,13 @@ uint64_t IntersectCountAvx2(const uint32_t* a, size_t a_len,
 size_t IntersectAvx2(const uint32_t* a, size_t a_len, const uint32_t* b,
                      size_t b_len, uint32_t* out);
 
-// Whole-chunk entry points: the per-edge enumeration loop lives inside
+// Whole-chunk entry point: the per-edge enumeration loop lives inside
 // the AVX2 translation unit so the ISA boundary is crossed once per
 // chunk, not once per intersection (per-call transitions leave dirty
 // ymm uppers that poison the caller's legacy-SSE code with false
 // dependencies). `offsets`/`targets` are the forward-oriented CSR
-// (triangles.cc); both functions cover the apex rows [begin, end).
-
-// Σ |forward[u] ∩ forward[v]| over u ∈ [begin, end), v ∈ forward[u] —
-// the triangle count whose lowest-rank apex lies in the range.
-uint64_t CountTrianglesChunkAvx2(const uint32_t* offsets,
-                                 const uint32_t* targets, size_t begin,
-                                 size_t end);
-
+// (triangles.cc); the chunk covers the apex rows [begin, end).
+//
 // Adds each triangle with apex in [begin, end) to all three of its
 // corners in `counts` (length n, caller-owned accumulator). `scratch`
 // holds intersection outputs; capacity ≥ the longest forward list.

@@ -12,16 +12,21 @@
 // backing store. CachedNodeStats is the one StatCache domain that holds
 // them ("node_stats", durable, keyed by the content fingerprint).
 //
+// This is the graph's one pass plan: every whole-graph degree, star,
+// triangle, feature and clustering statistic (FeaturesFromNodeStats,
+// SortedDegrees, TotalTriangles, DegreeHistogramFromDegrees, the
+// clustering *FromParts functions) is read from a NodeStats, and no
+// per-statistic walker exists beside it.
+//
 // Pass accounting: ComputeNodeStats records exactly one "node_stats"
-// pass on the view and nothing else (the constituent kernels' labels
-// stay silent); tests pin this so a regression that un-fuses the family
-// fails loudly.
+// pass on the view and nothing else; tests pin this so a regression
+// that un-fuses the family fails loudly.
 //
 // Determinism: degrees are exact integers read off the offsets;
-// triangle counts are exact integers identical to PerNodeTriangles'
-// output on every dispatch path (scalar and AVX2 agree bit-for-bit on
-// integer counts). NodeStats is therefore byte-identical across
-// backings (in-RAM vs mmap) and thread counts.
+// triangle counts are exact integers, the same on every dispatch path
+// (scalar and AVX2 agree bit-for-bit on integer counts). NodeStats is
+// therefore byte-identical across backings (in-RAM vs mmap) and thread
+// counts.
 
 #ifndef DPKRON_GRAPH_NODE_STATS_H_
 #define DPKRON_GRAPH_NODE_STATS_H_
@@ -47,9 +52,8 @@ inline size_t ApproxCacheBytes(const NodeStats& stats) {
          stats.triangles.capacity() * sizeof(uint64_t);
 }
 
-// One fused CSR traversal: degrees + per-node triangle counts.
-// Equivalent to {DegreeVector(graph), PerNodeTriangles(graph)} but
-// records a single "node_stats" pass.
+// One fused CSR traversal: degrees + per-node triangle counts, recorded
+// as a single "node_stats" pass.
 NodeStats ComputeNodeStats(GraphView graph);
 
 // ComputeNodeStats served through the process-wide StatCache when it is

@@ -27,76 +27,6 @@ struct RankOrder {
 // the load balancer.
 constexpr size_t kNodeGrain = 64;
 
-// forward[u] = neighbors of u with higher rank, sorted by node id.
-// Per-node independent, so the fill parallelizes directly.
-std::vector<std::vector<Graph::NodeId>> BuildForwardLists(GraphView graph) {
-  const RankOrder rank{graph};
-  const uint32_t n = graph.NumNodes();
-  std::vector<std::vector<Graph::NodeId>> forward(n);
-  ParallelFor(n, kNodeGrain, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) forward[u_index].push_back(v);
-    }
-  });
-  return forward;
-}
-
-// Enumerates the triangles whose lowest-rank apex lies in [begin, end):
-// sorted-merge intersection of forward[u] and forward[v].
-template <typename OnTriangle>
-void ForEachTriangleInRange(
-    const std::vector<std::vector<Graph::NodeId>>& forward, size_t begin,
-    size_t end, OnTriangle&& on_triangle) {
-  for (size_t u = begin; u < end; ++u) {
-    const auto& fu = forward[u];
-    for (Graph::NodeId v : fu) {
-      const auto& fv = forward[v];
-      size_t i = 0, j = 0;
-      while (i < fu.size() && j < fv.size()) {
-        if (fu[i] < fv[j]) {
-          ++i;
-        } else if (fu[i] > fv[j]) {
-          ++j;
-        } else {
-          on_triangle(static_cast<Graph::NodeId>(u), v, fu[i]);
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-}
-
-// Two-sweep flattened build (count, then fill): no per-node allocation,
-// the fastest route when the adjacency is RAM-resident. The fused
-// kernel uses BuildForwardCsrFused below instead, which reads the
-// view's adjacency exactly once.
-ForwardCsr BuildForwardCsr(GraphView graph) {
-  const RankOrder rank{graph};
-  const uint32_t n = graph.NumNodes();
-  ForwardCsr fwd;
-  fwd.offsets.assign(size_t{n} + 1, 0);
-  ParallelFor(n, 4096, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    uint32_t count = 0;
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) ++count;
-    }
-    fwd.offsets[u_index + 1] = count;
-  });
-  for (uint32_t u = 0; u < n; ++u) fwd.offsets[u + 1] += fwd.offsets[u];
-  fwd.targets.resize(fwd.offsets.back());
-  ParallelFor(n, 4096, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    uint32_t out = fwd.offsets[u_index];
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) fwd.targets[out++] = v;
-    }
-  });
-  return fwd;
-}
-
 }  // namespace
 
 namespace internal {
@@ -105,15 +35,15 @@ ForwardCsr BuildForwardCsrFused(GraphView graph,
                                 std::vector<uint32_t>* degrees) {
   const RankOrder rank{graph};
   const uint32_t n = graph.NumNodes();
-  if (degrees != nullptr) degrees->resize(n);
+  degrees->resize(n);
   // Single sweep of the view's adjacency: per-node forward lists and
-  // (optionally) the degree vector fall out of the same traversal. The
+  // the degree vector fall out of the same traversal. The
   // flatten below touches only the just-built in-RAM lists — an
   // out-of-core backing's pages are read once.
   std::vector<std::vector<Graph::NodeId>> forward(n);
   ParallelFor(n, kNodeGrain, [&](size_t u_index) {
     const auto u = static_cast<Graph::NodeId>(u_index);
-    if (degrees != nullptr) (*degrees)[u_index] = graph.Degree(u);
+    (*degrees)[u_index] = graph.Degree(u);
     for (Graph::NodeId v : graph.Neighbors(u)) {
       if (rank.Less(u, v)) forward[u_index].push_back(v);
     }
@@ -198,44 +128,6 @@ std::vector<uint64_t> PerNodeTrianglesFromForward(const ForwardCsr& fwd,
 }
 
 }  // namespace internal
-
-uint64_t CountTriangles(GraphView graph) {
-  graph.CountPass("triangles");
-  if (Avx2Active()) {
-    const ForwardCsr fwd = BuildForwardCsr(graph);
-    const size_t n = graph.NumNodes();
-    std::vector<uint64_t> partials(ParallelChunkCount(n, kNodeGrain), 0);
-    ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
-      partials[chunk.index] =
-          CountTrianglesChunkAvx2(fwd.offsets.data(), fwd.targets.data(),
-                                  chunk.begin, chunk.end);
-    });
-    uint64_t triangles = 0;
-    for (uint64_t partial : partials) triangles += partial;
-    return triangles;
-  }
-  const auto forward = BuildForwardLists(graph);
-  const size_t n = forward.size();
-  // Per-chunk integer partials, combined in chunk order: exact and
-  // thread-count-invariant.
-  std::vector<uint64_t> partials(ParallelChunkCount(n, kNodeGrain), 0);
-  ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
-    uint64_t local = 0;
-    ForEachTriangleInRange(
-        forward, chunk.begin, chunk.end,
-        [&local](Graph::NodeId, Graph::NodeId, Graph::NodeId) { ++local; });
-    partials[chunk.index] = local;
-  });
-  uint64_t triangles = 0;
-  for (uint64_t partial : partials) triangles += partial;
-  return triangles;
-}
-
-std::vector<uint64_t> PerNodeTriangles(GraphView graph) {
-  graph.CountPass("triangles_per_node");
-  return internal::PerNodeTrianglesFromForward(BuildForwardCsr(graph),
-                                               graph.NumNodes());
-}
 
 uint32_t CommonNeighbors(GraphView graph, Graph::NodeId u,
                          Graph::NodeId v) {

@@ -127,9 +127,9 @@ inline void BlockIntersect(const uint32_t* a, size_t a_len,
 }
 
 // Internal bodies, shared by the single-pair entry points and the
-// chunk loops below. Only the public functions issue vzeroupper — the
-// chunk loops stay in AVX state across every intersection and clear the
-// uppers once on exit.
+// chunk loop below. Only the public functions issue vzeroupper — the
+// chunk loop stays in AVX state across every intersection and clears
+// the uppers once on exit.
 inline uint64_t IntersectCountImpl(const uint32_t* a, size_t a_len,
                                    const uint32_t* b, size_t b_len) {
   if (a_len > b_len) {
@@ -208,23 +208,6 @@ size_t IntersectAvx2(const uint32_t* a, size_t a_len, const uint32_t* b,
   return n;
 }
 
-uint64_t CountTrianglesChunkAvx2(const uint32_t* offsets,
-                                 const uint32_t* targets, size_t begin,
-                                 size_t end) {
-  uint64_t local = 0;
-  for (size_t u = begin; u < end; ++u) {
-    const uint32_t* fu = targets + offsets[u];
-    const size_t fu_len = offsets[u + 1] - offsets[u];
-    for (size_t vi = 0; vi < fu_len; ++vi) {
-      const uint32_t v = fu[vi];
-      local += IntersectCountImpl(fu, fu_len, targets + offsets[v],
-                                  offsets[v + 1] - offsets[v]);
-    }
-  }
-  _mm256_zeroupper();
-  return local;
-}
-
 void PerNodeTrianglesChunkAvx2(const uint32_t* offsets,
                                const uint32_t* targets, size_t begin,
                                size_t end, uint64_t* counts,
@@ -259,12 +242,6 @@ uint64_t IntersectCountAvx2(const uint32_t*, size_t, const uint32_t*,
 
 size_t IntersectAvx2(const uint32_t*, size_t, const uint32_t*, size_t,
                      uint32_t*) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-  return 0;
-}
-
-uint64_t CountTrianglesChunkAvx2(const uint32_t*, const uint32_t*, size_t,
-                                 size_t) {
   DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
   return 0;
 }

@@ -23,7 +23,7 @@
 #include "src/estimation/kronmom.h"
 #include "src/estimation/kronmom_n.h"
 #include "src/graph/degree.h"
-#include "src/graph/triangles.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/moments_n.h"
 #include "src/skg/sampler.h"
 
@@ -41,7 +41,8 @@ void SweepOnGraph(const std::string& label, GraphView graph,
                   const ScenarioParams& p, Rng& rng, ScenarioOutput& out,
                   SeriesTable& theta_error, SeriesTable& feature_error) {
   const KronMomResult non_private = FitKronMom(graph);
-  const GraphFeatures exact = ComputeFeatures(graph);
+  const GraphFeatures exact =
+      FeaturesFromNodeStats(graph.NumEdges(), ComputeNodeStats(graph));
   for (double epsilon : p.sweep_epsilons) {
     double sum_theta = 0.0;
     double sum_edges = 0.0, sum_hairpins = 0.0, sum_triangles = 0.0,
@@ -109,7 +110,8 @@ Status RunFeatureRoute(const ScenarioSpec& spec, const ScenarioParams& p,
   Rng rng(p.seed);
   const uint32_t k = p.smoke ? 10 : 12;
   const Graph g = SampleSkg({0.99, 0.55, 0.35}, k, rng);  // mean deg ~10
-  const GraphFeatures exact = ComputeFeatures(g);
+  const GraphFeatures exact =
+      FeaturesFromNodeStats(g.NumEdges(), ComputeNodeStats(g));
   out.Printf("graph: %u nodes, %llu edges; exact %s\n", g.NumNodes(),
              static_cast<unsigned long long>(g.NumEdges()),
              exact.ToString().c_str());
@@ -174,7 +176,8 @@ Status RunModelSelection(const ScenarioSpec& spec, const ScenarioParams& p,
     // The handle owns the backing (in-RAM or mmap'd); kernels see it
     // through its GraphView either way.
     const GraphHandle graph = std::move(loaded).value();
-    const GraphFeatures observed = ComputeFeatures(graph);
+    const GraphFeatures observed =
+        FeaturesFromNodeStats(graph.NumEdges(), ComputeNodeStats(graph));
 
     // N1 = 2 (paper's setting) via the dedicated fitter.
     const KronMomResult fit2 = FitKronMom(graph);
@@ -230,7 +233,8 @@ Status RunObjectiveAblation(const ScenarioSpec& spec,
 
   for (uint32_t trial = 0; trial < p.trials; ++trial) {
     const Graph g = SampleSkg(truth, k, rng);
-    const GraphFeatures exact = ComputeFeatures(g);
+    const GraphFeatures exact =
+        FeaturesFromNodeStats(g.NumEdges(), ComputeNodeStats(g));
     const auto private_features =
         ComputePrivateFeatures(g, p.epsilon, p.delta, rng);
     if (!private_features.ok()) return private_features.status();
@@ -285,9 +289,11 @@ Status RunPostprocessAblation(const ScenarioSpec& spec,
   Rng rng(p.seed);
   const uint32_t k = p.smoke ? 10 : 12;
   const Graph g = SampleSkg({0.99, 0.55, 0.35}, k, rng);  // mean degree ~10
-  const double e_true = double(g.NumEdges());
-  const double h_true = double(CountWedges(g));
-  const double t_true = double(CountTripins(g));
+  const GraphFeatures exact =
+      FeaturesFromNodeStats(g.NumEdges(), ComputeNodeStats(g));
+  const double e_true = exact.edges;
+  const double h_true = exact.hairpins;
+  const double t_true = exact.tripins;
 
   SeriesTable& table = out.Table("feature_relative_error");
   for (double epsilon : p.sweep_epsilons) {
@@ -357,7 +363,7 @@ Status RunSmoothSensitivity(const ScenarioSpec& spec,
     out.RecordExactSensitivity(profile.exact());
     const double n = double(g.NumNodes());
     const double ss = profile.SmoothSensitivity(beta);
-    const double triangles = double(CountTriangles(g));
+    const double triangles = double(TotalTriangles(ComputeNodeStats(g)));
     local.Add("skg", n, double(profile.LocalSensitivity()));
     smooth.Add("skg", n, ss);
     if (triangles > 0) {
@@ -374,7 +380,7 @@ Status RunSmoothSensitivity(const ScenarioSpec& spec,
     const TriangleSensitivityProfile profile(g);
     out.RecordExactSensitivity(profile.exact());
     const double ss = profile.SmoothSensitivity(beta);
-    const double triangles = double(CountTriangles(g));
+    const double triangles = double(TotalTriangles(ComputeNodeStats(g)));
     local.Add("coauthorship", double(authors),
               double(profile.LocalSensitivity()));
     smooth.Add("coauthorship", double(authors), ss);

@@ -19,9 +19,9 @@
 #include "src/estimation/kronmom.h"
 #include "src/graph/anf.h"
 #include "src/graph/clustering.h"
-#include "src/graph/degree.h"
 #include "src/graph/extra_stats.h"
 #include "src/graph/hop_plot.h"
+#include "src/graph/node_stats.h"
 #include "src/kronfit/kronfit.h"
 
 namespace dpkron {
@@ -158,9 +158,13 @@ struct Dk2Summary {
 
 Dk2Summary Summarize(GraphView g, Rng& rng) {
   Dk2Summary s;
+  const NodeStats stats = ComputeNodeStats(g);
   s.edges = double(g.NumEdges());
-  s.max_degree = double(MaxDegree(g));
-  s.avg_clustering = AverageClustering(g);
+  s.max_degree = stats.degrees.empty()
+                     ? 0.0
+                     : double(*std::max_element(stats.degrees.begin(),
+                                                stats.degrees.end()));
+  s.avg_clustering = AverageClusteringFromParts(stats.degrees, stats.triangles);
   s.assortativity = DegreeAssortativity(g);
   AnfOptions anf;
   const auto hops =

@@ -7,11 +7,10 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
-#include "src/graph/degree.h"
-#include "src/graph/triangles.h"
 #include "src/skg/kronecker.h"
 #include "src/skg/moments.h"
 #include "src/skg/sampler.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
@@ -132,9 +131,10 @@ TEST(ClassSamplerTest, MomentsMatchClosedForm) {
   const int runs = 300;
   for (int r = 0; r < runs; ++r) {
     const Graph g = SampleSkgClassSkip(theta, k, rng);
-    edges += double(g.NumEdges());
-    wedges += double(CountWedges(g));
-    triangles += double(CountTriangles(g));
+    const GraphFeatures f = testing::ExactFeatures(g);
+    edges += f.edges;
+    wedges += f.hairpins;
+    triangles += f.triangles;
   }
   const SkgMoments m = ExpectedMoments(theta, k);
   EXPECT_NEAR(edges / runs, m.edges, 0.05 * m.edges + 2);

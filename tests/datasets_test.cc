@@ -5,8 +5,8 @@
 #include "src/datasets/affiliation.h"
 #include "src/datasets/preferential_attachment.h"
 #include "src/graph/clustering.h"
-#include "src/graph/degree.h"
 #include "src/graph/node_stats.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
@@ -29,7 +29,8 @@ TEST(AffiliationTest, ProducesHighClustering) {
   Rng rng(2);
   const Graph g = AffiliationGraph(options, rng);
   // Union-of-cliques structure → strong local clustering.
-  EXPECT_GT(AverageClustering(g), 0.4);
+  const NodeStats stats = ComputeNodeStats(g);
+  EXPECT_GT(AverageClusteringFromParts(stats.degrees, stats.triangles), 0.4);
 }
 
 TEST(AffiliationTest, HeavyTailedDegrees) {
@@ -64,7 +65,8 @@ TEST(PreferentialAttachmentTest, LowClusteringVsAffiliation) {
   pa.num_nodes = 2000;
   pa.edges_per_node = 4;
   const Graph g = PreferentialAttachmentGraph(pa, rng);
-  EXPECT_LT(GlobalClustering(g), 0.1);
+  const GraphFeatures f = testing::ExactFeatures(g);
+  EXPECT_LT(3.0 * f.triangles / f.hairpins, 0.1);  // global clustering
 }
 
 TEST(PreferentialAttachmentTest, ConnectedByConstruction) {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
-#include "src/graph/triangles.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -15,30 +15,33 @@ using testing::CompleteGraph;
 using testing::CycleGraph;
 using testing::MakeGraph;
 using testing::PathGraph;
+using testing::PerNodeTrianglesByCommonNeighbors;
 using testing::PetersenGraph;
 using testing::StarGraph;
 
 // Triangle participation: the number of triangles each node is in.
 TEST(TriangleParticipationTest, CompleteGraph) {
   // Every node of K_5 is in C(4,2) = 6 triangles.
-  EXPECT_EQ(PerNodeTriangles(CompleteGraph(5)),
+  EXPECT_EQ(ComputeNodeStats(CompleteGraph(5)).triangles,
             std::vector<uint64_t>(5, 6));
 }
 
 TEST(TriangleParticipationTest, MixedGraph) {
   // Triangle {0,1,2} plus pendant 3 attached to 0.
   const Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {0, 3}});
-  EXPECT_EQ(PerNodeTriangles(g), (std::vector<uint64_t>{1, 1, 1, 0}));
+  EXPECT_EQ(ComputeNodeStats(g).triangles,
+            (std::vector<uint64_t>{1, 1, 1, 0}));
 }
 
 TEST(TriangleParticipationTest, CountsSumToNodes) {
   Rng rng(3);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 8, rng);
-  const std::vector<uint64_t> participation = PerNodeTriangles(g);
-  EXPECT_EQ(participation.size(), g.NumNodes());
+  const NodeStats stats = ComputeNodeStats(g);
+  EXPECT_EQ(stats.triangles.size(), g.NumNodes());
   uint64_t total = 0;
-  for (uint64_t t : participation) total += t;
-  EXPECT_EQ(total, 3 * CountTriangles(g));
+  for (uint64_t t : stats.triangles) total += t;
+  EXPECT_EQ(total, 3 * TotalTriangles(stats));
+  EXPECT_EQ(stats.triangles, PerNodeTrianglesByCommonNeighbors(g));
 }
 
 TEST(DegreeAssortativityTest, StarIsPerfectlyDisassortative) {

@@ -22,10 +22,10 @@
 #include "src/core/private_estimator.h"
 #include "src/core/release.h"
 #include "src/estimation/features.h"
-#include "src/graph/degree.h"
+#include "src/graph/components.h"
 #include "src/graph/graph_io.h"
+#include "src/graph/hop_plot.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -35,6 +35,7 @@ namespace {
 using testing::CompleteGraph;
 using testing::MakeGraph;
 using testing::PathGraph;
+using testing::PerNodeTrianglesByCommonNeighbors;
 using testing::PetersenGraph;
 using testing::StarGraph;
 
@@ -117,42 +118,53 @@ TEST(GraphViewTest, PassCounterRecordsOnePassPerTraversal) {
   PassCounter passes;
   const GraphView view = GraphView(g).WithPassCounter(&passes);
 
-  (void)DegreeVector(view);
-  (void)DegreeVector(view);
-  (void)MaxDegree(view);
-  (void)CountTriangles(view);
+  (void)ComputeNodeStats(view);
+  (void)ComputeNodeStats(view);
+  (void)ConnectedComponents(view);
+  (void)ExactHopPlot(view);
 
-  EXPECT_EQ(passes.count("degree_vector"), 2u);
-  EXPECT_EQ(passes.count("max_degree"), 1u);
-  EXPECT_EQ(passes.count("triangles"), 1u);
+  EXPECT_EQ(passes.count("node_stats"), 2u);
+  EXPECT_EQ(passes.count("components"), 1u);
+  EXPECT_EQ(passes.count("exact_hop_plot"), 1u);
   EXPECT_EQ(passes.count("never_ran"), 0u);
   EXPECT_EQ(passes.total(), 4u);
 
   const auto snapshot = passes.Snapshot();
   ASSERT_EQ(snapshot.size(), 3u);  // label-ordered
-  EXPECT_EQ(snapshot[0].first, "degree_vector");
-  EXPECT_EQ(snapshot[0].second, 2u);
+  EXPECT_EQ(snapshot[0].first, "components");
+  EXPECT_EQ(snapshot[0].second, 1u);
+  EXPECT_EQ(snapshot[2].first, "node_stats");
+  EXPECT_EQ(snapshot[2].second, 2u);
 
   // A plain copy of the view drops nothing; a counter-free view records
   // nothing (CountPass on null is the common production path).
   const GraphView unattached = g;
-  (void)DegreeVector(unattached);
-  EXPECT_EQ(passes.count("degree_vector"), 2u);
+  (void)ComputeNodeStats(unattached);
+  EXPECT_EQ(passes.count("node_stats"), 2u);
 }
 
+// The fused pass against oracles that share none of its code: a plain
+// Degree(u) loop and the common-neighbor triangle count.
 TEST(NodeStatsTest, FusedPassMatchesTheUnfusedKernels) {
+  Rng rng(2031);
   const Graph graphs[] = {PetersenGraph(), CompleteGraph(7), StarGraph(9),
-                          PathGraph(6), MakeGraph(1, {}), Graph()};
+                          PathGraph(6),    MakeGraph(1, {}),  Graph(),
+                          SampleSkg(Initiator2{0.9, 0.6, 0.2}, 9, rng)};
   for (const Graph& g : graphs) {
     const NodeStats fused = ComputeNodeStats(g);
-    EXPECT_EQ(fused.degrees, DegreeVector(g));
-    EXPECT_EQ(fused.triangles, PerNodeTriangles(g));
+    std::vector<uint32_t> degrees;
+    for (Graph::NodeId u = 0; u < g.NumNodes(); ++u) {
+      degrees.push_back(g.Degree(u));
+    }
+    EXPECT_EQ(fused.degrees, degrees);
+    EXPECT_EQ(fused.triangles, PerNodeTrianglesByCommonNeighbors(g));
   }
 }
 
 // The node-stats-derived features are the exact ones: E from the view,
-// H, T from the degrees and ∆ = Σ t_u / 3, against the per-kernel
-// ComputeFeatures oracle — on every graph shape and on an mmap backing.
+// H, T from the degrees and ∆ = Σ t_u / 3, against an oracle built from
+// a plain Degree(u) loop and the common-neighbor triangle count — on
+// every graph shape and on an mmap backing.
 TEST(NodeStatsTest, FeaturesMatchTheComputeFeaturesOracle) {
   Rng rng(2028);
   const Graph sample = SampleSkg(Initiator2{0.9, 0.6, 0.2}, 9, rng);
@@ -167,7 +179,19 @@ TEST(NodeStatsTest, FeaturesMatchTheComputeFeaturesOracle) {
   const GraphView views[] = {empty, single_edge, star, clique, sample,
                              mapped.value()->view()};
   for (const GraphView& view : views) {
-    const GraphFeatures oracle = ComputeFeatures(view);
+    GraphFeatures oracle;
+    oracle.edges = double(view.NumEdges());
+    uint64_t wedges = 0, tripins = 0;
+    for (Graph::NodeId u = 0; u < view.NumNodes(); ++u) {
+      const uint64_t d = view.Degree(u);
+      if (d >= 2) wedges += d * (d - 1) / 2;
+      if (d >= 3) tripins += d * (d - 1) * (d - 2) / 6;
+    }
+    oracle.hairpins = double(wedges);
+    oracle.tripins = double(tripins);
+    uint64_t corners = 0;
+    for (uint64_t t : PerNodeTrianglesByCommonNeighbors(view)) corners += t;
+    oracle.triangles = double(corners / 3);
     for (const GraphFeatures& f :
          {FeaturesFromNodeStats(view.NumEdges(), ComputeNodeStats(view)),
           ComputeFeaturesCached(view)}) {
@@ -176,7 +200,10 @@ TEST(NodeStatsTest, FeaturesMatchTheComputeFeaturesOracle) {
       EXPECT_EQ(f.triangles, oracle.triangles);
       EXPECT_EQ(f.tripins, oracle.tripins);
     }
-    std::vector<uint32_t> sorted = DegreeVector(view);
+    std::vector<uint32_t> sorted;
+    for (Graph::NodeId u = 0; u < view.NumNodes(); ++u) {
+      sorted.push_back(view.Degree(u));
+    }
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(SortedDegrees(ComputeNodeStats(view)), sorted);
   }
@@ -190,18 +217,29 @@ TEST(NodeStatsTest, FusedPassCostsExactlyOneTraversal) {
       ComputeNodeStats(GraphView(g).WithPassCounter(&passes));
   ASSERT_EQ(stats.degrees.size(), 8u);
   EXPECT_EQ(passes.count("node_stats"), 1u);
-  // The constituent kernels stay silent — their labels appearing here
-  // would mean the "fused" pass re-walked the backing store.
-  EXPECT_EQ(passes.count("degree_vector"), 0u);
-  EXPECT_EQ(passes.count("triangles_per_node"), 0u);
+  // Any other label appearing here would mean the "fused" pass
+  // re-walked the backing store.
   EXPECT_EQ(passes.total(), 1u);
+}
+
+// The whole pass plan of a release: the node stats, the hop plot (exact
+// BFS or ANF rounds), SpMV for the spectral panels and components. Any
+// other label would be a walker re-reading the CSR for a quantity the
+// node-stats entry already holds.
+void ExpectOnlyPassPlanLabels(const PassCounter& passes) {
+  for (const auto& [label, count] : passes.Snapshot()) {
+    EXPECT_TRUE(label == "node_stats" || label == "anf_round" ||
+                label == "spmv" || label == "exact_hop_plot" ||
+                label == "components")
+        << label << " ran " << count << " times";
+  }
 }
 
 // The pass-plan pin: Compute's degree/triangle/clustering family costs
 // ONE traversal of the backing store ("node_stats"), the hop plot is
-// exact BFS below the limit, and the un-fused leaf kernels never run.
+// exact BFS below the limit, and no per-statistic walker runs.
 // This is the test that fails loudly if someone re-introduces separate
-// DegreeVector / PerNodeTriangles walks into the pipeline.
+// degree or triangle walks into the pipeline.
 TEST(ReleasePassPlanTest, ComputeFusesTheNodeStatsFamily) {
   Rng rng(2026);
   const Graph g = SampleSkg(Initiator2{0.9, 0.6, 0.2}, 8, rng);
@@ -218,12 +256,9 @@ TEST(ReleasePassPlanTest, ComputeFusesTheNodeStatsFamily) {
   ASSERT_FALSE(stats.clustering_by_degree.empty());
 
   EXPECT_EQ(passes.count("node_stats"), 1u);
-  EXPECT_EQ(passes.count("degree_vector"), 0u);
-  EXPECT_EQ(passes.count("triangles_per_node"), 0u);
-  EXPECT_EQ(passes.count("triangles"), 0u);
-  EXPECT_EQ(passes.count("degree_histogram"), 0u);
   EXPECT_EQ(passes.count("exact_hop_plot"), 1u);
   EXPECT_EQ(passes.count("anf_round"), 0u);
+  ExpectOnlyPassPlanLabels(passes);
 
   // Identical statistics with no counter attached — instrumentation is
   // observation only.
@@ -248,15 +283,7 @@ TEST(ReleasePassPlanTest, LargeGraphRouteUsesAnfRounds) {
   EXPECT_EQ(passes.count("node_stats"), 1u);
   EXPECT_EQ(passes.count("exact_hop_plot"), 0u);
   EXPECT_GE(passes.count("anf_round"), 1u);
-}
-
-// The un-fused kernels a release must never run: each would re-walk the
-// CSR for a quantity the node-stats entry already holds.
-void ExpectNoUnfusedPasses(const PassCounter& passes) {
-  for (const char* label : {"degree_vector", "triangles", "triangles_per_node",
-                            "wedges", "tripins"}) {
-    EXPECT_EQ(passes.count(label), 0u) << label;
-  }
+  ExpectOnlyPassPlanLabels(passes);
 }
 
 // A whole Algorithm-1 release — the estimator, then the five panels of
@@ -283,7 +310,7 @@ TEST(ReleasePassPlanTest, OneNodeStatsPassServesTheEstimatorAndThePanels) {
   Rng stats_rng(7);
   (void)ReleasePipeline().Compute(view, stats_rng);
   EXPECT_EQ(passes.count("node_stats"), 1u);
-  ExpectNoUnfusedPasses(passes);
+  ExpectOnlyPassPlanLabels(passes);
 }
 
 // Without the cache the estimator still fetches the node stats once and
@@ -299,7 +326,7 @@ TEST(ReleasePassPlanTest, EstimatorTakesOneNodeStatsPassWithoutTheCache) {
                                  0.01, estimate_rng)
                   .ok());
   EXPECT_EQ(passes.count("node_stats"), 1u);
-  ExpectNoUnfusedPasses(passes);
+  ExpectOnlyPassPlanLabels(passes);
 }
 
 }  // namespace

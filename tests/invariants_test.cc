@@ -1,8 +1,9 @@
 // Cross-module property sweeps on randomized graphs: invariants that must
-// hold for every graph tie the independent implementations (triangle
-// counter vs clustering, hop plot vs components, degree formulas vs
-// combinatorial counters, CSR I/O roundtrip, samplers vs each other)
-// together. Parameterized over seeds for breadth.
+// hold for every graph tie the independent implementations (node-stats
+// triangles vs the common-neighbor oracle and clustering, hop plot vs
+// components, degree formulas vs combinatorial counters, CSR I/O
+// roundtrip, samplers vs each other) together. Parameterized over seeds
+// for breadth.
 
 #include <cmath>
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/estimation/features.h"
 #include "src/graph/clustering.h"
 #include "src/graph/components.h"
 #include "src/graph/degree.h"
@@ -17,7 +19,6 @@
 #include "src/graph/graph_io.h"
 #include "src/graph/hop_plot.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -45,32 +46,43 @@ TEST_P(GraphInvariantsTest, HandshakeLemma) {
 TEST_P(GraphInvariantsTest, DegreeFormulasMatchCombinatorialCounts) {
   const Graph g = MakeRandomGraph();
   std::vector<double> degrees;
-  for (uint32_t d : DegreeVector(g)) degrees.push_back(d);
+  for (Graph::NodeId u = 0; u < g.NumNodes(); ++u) {
+    degrees.push_back(g.Degree(u));
+  }
+  const GraphFeatures exact = testing::ExactFeatures(g);
   EXPECT_DOUBLE_EQ(EdgesFromDegrees(degrees), double(g.NumEdges()));
-  EXPECT_DOUBLE_EQ(HairpinsFromDegrees(degrees), double(CountWedges(g)));
-  EXPECT_DOUBLE_EQ(TripinsFromDegrees(degrees), double(CountTripins(g)));
+  EXPECT_DOUBLE_EQ(HairpinsFromDegrees(degrees), exact.hairpins);
+  EXPECT_DOUBLE_EQ(TripinsFromDegrees(degrees), exact.tripins);
 }
 
 TEST_P(GraphInvariantsTest, TriangleBoundsAndConsistency) {
   const Graph g = MakeRandomGraph();
-  const uint64_t triangles = CountTriangles(g);
-  // 3∆ = Σ per-node participation; ∆ ≤ H/3.
-  const auto per_node = PerNodeTriangles(g);
-  const uint64_t sum = std::accumulate(per_node.begin(), per_node.end(),
-                                       uint64_t{0});
+  const NodeStats stats = ComputeNodeStats(g);
+  const uint64_t triangles = TotalTriangles(stats);
+  // 3∆ = Σ per-node participation, and the participation agrees with
+  // the common-neighbor oracle; ∆ ≤ H/3.
+  const uint64_t sum = std::accumulate(stats.triangles.begin(),
+                                       stats.triangles.end(), uint64_t{0});
   EXPECT_EQ(sum, 3 * triangles);
-  EXPECT_LE(3 * triangles, CountWedges(g));
-  // Global clustering in [0, 1].
-  const double gc = GlobalClustering(g);
-  EXPECT_GE(gc, 0.0);
-  EXPECT_LE(gc, 1.0);
+  EXPECT_EQ(stats.triangles, testing::PerNodeTrianglesByCommonNeighbors(g));
+  // Equivalently, global clustering 3∆/H lies in [0, 1].
+  const GraphFeatures exact = FeaturesFromNodeStats(g.NumEdges(), stats);
+  EXPECT_LE(3.0 * exact.triangles, exact.hairpins);
 }
 
 TEST_P(GraphInvariantsTest, LocalClusteringWithinUnitInterval) {
   const Graph g = MakeRandomGraph();
-  for (double c : LocalClustering(g)) {
+  const NodeStats stats = ComputeNodeStats(g);
+  for (Graph::NodeId u = 0; u < g.NumNodes(); ++u) {
+    const double c = AverageClusteringFromParts({stats.degrees[u]},
+                                                {stats.triangles[u]});
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
+  }
+  for (const auto& [degree, c] :
+       ClusteringByDegreeFromParts(stats.degrees, stats.triangles)) {
+    EXPECT_GE(c, 0.0) << degree;
+    EXPECT_LE(c, 1.0) << degree;
   }
 }
 
@@ -123,14 +135,16 @@ TEST_P(GraphInvariantsTest, EdgeListRoundTripPreservesGraph) {
 }
 
 // Σ_u t_u = 3·∆: the node_stats participation counts behind Algorithm
-// 1's triangle count agree with the direct triangle counter.
+// 1's triangle count balance against the common-neighbor oracle's.
 TEST_P(GraphInvariantsTest, TriangleParticipationMassBalance) {
   const Graph g = MakeRandomGraph();
   const std::vector<uint64_t> participation = ComputeNodeStats(g).triangles;
+  const std::vector<uint64_t> oracle =
+      testing::PerNodeTrianglesByCommonNeighbors(g);
   EXPECT_EQ(participation.size(), g.NumNodes());
   EXPECT_EQ(std::accumulate(participation.begin(), participation.end(),
                             uint64_t{0}),
-            3 * CountTriangles(g));
+            std::accumulate(oracle.begin(), oracle.end(), uint64_t{0}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphInvariantsTest,

@@ -18,7 +18,7 @@
 #include "src/common/rng.h"
 #include "src/core/release.h"
 #include "src/graph/graph_io.h"
-#include "src/graph/triangles.h"
+#include "src/graph/node_stats.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -193,7 +193,7 @@ TEST(MmapGraphTest, ConcurrentReadersShareOneMapping) {
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok());
 
-  const uint64_t expected_triangles = CountTriangles(g);
+  const uint64_t expected_triangles = TotalTriangles(ComputeNodeStats(g));
   const uint64_t expected_fingerprint = g.ContentFingerprint();
   std::vector<std::thread> readers;
   std::vector<uint64_t> triangles(8, 0);
@@ -201,7 +201,7 @@ TEST(MmapGraphTest, ConcurrentReadersShareOneMapping) {
   for (int t = 0; t < 8; ++t) {
     readers.emplace_back([&, t] {
       const GraphView view = mapped.value()->view();
-      triangles[t] = CountTriangles(view);
+      triangles[t] = TotalTriangles(ComputeNodeStats(view));
       fingerprints[t] = view.ContentFingerprint();
     });
   }

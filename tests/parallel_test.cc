@@ -15,12 +15,11 @@
 #include "src/common/rng.h"
 #include "src/core/release.h"
 #include "src/dp/smooth_sensitivity.h"
+#include "src/estimation/features.h"
 #include "src/graph/anf.h"
 #include "src/graph/clustering.h"
-#include "src/graph/degree.h"
 #include "src/graph/graph.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 #include "src/kronfit/kronfit.h"
 #include "src/kronfit/likelihood.h"
 #include "src/kronfit/permutation.h"
@@ -196,27 +195,35 @@ TEST(SplitRngStreamsTest, DeterministicAndDistinct) {
 
 TEST(KernelInvarianceTest, Triangles) {
   const Graph g = SampleTestGraph();
-  ExpectThreadCountInvariant([&] { return CountTriangles(g); });
-  ExpectThreadCountInvariant([&] { return PerNodeTriangles(g); });
+  ExpectThreadCountInvariant([&] { return ComputeNodeStats(g).triangles; });
+  ExpectThreadCountInvariant(
+      [&] { return TotalTriangles(ComputeNodeStats(g)); });
 }
 
 TEST(KernelInvarianceTest, DegreeKernels) {
   const Graph g = SampleTestGraph();
-  ExpectThreadCountInvariant([&] { return DegreeVector(g); });
-  ExpectThreadCountInvariant([&] { return MaxDegree(g); });
+  ExpectThreadCountInvariant([&] { return ComputeNodeStats(g).degrees; });
   ExpectThreadCountInvariant([&] { return ComputeNodeStats(g); });
-  ExpectThreadCountInvariant([&] { return CountWedges(g); });
-  ExpectThreadCountInvariant([&] { return CountTripins(g); });
+  ExpectThreadCountInvariant([&] {
+    const GraphFeatures f =
+        FeaturesFromNodeStats(g.NumEdges(), ComputeNodeStats(g));
+    return std::vector<double>{f.edges, f.hairpins, f.triangles, f.tripins};
+  });
 }
 
 TEST(KernelInvarianceTest, Clustering) {
   const Graph g = SampleTestGraph();
   // Doubles compared bit-exactly: the chunk-ordered reduction promises
-  // identical floating-point results, not merely close ones.
-  ExpectThreadCountInvariant([&] { return LocalClustering(g); });
-  ExpectThreadCountInvariant([&] { return AverageClustering(g); });
-  ExpectThreadCountInvariant([&] { return ClusteringByDegree(g); });
-  ExpectThreadCountInvariant([&] { return GlobalClustering(g); });
+  // identical floating-point results, not merely close ones. The stats
+  // are recomputed at each width, so the pass is covered too.
+  ExpectThreadCountInvariant([&] {
+    const NodeStats stats = ComputeNodeStats(g);
+    return AverageClusteringFromParts(stats.degrees, stats.triangles);
+  });
+  ExpectThreadCountInvariant([&] {
+    const NodeStats stats = ComputeNodeStats(g);
+    return ClusteringByDegreeFromParts(stats.degrees, stats.triangles);
+  });
 }
 
 TEST(KernelInvarianceTest, Anf) {

@@ -57,7 +57,7 @@ TEST(PrivateFeaturesTest, ClampedFeaturesRespectFloor) {
 TEST(PrivateFeaturesTest, AccurateAtHighEpsilon) {
   Rng rng(5);
   const Graph g = SampleSkg({0.95, 0.55, 0.25}, 10, rng);
-  const GraphFeatures exact = ComputeFeatures(g);
+  const GraphFeatures exact = testing::ExactFeatures(g);
   const auto result = ComputePrivateFeatures(g, 50.0, 0.01, rng);
   ASSERT_TRUE(result.ok());
   const GraphFeatures& f = result.value().features;
@@ -73,7 +73,7 @@ TEST(PrivateFeaturesTest, PaperEpsilonGivesUsableFeatures) {
   // relative degree-noise bias shrinks with density).
   Rng rng(6);
   const Graph g = SampleSkg({0.99, 0.55, 0.35}, 12, rng);
-  const GraphFeatures exact = ComputeFeatures(g);
+  const GraphFeatures exact = testing::ExactFeatures(g);
   const auto result = ComputePrivateFeatures(g, 0.2, 0.01, rng);
   ASSERT_TRUE(result.ok());
   const GraphFeatures& f = result.value().features;

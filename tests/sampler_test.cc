@@ -4,10 +4,9 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
-#include "src/graph/degree.h"
-#include "src/graph/triangles.h"
 #include "src/skg/kronecker.h"
 #include "src/skg/moments.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
@@ -98,10 +97,12 @@ TEST(BallDropTest, AggregateStatisticsCloseToExactSampler) {
   for (int r = 0; r < runs; ++r) {
     const Graph ge = SampleSkg(theta, k, rng_exact);
     const Graph gf = SampleSkg(theta, k, rng_fast, fast);
-    exact_wedges += double(CountWedges(ge));
-    fast_wedges += double(CountWedges(gf));
-    exact_tri += double(CountTriangles(ge));
-    fast_tri += double(CountTriangles(gf));
+    const GraphFeatures fe = testing::ExactFeatures(ge);
+    const GraphFeatures ff = testing::ExactFeatures(gf);
+    exact_wedges += fe.hairpins;
+    fast_wedges += ff.hairpins;
+    exact_tri += fe.triangles;
+    fast_tri += ff.triangles;
   }
   EXPECT_NEAR(fast_wedges / exact_wedges, 1.0, 0.15);
   EXPECT_NEAR(fast_tri / exact_tri, 1.0, 0.30);
@@ -202,10 +203,12 @@ TEST(EdgeSkipTest, AggregateStatisticsCloseToExactSampler) {
   for (int r = 0; r < runs; ++r) {
     const Graph ge = SampleSkg(theta, k, rng_exact);
     const Graph gs = SampleSkg(theta, k, rng_skip, skip);
-    exact_wedges += double(CountWedges(ge));
-    skip_wedges += double(CountWedges(gs));
-    exact_tri += double(CountTriangles(ge));
-    skip_tri += double(CountTriangles(gs));
+    const GraphFeatures fe = testing::ExactFeatures(ge);
+    const GraphFeatures fs = testing::ExactFeatures(gs);
+    exact_wedges += fe.hairpins;
+    skip_wedges += fs.hairpins;
+    exact_tri += fe.triangles;
+    skip_tri += fs.triangles;
   }
   EXPECT_NEAR(skip_wedges / exact_wedges, 1.0, 0.15);
   EXPECT_NEAR(skip_tri / exact_tri, 1.0, 0.30);

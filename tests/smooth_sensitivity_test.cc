@@ -274,7 +274,7 @@ TEST(SmoothSensitivityTest, SmoothnessAcrossRandomNeighbors) {
 TEST(PrivateTriangleCountTest, CentersOnTrueCount) {
   Rng graph_rng(13);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 8, graph_rng);
-  const double truth = double(CountTriangles(g));
+  const double truth = testing::ExactFeatures(g).triangles;
   Rng rng(17);
   double sum = 0.0;
   const int runs = 400;
@@ -298,7 +298,7 @@ TEST(PrivateTriangleCountTest, MoreNoiseAtSmallerEpsilon) {
   Rng rng(23);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 7, rng);
   double spread_small = 0.0, spread_large = 0.0;
-  const double truth = double(CountTriangles(g));
+  const double truth = testing::ExactFeatures(g).triangles;
   for (int r = 0; r < 50; ++r) {
     spread_small +=
         std::fabs(PrivateTriangleCount(g, 0.05, 0.01, rng).value - truth);

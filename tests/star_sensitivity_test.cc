@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
-#include "src/graph/degree.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/node_stats.h"
 #include "src/skg/sampler.h"
@@ -87,13 +86,13 @@ TEST(SmoothSensitivityTripinsTest, CompleteGraphBase) {
 TEST(PrivateWedgeCountTest, CentersOnTruth) {
   Rng graph_rng(5);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 8, graph_rng);
-  const double truth = double(CountWedges(g));
+  const double truth = testing::ExactFeatures(g).hairpins;
   Rng rng(7);
   double sum = 0.0;
   const int runs = 300;
   double ss = 0.0;
   for (int r = 0; r < runs; ++r) {
-    const auto result = PrivateWedgeCount(g, 1.0, 0.01, rng);
+    const auto result = PrivateWedgeCount(g, truth, 1.0, 0.01, rng);
     sum += result.value;
     ss = result.smooth_sensitivity;
   }
@@ -104,11 +103,13 @@ TEST(PrivateWedgeCountTest, CentersOnTruth) {
 TEST(PrivateTripinCountTest, MoreNoiseAtSmallerEpsilon) {
   Rng rng(9);
   const Graph g = SampleSkg({0.9, 0.5, 0.3}, 7, rng);
-  const double truth = double(CountTripins(g));
+  const double truth = testing::ExactFeatures(g).tripins;
   double small = 0, large = 0;
   for (int r = 0; r < 60; ++r) {
-    small += std::fabs(PrivateTripinCount(g, 0.05, 0.01, rng).value - truth);
-    large += std::fabs(PrivateTripinCount(g, 5.0, 0.01, rng).value - truth);
+    small +=
+        std::fabs(PrivateTripinCount(g, truth, 0.05, 0.01, rng).value - truth);
+    large +=
+        std::fabs(PrivateTripinCount(g, truth, 5.0, 0.01, rng).value - truth);
   }
   EXPECT_GT(small, 3 * large);
 }
@@ -134,7 +135,7 @@ TEST(DirectPrivateFeaturesTest, RefusesInsufficientBudget) {
 TEST(DirectPrivateFeaturesTest, AccurateAtHighEpsilon) {
   Rng rng(15);
   const Graph g = SampleSkg({0.95, 0.55, 0.3}, 9, rng);
-  const GraphFeatures exact = ComputeFeatures(g);
+  const GraphFeatures exact = testing::ExactFeatures(g);
   PrivacyBudget budget(400.0, 0.01);
   const auto features =
       ComputeDirectPrivateFeatures(g, 400.0, 0.01, budget, rng);

@@ -7,8 +7,12 @@
 #include <vector>
 
 #include "src/common/parallel.h"
+#include "src/estimation/features.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_builder.h"
+#include "src/graph/graph_view.h"
+#include "src/graph/node_stats.h"
+#include "src/graph/triangles.h"
 
 namespace dpkron::testing {
 
@@ -34,6 +38,27 @@ inline bool SameCsr(const Graph& a, const Graph& b) {
              std::vector<uint32_t>(b.Offsets().begin(), b.Offsets().end()) &&
          std::vector<uint32_t>(a.Adjacency().begin(), a.Adjacency().end()) ==
              std::vector<uint32_t>(b.Adjacency().begin(), b.Adjacency().end());
+}
+
+// The exact features E, H, ∆, T of `graph`, from its node stats.
+inline GraphFeatures ExactFeatures(GraphView graph) {
+  return FeaturesFromNodeStats(graph.NumEdges(), ComputeNodeStats(graph));
+}
+
+// t_u = Σ_{v ∈ N(u)} CommonNeighbors(u, v) / 2: each triangle through u
+// is seen once from each of its two other corners. A merge over the raw
+// adjacency that shares no code with the forward orientation behind
+// ComputeNodeStats, so it is an independent oracle for it.
+inline std::vector<uint64_t> PerNodeTrianglesByCommonNeighbors(
+    GraphView graph) {
+  std::vector<uint64_t> triangles(graph.NumNodes(), 0);
+  for (Graph::NodeId u = 0; u < graph.NumNodes(); ++u) {
+    for (Graph::NodeId v : graph.Neighbors(u)) {
+      triangles[u] += CommonNeighbors(graph, u, v);
+    }
+    triangles[u] /= 2;
+  }
+  return triangles;
 }
 
 inline Graph MakeGraph(uint32_t n, const EdgeList& edges) {
