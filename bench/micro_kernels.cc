@@ -281,9 +281,10 @@ void BM_TriangleSensitivityProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleSensitivityProfile)->Arg(10)->Arg(12);
 
-// Thread sweep over the parallel class-1 candidate enumeration on the
-// k=12 graph (BM_TriangleSensitivityProfile above tracks the default-
-// width configuration across graph sizes).
+// Thread sweep over the profile on the k=12 graph: the parallel class-1
+// walk folding into per-worker max-b-per-a arrays, then the serial exact
+// far-pair search (BM_TriangleSensitivityProfile above tracks the
+// default-width configuration across graph sizes).
 void BM_SmoothSensitivityProfile(benchmark::State& state) {
   const Graph& g = TestGraph(12);
   ScopedBenchThreads threads(static_cast<int>(state.range(0)));

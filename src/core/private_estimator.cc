@@ -55,7 +55,6 @@ Result<PrivateEstimatorResult> EstimatePrivateSkg(
   result.private_features = features.value().features;
   result.exact_features = features.value().exact;
   result.smooth_sensitivity = features.value().smooth_sensitivity;
-  result.exact_sensitivity = features.value().exact_sensitivity;
   return result;
 }
 

@@ -40,10 +40,6 @@ struct PrivateEstimatorResult {
   GraphFeatures exact_features;
   double smooth_sensitivity = 0.0;
   bool converged = false;
-  // False if the triangle mechanism's smooth sensitivity came from the
-  // conservative far-pair fallback; scenarios record this in their run
-  // JSON so the fallback is auditable.
-  bool exact_sensitivity = true;
 };
 
 // Runs Algorithm 1 on `graph` with privacy parameters (epsilon, delta) at

@@ -106,11 +106,6 @@ void ScenarioOutput::RecordBudget(const PrivacyBudget& budget, bool print) {
   budgets_.push_back(budget);
 }
 
-void ScenarioOutput::RecordExactSensitivity(bool exact) {
-  ++exact_sensitivity_records_;
-  exact_sensitivity_all_ = exact_sensitivity_all_ && exact;
-}
-
 void ScenarioOutput::PrintTables() const {
   if (text_out_ == nullptr) return;
   for (const TableEntry& entry : tables_) {
@@ -124,12 +119,13 @@ void ScenarioOutput::AppendRunJson(JsonWriter& json) const {
   json.String(scenario_);
   json.Key("elapsed_seconds");
   json.Number(elapsed_seconds_);
-  // null = the run computed no smooth-sensitivity profile at all.
+  // true = the run computed a smooth-sensitivity profile (every profile
+  // is exact); null = it computed none.
   json.Key("exact_sensitivity");
-  if (exact_sensitivity_records_ == 0) {
-    json.Null();
+  if (sensitivity_profile_) {
+    json.Bool(true);
   } else {
-    json.Bool(exact_sensitivity_all_);
+    json.Null();
   }
 
   json.Key("params");

@@ -137,13 +137,10 @@ class ScenarioOutput {
   // (suppress inside sweep loops that would flood the text output).
   void RecordBudget(const PrivacyBudget& budget, bool print = true);
 
-  // Records whether a smooth-sensitivity computation used the exact
-  // profile (TriangleSensitivityProfile::exact()). A run that records
-  // any conservative fallback reports "exact_sensitivity": false in its
-  // JSON; a run that never computes a profile reports null. This is the
-  // audit trail for the silent-fallback bug: the release path can no
-  // longer drop the flag on the floor.
-  void RecordExactSensitivity(bool exact);
+  // Records that the run computed a smooth-sensitivity profile. Its JSON
+  // then reports "exact_sensitivity": true (every profile is exact); a
+  // run that never computes one reports null.
+  void RecordSensitivityProfile() { sensitivity_profile_ = true; }
 
   // Prints every printable table (RunScenario calls this at the end, the
   // position the standalone binaries printed their tables in).
@@ -173,8 +170,7 @@ class ScenarioOutput {
   std::deque<TableEntry> tables_;  // deque: stable references on growth
   std::vector<SummaryBlock> summaries_;
   std::vector<PrivacyBudget> budgets_;
-  uint32_t exact_sensitivity_records_ = 0;
-  bool exact_sensitivity_all_ = true;  // AND over recorded flags
+  bool sensitivity_profile_ = false;
 };
 
 struct ScenarioSpec {

@@ -41,7 +41,6 @@ Result<PrivateFeaturesResult> ComputePrivateFeatures(
       graph, TotalTriangles(*stats), epsilon / 2, delta, rng);
   result.smooth_sensitivity = triangles.smooth_sensitivity;
   result.beta = triangles.beta;
-  result.exact_sensitivity = triangles.exact_sensitivity;
 
   result.raw = FeaturesFromDegrees(result.noisy_degrees, triangles.value);
   result.features = ClampFeatures(result.raw, options.feature_floor);

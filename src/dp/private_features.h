@@ -34,9 +34,6 @@ struct PrivateFeaturesResult {
   std::vector<double> noisy_degrees;
   double smooth_sensitivity = 0.0;  // SS_{β,∆}(G) used for ∆̃
   double beta = 0.0;
-  // False if SS came from the conservative far-pair fallback rather
-  // than the exact profile (see PrivateTriangleResult).
-  bool exact_sensitivity = true;
 };
 
 // Computes ~F with privacy charges drawn from `budget` (one for the

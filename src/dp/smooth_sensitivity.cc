@@ -2,96 +2,69 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <queue>
-#include <tuple>
+#include <span>
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 
 namespace dpkron {
 namespace {
 
-// True iff i and j are within hop distance 2 (adjacent or sharing a
-// neighbor).
-bool WithinTwoHops(GraphView graph, Graph::NodeId i, Graph::NodeId j) {
-  if (graph.HasEdge(i, j)) return true;
-  return CommonNeighbors(graph, i, j) > 0;
+// The suffix of a sorted adjacency list above node i.
+std::span<const Graph::NodeId> Above(std::span<const Graph::NodeId> list,
+                                     Graph::NodeId i) {
+  return list.subspan(std::upper_bound(list.begin(), list.end(), i) -
+                      list.begin());
 }
 
-struct FarPair {
-  bool found = false;
-  uint64_t degree_sum = 0;
-};
-
-// Exact max of d_i + d_j over pairs at distance > 2 (found=false if no
-// such pair exists). Best-first walk over pairs of the degree-sorted node
-// list; the first far pair found has the maximum sum. Sets *exact to
-// false (and returns the conservative top-two sum) if `budget`
-// pair-inspections are not enough.
-FarPair MaxFarPairDegreeSum(GraphView graph, uint64_t budget,
-                            bool* exact) {
+// Exact max of d_i + d_j over pairs at hop distance > 2, or −1 if the
+// graph has no such pair. Sources are visited in degree-rank order
+// (degree desc, id asc); a source's best partner is the first later rank
+// outside its stamped N≤2, and the search stops once no later pair can
+// beat the best sum found. Worst case O(Σ_w d_w²), the class-1 walk's
+// own cost.
+int64_t MaxFarPairDegreeSum(GraphView graph) {
   const uint32_t n = graph.NumNodes();
-  if (n < 2) return {};
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&graph](uint32_t x, uint32_t y) {
-    const uint32_t dx = graph.Degree(x), dy = graph.Degree(y);
-    return dx != dy ? dx > dy : x < y;
-  });
-  auto degree_at = [&](uint32_t rank) {
-    return uint64_t{graph.Degree(order[rank])};
-  };
+  // Degree ranks by a stable counting sort over descending degree.
+  uint32_t max_degree = 0;
+  for (Graph::NodeId v = 0; v < n; ++v) {
+    max_degree = std::max(max_degree, graph.Degree(v));
+  }
+  std::vector<uint32_t> slot(size_t{max_degree} + 2, 0);
+  for (Graph::NodeId v = 0; v < n; ++v) {
+    ++slot[max_degree - graph.Degree(v) + 1];
+  }
+  for (size_t d = 1; d < slot.size(); ++d) slot[d] += slot[d - 1];
+  std::vector<Graph::NodeId> order(n);
+  for (Graph::NodeId v = 0; v < n; ++v) {
+    order[slot[max_degree - graph.Degree(v)]++] = v;
+  }
 
-  // Max-heap over (sum, rank_i, rank_j) with rank_i < rank_j; the frontier
-  // invariant (push (i, j+1) always, (i+1, i+2) when j == i+1) visits each
-  // pair at most once in non-increasing sum order.
-  using Entry = std::tuple<uint64_t, uint32_t, uint32_t>;
-  std::priority_queue<Entry> heap;
-  heap.emplace(degree_at(0) + degree_at(1), 0u, 1u);
-  uint64_t inspected = 0;
-  while (!heap.empty()) {
-    const auto [sum, i, j] = heap.top();
-    heap.pop();
-    if (++inspected > budget) {
-      *exact = false;
-      return {true, degree_at(0) + degree_at(1)};  // conservative bound
+  // stamp[v] == r + 1 ⇔ v ∈ N≤2(order[r]).
+  std::vector<uint32_t> stamp(n, 0);
+  int64_t best = -1;
+  for (uint32_t r = 0; r + 1 < n; ++r) {
+    const Graph::NodeId i = order[r];
+    const int64_t degree_i = graph.Degree(i);
+    if (degree_i + graph.Degree(order[r + 1]) <= best) break;
+    const uint32_t mark = r + 1;
+    stamp[i] = mark;
+    for (Graph::NodeId w : graph.Neighbors(i)) {
+      stamp[w] = mark;
+      for (Graph::NodeId x : graph.Neighbors(w)) stamp[x] = mark;
     }
-    if (!WithinTwoHops(graph, order[i], order[j])) return {true, sum};
-    if (j + 1 < n) heap.emplace(degree_at(i) + degree_at(j + 1), i, j + 1);
-    if (j == i + 1 && i + 2 < n) {
-      heap.emplace(degree_at(i + 1) + degree_at(i + 2), i + 1, i + 2);
+    for (uint32_t q = r + 1; q < n; ++q) {
+      const int64_t sum = degree_i + graph.Degree(order[q]);
+      if (sum <= best) break;
+      if (stamp[order[q]] != mark) {
+        best = sum;
+        break;
+      }
     }
   }
-  return {};  // diameter ≤ 2: no far pairs at all
-}
-
-// Sorts candidates by a desc then b desc and reduces them in place to
-// their Pareto frontier (strictly rising b along falling a). Applying
-// this per chunk before the global merge is sound — and idempotent —
-// because the frontier of a union equals the frontier of the union of
-// the parts' frontiers; it is what keeps the final serial sort off the
-// critical path (the raw class-1 candidate list is O(Σ_w deg(w)²)).
-void ReduceToFrontier(std::vector<std::pair<uint64_t, uint64_t>>* candidates) {
-  std::sort(candidates->begin(), candidates->end(),
-            [](const auto& x, const auto& y) {
-              return x.first != y.first ? x.first > y.first
-                                        : x.second > y.second;
-            });
-  std::vector<std::pair<uint64_t, uint64_t>> frontier;
-  uint64_t best_b = 0;
-  bool first = true;
-  for (const auto& [a, b] : *candidates) {
-    if (first || b > best_b) {
-      frontier.emplace_back(a, b);
-      best_b = b;
-      first = false;
-    }
-  }
-  *candidates = std::move(frontier);
+  return best;
 }
 
 }  // namespace
@@ -99,92 +72,101 @@ void ReduceToFrontier(std::vector<std::pair<uint64_t, uint64_t>>* candidates) {
 TriangleSensitivityProfile::TriangleSensitivityProfile(GraphView graph)
     : num_nodes_(graph.NumNodes()) {
   const uint32_t n = num_nodes_;
-  std::vector<std::pair<uint64_t, uint64_t>> candidates;
+  if (n < 2) return;
 
-  if (n >= 2) {
-    // Class 1 — exact (a, b) for every pair with a common neighbor,
-    // enumerated per source node with a stamped counter (no pair map).
-    // Source nodes are chunked across the pool; each worker owns one
-    // stamped-counter buffer (candidate values depend only on the graph,
-    // so buffer reuse across chunks is harmless), and per-chunk candidate
-    // vectors are concatenated in chunk-index order so the final list —
-    // and everything downstream — is thread-count invariant.
-    constexpr size_t kGrain = 256;
-    struct StampedCounters {
-      std::vector<uint32_t> common;
-      std::vector<uint32_t> stamp;
-      std::vector<Graph::NodeId> touched;
-      uint32_t current = 0;
-    };
-    std::vector<StampedCounters> buffers(ParallelThreadCount());
-    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> chunk_candidates(
-        ParallelChunkCount(n, kGrain));
-    ParallelForChunks(n, kGrain, [&](const ParallelChunk& chunk) {
-      StampedCounters& buf = buffers[chunk.worker];
-      if (buf.stamp.size() != n) {
-        // First chunk this worker runs: initialize its buffers here, in
-        // the parallel section, and only for workers actually scheduled
-        // (pre-zeroing every slot would cost O(threads·N) serially).
-        buf.common.assign(n, 0);
-        buf.stamp.assign(n, 0);
+  // best_b[a] = the largest b over candidates (a, b), −1 where there is
+  // none. Every class folds into it; c_ij(s) is monotone in a and b, so
+  // this keeps everything the frontier needs.
+  //
+  // Class 1 — exact (a, b) for every pair with a common neighbor, walked
+  // per source node i over its 2-paths i–v–j with j > i. Source nodes are
+  // chunked across the pool; each worker owns one counter array and one
+  // best_b array, and the max merge below is order-free, so the profile
+  // is identical at any thread count.
+  //
+  // Class 2 — every edge: (0, d_u + d_v − 2). For adjacent pairs with
+  // common neighbors this candidate is dominated by their exact class-1
+  // entry (a shifts the profile up by at least as much as the larger b
+  // would); for adjacent pairs without common neighbors it IS the exact
+  // value. Either way exactness of the max is preserved.
+  constexpr size_t kGrain = 256;
+  struct Walker {
+    std::vector<uint32_t> count;  // per j: common neighbors (+1 if adjacent)
+    std::vector<Graph::NodeId> touched;
+    std::vector<int64_t> best_b;
+  };
+  std::vector<Walker> walkers(ParallelThreadCount());
+  ParallelForChunks(n, kGrain, [&](const ParallelChunk& chunk) {
+    Walker& walker = walkers[chunk.worker];
+    // First chunk this worker runs: size its counters here, in the
+    // parallel section, and only for workers actually scheduled.
+    if (walker.count.size() != n) walker.count.assign(n, 0);
+    std::vector<uint32_t>& count = walker.count;
+    std::vector<Graph::NodeId>& touched = walker.touched;
+    for (size_t node = chunk.begin; node < chunk.end; ++node) {
+      const Graph::NodeId i = static_cast<Graph::NodeId>(node);
+      const uint64_t degree_i = graph.Degree(i);
+      if (walker.best_b.size() <= degree_i) {
+        walker.best_b.resize(degree_i + 1, -1);  // a ≤ d_i
       }
-      auto& out = chunk_candidates[chunk.index];
-      for (size_t node = chunk.begin; node < chunk.end; ++node) {
-        const Graph::NodeId i = static_cast<Graph::NodeId>(node);
-        ++buf.current;
-        buf.touched.clear();
-        for (Graph::NodeId w : graph.Neighbors(i)) {
-          for (Graph::NodeId j : graph.Neighbors(w)) {
-            if (j <= i) continue;  // each unordered pair once
-            if (buf.stamp[j] != buf.current) {
-              buf.stamp[j] = buf.current;
-              buf.common[j] = 0;
-              buf.touched.push_back(j);
-            }
-            ++buf.common[j];
-          }
-        }
-        const uint64_t deg_i = graph.Degree(i);
-        for (Graph::NodeId j : buf.touched) {
-          const uint64_t a = buf.common[j];
-          const uint64_t deg_j = graph.Degree(j);
-          const uint64_t adjacent = graph.HasEdge(i, j) ? 1 : 0;
-          // deg_i + deg_j double-counts the a common neighbors and counts
-          // j∈N(i), i∈N(j) when adjacent.
-          const uint64_t b = deg_i + deg_j - 2 * a - 2 * adjacent;
-          out.emplace_back(a, b);
+      // Neighbors above i open the list with a count of 1: their pairs
+      // are edges, and a nonzero count keeps the walk from listing them
+      // twice. Adjacency lists are sorted, so "above i" is a suffix.
+      const auto neighbors = graph.Neighbors(i);
+      for (Graph::NodeId j : Above(neighbors, i)) {
+        count[j] = 1;
+        touched.push_back(j);
+      }
+      const size_t adjacent = touched.size();
+      for (Graph::NodeId v : neighbors) {
+        for (Graph::NodeId j : Above(graph.Neighbors(v), i)) {
+          if (count[j]++ == 0) touched.push_back(j);
         }
       }
-      // Chunk-local Pareto reduction: shrinks the merge from
-      // O(Σ deg²) raw pairs to a handful per chunk, and moves the
-      // sort work into the parallel section.
-      ReduceToFrontier(&out);
-    });
-    for (const auto& chunk : chunk_candidates) {
-      candidates.insert(candidates.end(), chunk.begin(), chunk.end());
+      for (size_t t = 0; t < touched.size(); ++t) {
+        const Graph::NodeId j = touched[t];
+        const uint64_t is_edge = t < adjacent ? 1 : 0;
+        const uint64_t a = count[j] - is_edge;
+        count[j] = 0;
+        const uint64_t degree_sum = degree_i + graph.Degree(j);
+        if (is_edge) {
+          walker.best_b[0] = std::max(walker.best_b[0],
+                                      static_cast<int64_t>(degree_sum - 2));
+        }
+        if (a == 0) continue;
+        // d_i + d_j double-counts the a common neighbors and counts
+        // j∈N(i), i∈N(j) when adjacent.
+        walker.best_b[a] = std::max(
+            walker.best_b[a],
+            static_cast<int64_t>(degree_sum - 2 * a - 2 * is_edge));
+      }
+      touched.clear();
     }
-
-    // Class 2 — every edge: (0, d_u + d_v − 2). For adjacent pairs with
-    // common neighbors this candidate is dominated by their exact class-1
-    // entry (a shifts the profile up by at least as much as the larger b
-    // would); for adjacent pairs without common neighbors it IS the exact
-    // value. Either way exactness of the max is preserved.
-    graph.ForEachEdge([&](Graph::NodeId u, Graph::NodeId v) {
-      candidates.emplace_back(
-          0, uint64_t{graph.Degree(u)} + graph.Degree(v) - 2);
-    });
-
-    // Class 3 — pairs at distance > 2 have a = 0, b = d_i + d_j exactly.
-    // A far pair with degree sum 0 still matters: s flips can build
-    // ⌊s/2⌋ common neighbors for it (this is the whole profile of an
-    // empty graph).
-    const FarPair far = MaxFarPairDegreeSum(graph, /*budget=*/50000, &exact_);
-    if (far.found) candidates.emplace_back(0, far.degree_sum);
+  });
+  std::vector<int64_t> best_b(1, -1);
+  for (const Walker& walker : walkers) {
+    if (best_b.size() < walker.best_b.size()) {
+      best_b.resize(walker.best_b.size(), -1);
+    }
+    for (size_t a = 0; a < walker.best_b.size(); ++a) {
+      best_b[a] = std::max(best_b[a], walker.best_b[a]);
+    }
   }
 
-  // Global Pareto frontier over the (already chunk-reduced) candidates.
-  ReduceToFrontier(&candidates);
-  frontier_ = std::move(candidates);
+  // Class 3 — pairs at distance > 2 have a = 0, b = d_i + d_j exactly,
+  // so only their maximum degree sum matters. A far pair with degree sum
+  // 0 still matters: s flips can build ⌊s/2⌋ common neighbors for it
+  // (this is the whole profile of an empty graph).
+  best_b[0] = std::max(best_b[0], MaxFarPairDegreeSum(graph));
+
+  // The Pareto frontier: falling a, strictly rising b.
+  int64_t rising = -1;
+  for (size_t a = best_b.size(); a-- > 0;) {
+    if (best_b[a] > rising) {
+      rising = best_b[a];
+      frontier_.emplace_back(a, static_cast<uint64_t>(rising));
+    }
+  }
 }
 
 uint64_t TriangleSensitivityProfile::LocalSensitivityAtDistance(
@@ -217,23 +199,29 @@ double TriangleSensitivityProfile::SmoothSensitivity(double beta) const {
   return best;
 }
 
+// The "triangle_profile" record layout, mixed into the key ahead of the
+// graph fingerprint. Layout 1 — (num_nodes, exact flag, frontier), keyed
+// by the fingerprint alone — is never addressed, so it cannot misdecode.
+constexpr uint64_t kTriangleProfileLayout = 2;
+
 std::shared_ptr<const TriangleSensitivityProfile>
 CachedTriangleSensitivityProfile(GraphView graph) {
   return StatCache::Instance().GetOrComputeDurable<TriangleSensitivityProfile>(
       "triangle_profile",
-      CacheKey().Mix(graph.ContentFingerprint()).digest(),
+      CacheKey()
+          .Mix(kTriangleProfileLayout)
+          .Mix(graph.ContentFingerprint())
+          .digest(),
       [&graph] { return TriangleSensitivityProfile(graph); },
       [](const TriangleSensitivityProfile& profile, RecordBuilder& rec) {
-        rec.U32(profile.num_nodes()).U32(profile.exact() ? 1 : 0);
+        rec.U32(profile.num_nodes());
         EncodePodVector(rec, profile.frontier());
       },
       [](RecordParser& rec) -> std::optional<TriangleSensitivityProfile> {
         const uint32_t num_nodes = rec.U32();
-        const uint32_t exact = rec.U32();
         std::vector<std::pair<uint64_t, uint64_t>> frontier;
         if (!rec.ok() || !DecodePodVector(rec, &frontier)) return std::nullopt;
-        return TriangleSensitivityProfile(num_nodes, exact != 0,
-                                          std::move(frontier));
+        return TriangleSensitivityProfile(num_nodes, std::move(frontier));
       });
 }
 
@@ -255,7 +243,6 @@ PrivateTriangleResult PrivateTriangleCount(GraphView graph, uint64_t triangles,
   // evaluating SS_β at this run's β is a cheap scan over its frontier.
   const auto profile = CachedTriangleSensitivityProfile(graph);
   result.smooth_sensitivity = profile->SmoothSensitivity(result.beta);
-  result.exact_sensitivity = profile->exact();
   result.exact = static_cast<double>(triangles);
   result.value = result.exact +
                  2.0 * result.smooth_sensitivity / epsilon * rng.NextLaplace(1.0);

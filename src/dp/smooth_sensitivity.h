@@ -12,17 +12,17 @@
 //
 // c_ij(s) is non-decreasing in both a_ij and b_ij, so the max over pairs
 // is attained on the Pareto frontier of {(a_ij, b_ij)}. The profile is
-// computed EXACTLY (this matters: an inexact upper bound is easy to
-// produce but can silently lose the β-smoothness property the privacy
-// proof needs). Pairs fall into three classes:
+// computed EXACTLY for every graph (this matters: an inexact upper bound
+// is easy to produce but can silently lose the β-smoothness property the
+// privacy proof needs, and switching bounds by graph is not smooth
+// either). Pairs fall into three classes:
 //   * distance ≤ 2 with a common neighbor — enumerated exactly;
 //   * adjacent — covered exactly by the dominated-or-exact candidate
 //     (0, d_u + d_v − 2) per edge;
 //   * distance > 2 — a = 0 and b = d_i + d_j exactly, so only the
-//     maximum degree sum over far pairs matters; found exactly by
-//     best-first enumeration of degree-sorted pairs. If that enumeration
-//     exceeds its budget (pathological dense-core graphs) we fall back to
-//     the conservative d(1)+d(2) bound and say so in `exact()`.
+//     maximum degree sum over far pairs matters. It is found exactly by
+//     visiting sources in degree-rank order, each with its N≤2 stamped,
+//     until no later pair can beat the best sum found.
 
 #ifndef DPKRON_DP_SMOOTH_SENSITIVITY_H_
 #define DPKRON_DP_SMOOTH_SENSITIVITY_H_
@@ -40,25 +40,21 @@ namespace dpkron {
 // The per-distance local-sensitivity profile of ∆ at a fixed graph.
 class TriangleSensitivityProfile {
  public:
-  // Computes the profile of `graph` (O(Σ_w deg(w)²) work, chunked
-  // across the thread pool with one stamped-counter buffer per worker —
-  // O(threads·N) memory — and a chunk-ordered candidate merge, so the
-  // profile is identical at any thread count).
+  // Computes the profile of `graph` in O(Σ_w deg(w)²) work: the class-1
+  // walk is chunked across the thread pool with one counter array
+  // (O(N)) and one max-b-per-a array per worker, merged by max, so the
+  // profile is identical at any thread count; the far-pair search is
+  // serial and costs at most as much as that walk.
   explicit TriangleSensitivityProfile(GraphView graph);
 
   // Reassembles a profile from its serialized parts — the decode path of
   // the disk StatCache tier. `frontier` must be bytes a prior profile's
   // frontier() exposed; nothing is recomputed or validated here.
   TriangleSensitivityProfile(
-      uint32_t num_nodes, bool exact,
-      std::vector<std::pair<uint64_t, uint64_t>> frontier)
-      : num_nodes_(num_nodes), exact_(exact), frontier_(std::move(frontier)) {}
+      uint32_t num_nodes, std::vector<std::pair<uint64_t, uint64_t>> frontier)
+      : num_nodes_(num_nodes), frontier_(std::move(frontier)) {}
 
   uint32_t num_nodes() const { return num_nodes_; }
-
-  // False if the far-pair search hit its budget and a conservative (still
-  // valid upper-bound, but possibly non-smooth) candidate was used.
-  bool exact() const { return exact_; }
 
   // LS^(s)(G).
   uint64_t LocalSensitivityAtDistance(uint64_t s) const;
@@ -76,7 +72,6 @@ class TriangleSensitivityProfile {
 
  private:
   uint32_t num_nodes_;
-  bool exact_ = true;
   std::vector<std::pair<uint64_t, uint64_t>> frontier_;  // (a, b), a desc
 };
 
@@ -100,12 +95,6 @@ struct PrivateTriangleResult {
   double exact = 0.0;               // ∆ (kept private by callers!)
   double smooth_sensitivity = 0.0;  // SS_{β,∆}(G)
   double beta = 0.0;
-  // TriangleSensitivityProfile::exact() of the profile behind SS: false
-  // means the far-pair search fell back to the conservative bound.
-  // Plumbed up to the scenario/sweep JSON so the fallback is never
-  // silent (the bound is still a valid upper bound, but possibly
-  // non-smooth — a run report must say so).
-  bool exact_sensitivity = true;
 };
 
 // (ε, δ)-differentially private triangle count via Theorem 4.8:

@@ -53,7 +53,7 @@ void SweepOnGraph(const std::string& label, GraphView graph,
           EstimatePrivateSkg(graph, epsilon, p.delta, budget, rng);
       if (!fit.ok()) continue;
       if (t == 0) out.RecordBudget(budget, /*print=*/false);
-      out.RecordExactSensitivity(fit.value().exact_sensitivity);
+      out.RecordSensitivityProfile();
       sum_theta += MaxAbsDifference(fit.value().theta, non_private.theta);
       const GraphFeatures& f = fit.value().private_features;
       sum_edges += std::fabs(f.edges - exact.edges) / exact.edges;
@@ -128,7 +128,7 @@ Status RunFeatureRoute(const ScenarioSpec& spec, const ScenarioParams& p,
           ComputeDirectPrivateFeatures(g, epsilon, p.delta, budget, rng);
       if (!degree_route.ok() || !direct_route.ok()) continue;
       if (trial == 0) out.RecordBudget(budget, /*print=*/false);
-      out.RecordExactSensitivity(degree_route.value().exact_sensitivity);
+      out.RecordSensitivityProfile();
       const GraphFeatures& a = degree_route.value().features;
       const GraphFeatures& b = direct_route.value();
       deg_e += std::fabs(a.edges - exact.edges) / exact.edges;
@@ -238,7 +238,7 @@ Status RunObjectiveAblation(const ScenarioSpec& spec,
     const auto private_features =
         ComputePrivateFeatures(g, p.epsilon, p.delta, rng);
     if (!private_features.ok()) return private_features.status();
-    out.RecordExactSensitivity(private_features.value().exact_sensitivity);
+    out.RecordSensitivityProfile();
     for (int di = 0; di < 2; ++di) {
       for (int ni = 0; ni < 4; ++ni) {
         KronMomOptions options;
@@ -360,7 +360,7 @@ Status RunSmoothSensitivity(const ScenarioSpec& spec,
   for (uint32_t k = 6; k <= max_k; ++k) {
     const Graph g = SampleSkg({0.99, 0.45, 0.25}, k, rng);
     const TriangleSensitivityProfile profile(g);
-    out.RecordExactSensitivity(profile.exact());
+    out.RecordSensitivityProfile();
     const double n = double(g.NumNodes());
     const double ss = profile.SmoothSensitivity(beta);
     const double triangles = double(TotalTriangles(ComputeNodeStats(g)));
@@ -378,7 +378,7 @@ Status RunSmoothSensitivity(const ScenarioSpec& spec,
     options.num_papers = (authors * 5) / 8;
     const Graph g = AffiliationGraph(options, rng);
     const TriangleSensitivityProfile profile(g);
-    out.RecordExactSensitivity(profile.exact());
+    out.RecordSensitivityProfile();
     const double ss = profile.SmoothSensitivity(beta);
     const double triangles = double(TotalTriangles(ComputeNodeStats(g)));
     local.Add("coauthorship", double(authors),

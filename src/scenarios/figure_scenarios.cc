@@ -89,7 +89,7 @@ Status RunFigure(const ScenarioSpec& spec, const ScenarioParams& p,
   const auto private_fit =
       EstimatePrivateSkg(original, p.epsilon, p.delta, budget, private_rng);
   if (!private_fit.ok()) return private_fit.status();
-  out.RecordExactSensitivity(private_fit.value().exact_sensitivity);
+  out.RecordSensitivityProfile();
 
   SummaryBlock params(spec.name + " fitted initiators (a b c)");
   params.Add("KronFit", kronfit.theta.ToString());

@@ -94,7 +94,7 @@ Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
                           fit.status().ToString());
       }
       out.RecordBudget(budget, /*print=*/false);
-      out.RecordExactSensitivity(fit.value().exact_sensitivity);
+      out.RecordSensitivityProfile();
       trials.push_back({fit.value().theta,
                         MaxAbsDifference(fit.value().theta, kronmom.theta)});
     }
@@ -224,7 +224,7 @@ Status RunComparisonDk2(const ScenarioSpec& spec, const ScenarioParams& p,
         EstimatePrivateSkg(original, epsilon, p.delta, skg_budget, skg_rng);
     if (fit.ok()) {
       out.RecordBudget(skg_budget, /*print=*/false);
-      out.RecordExactSensitivity(fit.value().exact_sensitivity);
+      out.RecordSensitivityProfile();
       const Graph sample =
           pipeline.Sample(fit.value().theta, fit.value().k, skg_rng);
       Rng stats_rng = rng.Split();

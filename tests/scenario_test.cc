@@ -219,12 +219,10 @@ TEST_F(ScenarioTest, ExactSensitivityFlagLandsInRunJson) {
   };
   // No profile computed: null.
   EXPECT_NE(doc().find("\"exact_sensitivity\":null"), std::string::npos);
-  output.RecordExactSensitivity(true);
+  // Every profile is exact, so any recorded profile reads true.
+  output.RecordSensitivityProfile();
+  output.RecordSensitivityProfile();
   EXPECT_NE(doc().find("\"exact_sensitivity\":true"), std::string::npos);
-  // AND semantics: one conservative fallback taints the whole run.
-  output.RecordExactSensitivity(false);
-  output.RecordExactSensitivity(true);
-  EXPECT_NE(doc().find("\"exact_sensitivity\":false"), std::string::npos);
 }
 
 TEST_F(ScenarioTest, DegenerateEpsilonFailsWithStatusBeforeRunning) {

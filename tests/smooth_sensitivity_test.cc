@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/datasets/affiliation.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/triangles.h"
 #include "src/skg/sampler.h"
@@ -16,6 +19,7 @@ namespace {
 
 using testing::CompleteGraph;
 using testing::CycleGraph;
+using testing::EdgeList;
 using testing::MakeGraph;
 using testing::PathGraph;
 using testing::StarGraph;
@@ -157,7 +161,6 @@ TEST_P(ProfileBruteForceTest, MatchesExhaustiveSearch) {
   }
   const Graph g = builder.Build();
   const TriangleSensitivityProfile profile(g);
-  ASSERT_TRUE(profile.exact());
   for (uint32_t s = 0; s <= 2; ++s) {
     EXPECT_EQ(profile.LocalSensitivityAtDistance(s), BruteLsAtDistance(g, s))
         << "seed " << seed << " s " << s;
@@ -168,30 +171,196 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, ProfileBruteForceTest,
                          ::testing::Range(0u, 25u));
 
 // ---------------------------------------------------------------------------
-// Smooth sensitivity.
+// Oracles for the profile's two walks: a BFS-distance far-pair search and
+// the collect-then-sort frontier the library computed before class 1 was
+// folded into a max-b-per-a array.
 // ---------------------------------------------------------------------------
 
-TEST(SmoothSensitivityTest, FarPairBudgetFallbackIsReportedNotSilent) {
-  // A 400-leaf star has diameter 2, so the far-pair search must inspect
-  // all ~80k degree-sorted pairs — past its 50k budget — and fall back
-  // to the conservative bound. The fallback must be visible both on the
-  // profile and through PrivateTriangleCount's result, which is what
-  // the scenario engine records into the run JSON (the pre-fix release
-  // path dropped the flag on the floor).
-  const Graph star = StarGraph(400);
-  const TriangleSensitivityProfile profile(star);
-  EXPECT_FALSE(profile.exact());
-
-  Rng rng(5);
-  const PrivateTriangleResult fallback =
-      PrivateTriangleCount(star, 1.0, 0.01, rng);
-  EXPECT_FALSE(fallback.exact_sensitivity);
-
-  // A small graph stays exact and says so.
-  const PrivateTriangleResult small =
-      PrivateTriangleCount(CompleteGraph(10), 1.0, 0.01, rng);
-  EXPECT_TRUE(small.exact_sensitivity);
+// Max d_i + d_j over pairs at BFS distance > 2, or −1 if there is none.
+int64_t FarPairDegreeSumByBfs(const Graph& g) {
+  const uint32_t n = g.NumNodes();
+  constexpr uint32_t kUnreached = ~0u;
+  std::vector<uint32_t> distance(n);
+  std::vector<Graph::NodeId> queue;
+  int64_t best = -1;
+  for (Graph::NodeId s = 0; s < n; ++s) {
+    std::fill(distance.begin(), distance.end(), kUnreached);
+    distance[s] = 0;
+    queue.assign(1, s);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const Graph::NodeId u = queue[head];
+      for (Graph::NodeId v : g.Neighbors(u)) {
+        if (distance[v] == kUnreached) {
+          distance[v] = distance[u] + 1;
+          queue.push_back(v);
+        }
+      }
+    }
+    for (Graph::NodeId t = s + 1; t < n; ++t) {
+      if (distance[t] > 2) {
+        best = std::max<int64_t>(best, int64_t{g.Degree(s)} + g.Degree(t));
+      }
+    }
+  }
+  return best;
 }
+
+// Every class-1 pair's (a, b) from a stamped counter with HasEdge for
+// adjacency, every edge's (0, d_u + d_v − 2) and the BFS far candidate,
+// sorted by a desc then b desc and reduced to strictly rising b.
+std::vector<std::pair<uint64_t, uint64_t>> FrontierByCollectAndSort(
+    const Graph& g) {
+  const uint32_t n = g.NumNodes();
+  std::vector<std::pair<uint64_t, uint64_t>> candidates;
+  if (n < 2) return candidates;
+  std::vector<uint32_t> common(n, 0), stamp(n, 0);
+  std::vector<Graph::NodeId> touched;
+  for (Graph::NodeId i = 0; i < n; ++i) {
+    touched.clear();
+    for (Graph::NodeId w : g.Neighbors(i)) {
+      for (Graph::NodeId j : g.Neighbors(w)) {
+        if (j <= i) continue;  // each unordered pair once
+        if (stamp[j] != i + 1) {
+          stamp[j] = i + 1;
+          common[j] = 0;
+          touched.push_back(j);
+        }
+        ++common[j];
+      }
+    }
+    for (Graph::NodeId j : touched) {
+      const uint64_t a = common[j];
+      const uint64_t adjacent = g.HasEdge(i, j) ? 1 : 0;
+      candidates.emplace_back(
+          a, uint64_t{g.Degree(i)} + g.Degree(j) - 2 * a - 2 * adjacent);
+    }
+  }
+  g.ForEachEdge([&](Graph::NodeId u, Graph::NodeId v) {
+    candidates.emplace_back(0, uint64_t{g.Degree(u)} + g.Degree(v) - 2);
+  });
+  const int64_t far = FarPairDegreeSumByBfs(g);
+  if (far >= 0) candidates.emplace_back(0, static_cast<uint64_t>(far));
+
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& x, const auto& y) {
+              return x.first != y.first ? x.first > y.first
+                                        : x.second > y.second;
+            });
+  std::vector<std::pair<uint64_t, uint64_t>> frontier;
+  for (const auto& [a, b] : candidates) {
+    if (frontier.empty() || b > frontier.back().second) {
+      frontier.emplace_back(a, b);
+    }
+  }
+  return frontier;
+}
+
+TEST(ProfileOracleTest, FoldedFrontierMatchesCollectAndSortAtAnyWidth) {
+  Rng rng(19);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (uint32_t k = 8; k <= 12; ++k) {
+    graphs.emplace_back("skg k=" + std::to_string(k),
+                        SampleSkg({0.9, 0.5, 0.3}, k, rng));
+  }
+  AffiliationOptions options;
+  options.num_authors = 512;
+  options.num_papers = 320;
+  graphs.emplace_back("affiliation", AffiliationGraph(options, rng));
+  graphs.emplace_back("star", StarGraph(300));
+  graphs.emplace_back("complete", CompleteGraph(40));
+  graphs.emplace_back("empty", MakeGraph(30, {}));
+  for (const auto& [name, g] : graphs) {
+    const auto expected = FrontierByCollectAndSort(g);
+    for (int threads : {1, 2, 8}) {
+      testing::ScopedThreads width(threads);
+      EXPECT_EQ(TriangleSensitivityProfile(g).frontier(), expected)
+          << name << " at " << threads << " threads";
+    }
+  }
+}
+
+// The frontier's a = 0 entry must be max(best edge candidate, exact far
+// sum) wherever no a > 0 entry covers it — with no budget, so also past
+// the 50,000 pair inspections the best-first heap search gave up at.
+void ExpectExactZeroEntry(const Graph& g, const std::string& name) {
+  int64_t expected = FarPairDegreeSumByBfs(g);
+  g.ForEachEdge([&](Graph::NodeId u, Graph::NodeId v) {
+    expected = std::max<int64_t>(expected,
+                                 int64_t{g.Degree(u)} + g.Degree(v) - 2);
+  });
+  const TriangleSensitivityProfile profile(g);
+  const auto& frontier = profile.frontier();
+  ASSERT_FALSE(frontier.empty()) << name;
+  int64_t covered = -1;  // largest b of an a > 0 entry
+  for (const auto& [a, b] : frontier) {
+    if (a > 0) covered = std::max<int64_t>(covered, int64_t(b));
+  }
+  if (expected > covered) {
+    EXPECT_EQ(frontier.back(),
+              std::make_pair(uint64_t{0}, static_cast<uint64_t>(expected)))
+        << name;
+  } else {
+    EXPECT_NE(frontier.back().first, 0u) << name;
+  }
+}
+
+TEST(SmoothSensitivityTest, FarPairSearchIsExactWithoutBudget) {
+  // Diameter 2: no far pair at all, ~80k near pairs.
+  ExpectExactZeroEntry(StarGraph(400), "star 400");
+
+  // K_400 with a 3-node pendant path on four core nodes: ~80k core pairs
+  // outrank every far pair (a path end against another core node).
+  {
+    EdgeList edges;
+    for (uint32_t u = 0; u < 400; ++u) {
+      for (uint32_t v = u + 1; v < 400; ++v) edges.emplace_back(u, v);
+    }
+    uint32_t next = 400;
+    for (uint32_t core : {0u, 1u, 2u, 3u}) {
+      edges.emplace_back(core, next);
+      edges.emplace_back(next, next + 1);
+      edges.emplace_back(next + 1, next + 2);
+      next += 3;
+    }
+    ExpectExactZeroEntry(MakeGraph(next, edges), "K_400 + pendant paths");
+  }
+
+  // 320 hubs over 400 shared leaves, beside a 321-leaf star: the 51,040
+  // hub pairs sit at distance 2 with the largest sums, and the far pair
+  // (a hub, the star's center) beats every edge, so it IS the a = 0 entry.
+  {
+    constexpr uint32_t kHubs = 320, kLeaves = 400;
+    EdgeList edges;
+    for (uint32_t h = 0; h < kHubs; ++h) {
+      for (uint32_t l = 0; l < kLeaves; ++l) edges.emplace_back(h, kHubs + l);
+    }
+    const uint32_t center = kHubs + kLeaves;
+    for (uint32_t l = 1; l <= kHubs + 1; ++l) {
+      edges.emplace_back(center, center + l);
+    }
+    const Graph g = MakeGraph(center + kHubs + 2, edges);
+    EXPECT_EQ(FarPairDegreeSumByBfs(g), int64_t{kLeaves + kHubs + 1});
+    ExpectExactZeroEntry(g, "hubs over shared leaves + star");
+  }
+
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t n = 2 + static_cast<uint32_t>(rng.NextBounded(59));
+    const double p = rng.NextDouble() * 0.3;
+    GraphBuilder builder(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      for (uint32_t j = i + 1; j < n; ++j) {
+        if (rng.NextBernoulli(p)) builder.AddEdge(i, j);
+      }
+    }
+    ExpectExactZeroEntry(builder.Build(), "random trial " +
+                                              std::to_string(trial));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Smooth sensitivity.
+// ---------------------------------------------------------------------------
 
 TEST(SmoothSensitivityTest, AtLeastLocalSensitivity) {
   Rng rng(7);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -126,6 +127,43 @@ TEST(StatCacheTest, CachedProfileIsSharedAndCounted) {
   EXPECT_EQ(domains[0].first, "triangle_profile");
   EXPECT_EQ(domains[0].second.misses, 2u);
   EXPECT_EQ(domains[0].second.hits, 2u);
+}
+
+// Before the profile dropped its exact flag, a "triangle_profile" entry
+// was (num_nodes, exact, frontier) keyed by the graph fingerprint alone.
+// The layout tag in today's key means such an entry is never addressed:
+// the profile is computed fresh, and the old entry is left as it was.
+TEST(StatCacheTest, ParentLayoutProfileEntryIsNeverAddressed) {
+  const std::string root = ::testing::TempDir() + "/profile_layout_" +
+                           std::to_string(::getpid());
+  std::filesystem::remove_all(root);
+  const Graph g = testing::StarGraph(40);
+  const uint64_t parent_key = CacheKey().Mix(g.ContentFingerprint()).digest();
+  RecordBuilder parent_record;
+  parent_record.U32(g.NumNodes()).U32(1);
+  EncodePodVector(parent_record,
+                  std::vector<std::pair<uint64_t, uint64_t>>{{7, 7}});
+  auto disk = DiskCache::Open(root);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_TRUE(disk.value()
+                  ->Store("triangle_profile", parent_key, parent_record.str())
+                  .ok());
+
+  {
+    ScopedCache cache;
+    ASSERT_TRUE(StatCache::Instance().AttachDiskTier(root).ok());
+    const auto profile = CachedTriangleSensitivityProfile(g);
+    StatCache::Instance().DetachDiskTier();
+    EXPECT_EQ(profile->frontier(), TriangleSensitivityProfile(g).frontier());
+    const auto domains = StatCache::Instance().DomainCounters();
+    ASSERT_EQ(domains.size(), 1u);
+    EXPECT_EQ(domains[0].second.disk_hits, 0u);
+    EXPECT_EQ(domains[0].second.disk_misses, 1u);
+  }
+  const auto untouched = disk.value()->Load("triangle_profile", parent_key);
+  ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
+  EXPECT_EQ(untouched.value(), parent_record.str());
+  std::filesystem::remove_all(root);
 }
 
 TEST(StatCacheTest, KronFitHitReplaysTheRngStream) {
