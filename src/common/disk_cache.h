@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -164,8 +165,8 @@ class DiskEntryClaim {
 //
 // Call sites serialize their cached values with RecordBuilder /
 // RecordParser (journal.h); these cover the one recurring shape — flat
-// POD vectors (degrees, triangle counts, frontier pairs, panel series) —
-// as a single length-checked byte field.
+// POD vectors (degrees, triangle counts, frontier pairs, panel series,
+// CSR arrays) — as a single length-checked byte field.
 
 // "POD" here admits std::pair (not trivially copyable only because its
 // assignment operator is user-provided): trivially copy-constructible +
@@ -176,14 +177,19 @@ inline constexpr bool kIsPodVectorElement =
     std::is_trivially_destructible_v<T>;
 
 template <typename T>
-void EncodePodVector(RecordBuilder& rec, const std::vector<T>& values) {
+void EncodePodVector(RecordBuilder& rec, std::span<const T> values) {
   static_assert(kIsPodVectorElement<T>);
   rec.Str(std::string_view(reinterpret_cast<const char*>(values.data()),
-                           values.size() * sizeof(T)));
+                           values.size_bytes()));
 }
 
-template <typename T>
-bool DecodePodVector(RecordParser& rec, std::vector<T>* values) {
+template <typename T, typename Alloc>
+void EncodePodVector(RecordBuilder& rec, const std::vector<T, Alloc>& values) {
+  EncodePodVector(rec, std::span<const T>(values));
+}
+
+template <typename T, typename Alloc>
+bool DecodePodVector(RecordParser& rec, std::vector<T, Alloc>* values) {
   static_assert(kIsPodVectorElement<T>);
   const std::string bytes = rec.Str();
   if (!rec.ok() || bytes.size() % sizeof(T) != 0) return false;

@@ -17,6 +17,7 @@
 #ifndef DPKRON_DATASETS_GRAPH_SOURCE_H_
 #define DPKRON_DATASETS_GRAPH_SOURCE_H_
 
+#include <cstdint>
 #include <string>
 
 #include "src/common/rng.h"
@@ -57,6 +58,16 @@ struct GraphLoadOptions {
   bool mmap = false;
 };
 
+// The record layout of a generated dataset's "graph_load" StatCache
+// entry, mixed into its key ahead of the registry name and the caller's
+// Rng state. The key cannot see a generator's code, so bump this
+// whenever a generator's output for a fixed seed changes (a new
+// sampler, a retuned parameter) or the record layout does: otherwise a
+// warm disk tier keeps serving the old graph. tests/graph_source_test.cc
+// pins each registry generator's ContentFingerprint beside this value,
+// so such a change fails until the bump is made.
+inline constexpr uint64_t kGeneratedGraphLayout = 1;
+
 // Classifies a dataset reference. NotFound when the reference is
 // neither a registered dataset name nor an existing file; the message
 // lists the registered names.
@@ -70,7 +81,17 @@ Result<GraphSource> ResolveGraphSource(const std::string& ref);
 //
 // Generator sources consume `rng` exactly as MakeDataset does;
 // file-backed sources never touch it (so a scenario's RNG stream
-// protocol is unchanged by swapping a file in). A standalone .dpkb is
+// protocol is unchanged by swapping a file in).
+//
+// With the StatCache enabled, loaded graphs are memoized in its
+// "graph_load" domain and every hit shares one Graph (and its
+// fingerprint memo) instead of copying it. A generated graph is keyed
+// by (kGeneratedGraphLayout, name, rng state) and is durable: the entry
+// carries the Rng state the generator reached, restored into `rng` on a
+// memory or disk hit, and the disk record is validated like any
+// untrusted CSR (a bad entry is a miss that regenerates). A cached edge
+// list (options.use_cache) is keyed by its source content stamp, in
+// memory only — the sidecar is its disk tier. A standalone .dpkb is
 // user-supplied, so it is never trusted: the in-RAM route validates it
 // fully, and the mmap route verifies the payload checksum and CSR
 // invariants at open (O(N + E)) before any kernel indexes into it.

@@ -19,7 +19,6 @@
 #include "src/common/env.h"
 #include "src/common/fnv.h"
 #include "src/common/parallel.h"
-#include "src/common/stat_cache.h"
 #include "src/graph/graph_builder.h"
 
 namespace dpkron {
@@ -332,35 +331,37 @@ Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
   return Status::Ok();
 }
 
-// CSR invariants over untrusted arrays — must fail with a Status, not
-// trip the DPKRON_CHECKs inside Graph::FromCsr (or a kernel, for the
-// mmap route, which serves these spans to kernels unconverted).
+}  // namespace
+
+std::string BinaryCachePath(const std::string& path) { return path + ".dpkb"; }
+
 Status ValidateCsrSpans(std::span<const uint32_t> offsets,
                         std::span<const Graph::NodeId> adjacency,
-                        const std::string& path) {
-  const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
-  if (offsets.front() != 0 || offsets.back() != adjacency.size()) {
-    return Status::InvalidArgument(path + ": corrupt dpkb offsets");
+                        const std::string& what) {
+  // offsets.size() - 1 must fit the uint32 node count, and the final
+  // offset (itself a uint32) bounds the adjacency length.
+  if (offsets.empty() ||
+      offsets.size() > std::numeric_limits<uint32_t>::max() ||
+      offsets.front() != 0 || offsets.back() != adjacency.size() ||
+      adjacency.size() % 2 != 0) {
+    return Status::InvalidArgument(what + ": corrupt CSR offsets");
   }
+  const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
   for (uint32_t u = 0; u < n; ++u) {
     if (offsets[u] > offsets[u + 1]) {
-      return Status::InvalidArgument(path + ": dpkb offsets not monotone");
+      return Status::InvalidArgument(what + ": CSR offsets not monotone");
     }
     for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
       if (adjacency[i] >= n || adjacency[i] == u ||
           (i > offsets[u] && adjacency[i - 1] >= adjacency[i])) {
         return Status::InvalidArgument(
-            path + ": dpkb adjacency violates CSR invariants at node " +
+            what + ": adjacency violates CSR invariants at node " +
             std::to_string(u));
       }
     }
   }
   return Status::Ok();
 }
-
-}  // namespace
-
-std::string BinaryCachePath(const std::string& path) { return path + ".dpkb"; }
 
 Status WriteBinaryGraph(GraphView graph, const std::string& path,
                         const DpkbSourceStamp& source) {
@@ -526,15 +527,6 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   return graph;
 }
 
-namespace {
-
-// An edge list's source text and its content stamp — what a sidecar must
-// have recorded to serve in its place.
-struct SidecarSource {
-  std::string bytes;
-  DpkbSourceStamp stamp;
-};
-
 // Freshness is content-addressed, not timestamp-based: the current
 // source bytes are read and checksummed on every load, and the sidecar
 // serves only if its recorded (size, checksum) stamp matches. This
@@ -543,14 +535,16 @@ struct SidecarSource {
 // mtime-preserving replacement (cp -p, rsync -t). Reading + hashing the
 // text is the cheap part of ingestion; the tokenize/densify/CSR build
 // the cache skips is what IngestionPerfTest measures.
-Result<SidecarSource> ReadSidecarSource(const std::string& path) {
+Result<EdgeListSource> ReadEdgeListSource(const std::string& path) {
   auto bytes = GetEnv()->ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
-  SidecarSource source{std::move(bytes).value(), {}};
+  EdgeListSource source{std::move(bytes).value(), {}};
   source.stamp = {source.bytes.size(),
                   Fnv1a64Words(source.bytes.data(), source.bytes.size())};
   return source;
 }
+
+namespace {
 
 // The two ways to serve a sidecar: copied into RAM arenas, or mapped in
 // place. Each yields nothing unless the sidecar opens clean and records
@@ -581,12 +575,12 @@ std::optional<GraphHandle> MapFreshSidecar(const std::string& cache,
 // cold-starting on one dataset do one parse: a waiter re-runs
 // `open_fresh` each poll, and the holder's atomic rename turns the
 // miss into a hit mid-wait. The in-PROCESS analogue of this dedup is
-// the StatCache memo in ReadEdgeListCached. A missing, stale,
+// the StatCache memo in OpenGraph (graph_source.h). A missing, stale,
 // old-version or corrupt sidecar is rebuilt from the bytes already in
 // hand, never fatal — including every failure mode of the lock
 // protocol itself.
 template <typename T>
-Result<T> LoadViaSidecar(const std::string& path, const SidecarSource& source,
+Result<T> LoadViaSidecar(const std::string& path, const EdgeListSource& source,
                          const EdgeListParseOptions& options,
                          std::optional<T> (*open_fresh)(
                              const std::string&, const DpkbSourceStamp&),
@@ -619,40 +613,16 @@ Result<T> LoadViaSidecar(const std::string& path, const SidecarSource& source,
 Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
                                  const EdgeListParseOptions& options) {
   if (cache_hit != nullptr) *cache_hit = false;
-  auto source = ReadSidecarSource(path);
+  auto source = ReadEdgeListSource(path);
   if (!source.ok()) return source.status();
-  const DpkbSourceStamp& current = source.value().stamp;
+  return ReadEdgeListCached(path, source.value(), cache_hit, options);
+}
 
-  // With the StatCache enabled (sweep drivers), an in-memory memo keyed
-  // by the same content stamp sits above the sidecar: the concurrent
-  // runs of a cold sweep wait on one parse instead of each duplicating
-  // it, and warm runs skip even the binary load. Keying by content — not
-  // path — keeps the freshness semantics identical to the sidecar's: a
-  // rewritten source is a new key, never a stale serve.
-  StatCache& memo = StatCache::Instance();
-  if (memo.enabled()) {
-    struct MemoEntry {
-      Result<Graph> result;
-      bool sidecar_hit;
-    };
-    bool computed = false;
-    const uint64_t key =
-        CacheKey().Mix(current.size).Mix(current.checksum).digest();
-    const auto entry = memo.GetOrCompute<MemoEntry>("graph_load", key, [&] {
-      computed = true;
-      MemoEntry e{Status::Internal("unreachable"), false};
-      e.result = LoadViaSidecar<Graph>(path, source.value(), options,
-                                       &ReadFreshSidecar, &e.sidecar_hit);
-      return e;
-    });
-    if (cache_hit != nullptr) {
-      *cache_hit = computed ? entry->sidecar_hit : true;
-    }
-    return entry->result;
-  }
-
+Result<Graph> ReadEdgeListCached(const std::string& path,
+                                 const EdgeListSource& source, bool* cache_hit,
+                                 const EdgeListParseOptions& options) {
   bool sidecar_hit = false;
-  auto result = LoadViaSidecar<Graph>(path, source.value(), options,
+  auto result = LoadViaSidecar<Graph>(path, source, options,
                                       &ReadFreshSidecar, &sidecar_hit);
   if (cache_hit != nullptr) *cache_hit = sidecar_hit;
   return result;
@@ -660,7 +630,7 @@ Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
 
 Result<GraphHandle> ReadEdgeListMapped(const std::string& path,
                                        const EdgeListParseOptions& options) {
-  auto source = ReadSidecarSource(path);
+  auto source = ReadEdgeListSource(path);
   if (!source.ok()) return source.status();
   bool sidecar_hit = false;
   auto handle = LoadViaSidecar<GraphHandle>(path, source.value(), options,

@@ -136,6 +136,16 @@ Status WriteBinaryGraph(GraphView graph, const std::string& path,
 Result<Graph> ReadBinaryGraph(const std::string& path,
                               DpkbSourceStamp* source = nullptr);
 
+// Checks every invariant Graph::FromCsr aborts on (non-empty offsets
+// starting at 0 and ending at an even adjacency length, monotone
+// offsets, strictly sorted in-range lists, no self-loops), so CSR
+// arrays of untrusted origin fail with an InvalidArgument naming
+// `what` instead. Every decoder of stored CSR bytes calls it before
+// FromCsr or before serving the arrays to a kernel.
+Status ValidateCsrSpans(std::span<const uint32_t> offsets,
+                        std::span<const Graph::NodeId> adjacency,
+                        const std::string& what);
+
 // ------------------------------------------------- out-of-core (mmap)
 
 // A .dpkb v3 file mapped read-only into the address space: the CSR
@@ -212,6 +222,10 @@ class GraphHandle {
   GraphHandle() = default;
   GraphHandle(Graph graph)  // NOLINT(google-explicit-constructor)
       : ram_(std::make_shared<const Graph>(std::move(graph))) {}
+  // Shares a graph someone else owns (a StatCache entry): every handle
+  // of it reads one CSR and one fingerprint memo, nothing is copied.
+  explicit GraphHandle(std::shared_ptr<const Graph> graph)
+      : ram_(std::move(graph)) {}
   explicit GraphHandle(std::shared_ptr<const MmapGraph> mapped)
       : mapped_(std::move(mapped)) {}
 
@@ -236,6 +250,17 @@ class GraphHandle {
 // The sidecar cache path for an edge-list file: "<path>.dpkb".
 std::string BinaryCachePath(const std::string& path);
 
+// An edge list's source text and its content stamp: what a sidecar
+// must have recorded to serve in its place, and what OpenGraph keys its
+// in-process memo of parsed edge lists by.
+struct EdgeListSource {
+  std::string bytes;
+  DpkbSourceStamp stamp;
+};
+
+// Reads the whole text of `path` and stamps it.
+Result<EdgeListSource> ReadEdgeListSource(const std::string& path);
+
 // Parse-once cache: reads and checksums the source text, then loads
 // "<path>.dpkb" if its recorded source stamp matches the current
 // content; otherwise parses the bytes already in hand and (best-effort)
@@ -244,6 +269,12 @@ std::string BinaryCachePath(const std::string& path);
 // stale. `cache_hit`, when non-null, reports which route served the
 // graph.
 Result<Graph> ReadEdgeListCached(const std::string& path,
+                                 bool* cache_hit = nullptr,
+                                 const EdgeListParseOptions& options = {});
+
+// The same, for a source already read by ReadEdgeListSource(path).
+Result<Graph> ReadEdgeListCached(const std::string& path,
+                                 const EdgeListSource& source,
                                  bool* cache_hit = nullptr,
                                  const EdgeListParseOptions& options = {});
 
