@@ -1,11 +1,11 @@
 // DiskCache — the persistent tier under the process-wide StatCache.
 //
 // The in-memory memo dies with the process; this layer keeps the
-// serializable domains (degree sequences, triangle counts, sensitivity
-// profiles, KronFit/KronMom fits with their saved Rng::State, features,
-// statistics panels, expected tables) on disk so repeated CLI runs, CI
-// jobs, dpkrond restarts and the shards of a multi-process sweep all
-// warm-start from the same store.
+// durable domains (the CacheDomains of common/stat_cache.h: node stats,
+// sensitivity profiles, fits and panels with their saved Rng::State,
+// generated graphs) on disk so repeated CLI runs, CI jobs, dpkrond
+// restarts and the shards of a multi-process sweep all warm-start from
+// the same store.
 //
 // Layout: one file per entry under a cache root,
 //
@@ -13,9 +13,11 @@
 //
 // where the key is exactly the in-memory memo's 64-bit (domain, CacheKey)
 // digest — a content fingerprint of every input the computation is a
-// function of. Invalidation therefore needs no mtime or version stamps:
-// a changed input IS a different key, and the old entry simply stops
-// being addressed.
+// function of, plus the domain's record layout. A changed input IS a
+// different key, and the old entry simply stops being addressed. A key
+// cannot see code, so a change that alters a domain's output for fixed
+// inputs must bump the domain's `layout` (CacheDomain), or warm entries
+// keep serving the old values.
 //
 // Entry format: one journal-framed record ([u32 len][u64 fnv1a_words]
 // [payload] — the .dpkb/journal framing) whose payload is

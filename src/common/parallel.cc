@@ -87,11 +87,20 @@ class ThreadPool {
     Spawn();
   }
 
+  // Each worker starts from the generation current at spawn time, read
+  // under the lock: one that first runs after the next Run() has bumped
+  // the generation then still sees that job, rather than skipping it.
   void Spawn() {
-    stop_ = false;
+    uint64_t generation;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = false;
+      generation = generation_;
+    }
     workers_.reserve(threads_ - 1);
     for (int worker = 1; worker < threads_; ++worker) {
-      workers_.emplace_back([this, worker] { WorkerMain(worker); });
+      workers_.emplace_back(
+          [this, worker, generation] { WorkerMain(worker, generation); });
     }
   }
 
@@ -106,12 +115,7 @@ class ThreadPool {
     workers_.clear();
   }
 
-  void WorkerMain(int worker) {
-    uint64_t seen_generation;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      seen_generation = generation_;
-    }
+  void WorkerMain(int worker, uint64_t seen_generation) {
     for (;;) {
       std::shared_ptr<Job> job;
       {

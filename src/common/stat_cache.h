@@ -1,8 +1,9 @@
 // StatCache — a process-wide, content-addressed memo for the expensive
 // deterministic quantities an ε/seed sweep recomputes otherwise: per-node
 // degree and triangle counts (graph/node_stats.h), TriangleSensitivity-
-// Profiles, KronFit fits, statistics panels and expected-statistic
-// tables. A 5-ε sweep computes each of them once instead of once per ε.
+// Profiles, KronFit/KronMom fits, statistics panels, expected-statistic
+// tables and loaded graphs. A 5-ε sweep computes each of them once
+// instead of once per ε.
 //
 // Keying. Entries live in named *domains* (one per computation kind,
 // e.g. "kronfit", "triangle_profile") and are addressed by a 64-bit
@@ -15,22 +16,26 @@
 // keeps cached scenario output byte-identical to the uncached path
 // (tests/stat_cache_test.cc enforces it).
 //
-// Randomized computations additionally store the Rng::State their stream
-// reached, and the call-site wrappers (FitKronFitCached,
-// ReleasePipeline::Compute) restore it on a hit — so the caller's stream
-// advances exactly as if the work had re-run and every downstream draw
-// is unchanged.
+// Entry points. A durable domain is declared once, beside the function
+// it memoizes, as a CacheDomain: name, record layout and value codec.
+// Memoize(domain, key, fn) mixes the layout into the key. MemoizeDraws
+// (domain, key, rng, fn) serves randomized computations: it also mixes
+// in the Rng's StateFingerprint, stores the Rng::State the stream
+// reached after the value's fields, and restores it into `rng` on every
+// call — so the caller's stream advances exactly as if the work had
+// re-run. With the cache disabled both are a plain call of `fn`.
 //
 // Tiers. The in-memory memo is tier 0. A driver may additionally attach
-// a persistent DISK tier (AttachDiskTier → common/disk_cache.h): domains
-// that opt in with GetOrComputeDurable supply a value codec, and the
-// owner of an in-memory miss then reads through to the shared on-disk
-// store before computing, and writes behind after. Disk entries carry
-// the same (domain, key) content address, so the bit-identical-on-hit
-// contract — including Rng stream restoration — holds across process
-// boundaries: a warm dpkrond restart, a repeated CLI run and the shards
-// of a multi-process sweep all serve the exact bytes a cold compute
-// would produce.
+// a persistent DISK tier (AttachDiskTier → common/disk_cache.h): the
+// owner of an in-memory miss in a CacheDomain then reads through to the
+// shared on-disk store before computing, and writes behind after. Disk
+// entries carry the same (domain, key) content address, so the
+// bit-identical-on-hit contract — including Rng stream restoration —
+// holds across process boundaries: a warm dpkrond restart, a repeated
+// CLI run and the shards of a multi-process sweep all serve the exact
+// bytes a cold compute would produce. Keys cannot see code: a change to
+// a domain's output for fixed inputs or to its record bumps its `layout`,
+// or a warm disk tier keeps serving the old values.
 //
 // Concurrency. The cache is shared by all threads (the sweep engine runs
 // the run matrix over the thread pool). A miss registers an in-flight
@@ -71,6 +76,7 @@
 #include "src/common/fnv.h"
 #include "src/common/journal.h"
 #include "src/common/macros.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 
 namespace dpkron {
@@ -114,6 +120,30 @@ inline size_t ApproxCacheBytes(const T&) {
 template <typename T>
 inline size_t ApproxCacheBytes(const std::vector<T>& values) {
   return sizeof(values) + values.capacity() * sizeof(T);
+}
+
+// A durable StatCache domain: the name of its entries and counters, the
+// record layout mixed into every key (bump it when the output for fixed
+// inputs or the record's fields change) and the value codec. `decode`
+// returns nullopt on a foreign or short record: a disk miss.
+template <typename T>
+struct CacheDomain {
+  const char* name;
+  uint64_t layout;
+  void (*encode)(const T& value, RecordBuilder& rec);
+  std::optional<T> (*decode)(RecordParser& rec);
+};
+
+// A MemoizeDraws entry: the value and the Rng::State its stream reached.
+template <typename T>
+struct CachedDraws {
+  T value;
+  Rng::State end_state;
+};
+
+template <typename T>
+inline size_t ApproxCacheBytes(const CachedDraws<T>& entry) {
+  return ApproxCacheBytes(entry.value) + sizeof(entry.end_state);
 }
 
 class StatCache {
@@ -167,16 +197,13 @@ class StatCache {
                                   NoCodec{}, NoCodec{});
   }
 
-  // GetOrCompute for a domain with a durable (disk-serializable) value:
-  // `encode(value, builder)` appends the value's fields to a
-  // RecordBuilder, `decode(parser)` reads them back as an
-  // std::optional<T> (nullopt = foreign/short record → treated as a
-  // disk miss). With a disk tier attached, the owner of an in-memory
-  // miss first tries the on-disk entry (a warm process-crossing hit —
-  // decoded bytes are the exact bytes a recompute would produce, the
-  // codec round-trip contract tests/disk_cache_test.cc enforces) and
-  // writes the computed value behind on a cold miss. Without a disk
-  // tier this is exactly GetOrCompute.
+  // GetOrCompute with a value codec (see CacheDomain; production code
+  // calls it through Memoize/MemoizeDraws). With a disk tier attached,
+  // the owner of an in-memory miss first tries the on-disk entry (a warm
+  // process-crossing hit — decoded bytes are the exact bytes a recompute
+  // would produce, the codec round-trip contract tests/disk_cache_test.cc
+  // enforces) and writes the computed value behind on a cold miss.
+  // Without a disk tier this is exactly GetOrCompute.
   template <typename T, typename Fn, typename Encode, typename Decode>
   std::shared_ptr<const T> GetOrComputeDurable(const char* domain,
                                                uint64_t key, Fn&& fn,
@@ -216,6 +243,40 @@ class StatCache {
     guard.fulfilled = true;
     promise.set_value(value);
     return value;
+  }
+
+  // GetOrComputeDurable in `domain`, keyed by `key` and its layout.
+  template <typename T, typename Fn>
+  std::shared_ptr<const T> Memoize(const CacheDomain<T>& domain, CacheKey key,
+                                   Fn&& fn) {
+    return GetOrComputeDurable<T>(domain.name, key.Mix(domain.layout).digest(),
+                                  std::forward<Fn>(fn), domain.encode,
+                                  domain.decode);
+  }
+
+  // Memoize for a computation that draws from `rng`, also keyed by rng's
+  // state: `rng` ends where the computation left it, whether it ran, hit
+  // memory or hit disk.
+  template <typename T, typename Fn>
+  std::shared_ptr<const T> MemoizeDraws(const CacheDomain<T>& domain,
+                                        CacheKey key, Rng& rng, Fn&& fn) {
+    key.Mix(domain.layout).Mix(rng.StateFingerprint());
+    const auto entry = GetOrComputeDurable<CachedDraws<T>>(
+        domain.name, key.digest(),
+        // Braced initialization runs fn() before SaveState().
+        [&] { return CachedDraws<T>{fn(), rng.SaveState()}; },
+        [&domain](const CachedDraws<T>& e, RecordBuilder& rec) {
+          domain.encode(e.value, rec);
+          EncodeRngState(rec, e.end_state);
+        },
+        [&domain](RecordParser& rec) -> std::optional<CachedDraws<T>> {
+          std::optional<T> value = domain.decode(rec);
+          Rng::State state{};
+          if (!value || !DecodeRngState(rec, &state)) return std::nullopt;
+          return CachedDraws<T>{std::move(*value), state};
+        });
+    rng.RestoreState(entry->end_state);
+    return std::shared_ptr<const T>(entry, &entry->value);
   }
 
   // Drops every entry and zeroes all counters.

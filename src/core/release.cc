@@ -5,7 +5,6 @@
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
-#include "src/common/stat_cache.h"
 #include "src/graph/anf.h"
 #include "src/graph/clustering.h"
 #include "src/graph/degree.h"
@@ -19,7 +18,7 @@ namespace {
 
 // Field-wise GraphStatistics codec for the disk StatCache tier (all
 // five panel series are flat POD vectors).
-void EncodeGraphStatistics(RecordBuilder& rec, const GraphStatistics& stats) {
+void EncodeGraphStatistics(const GraphStatistics& stats, RecordBuilder& rec) {
   EncodePodVector(rec, stats.degree_histogram);
   EncodePodVector(rec, stats.hop_plot);
   EncodePodVector(rec, stats.scree);
@@ -27,67 +26,38 @@ void EncodeGraphStatistics(RecordBuilder& rec, const GraphStatistics& stats) {
   EncodePodVector(rec, stats.clustering_by_degree);
 }
 
-bool DecodeGraphStatistics(RecordParser& rec, GraphStatistics* stats) {
-  return DecodePodVector(rec, &stats->degree_histogram) &&
-         DecodePodVector(rec, &stats->hop_plot) &&
-         DecodePodVector(rec, &stats->scree) &&
-         DecodePodVector(rec, &stats->network_value) &&
-         DecodePodVector(rec, &stats->clustering_by_degree);
-}
-
-// The panels paired with the Rng state the computation reached:
-// restoring it on a hit replays the stream advance (ANF trials, Lanczos
-// starts), so every downstream draw matches the uncached path.
-struct StatisticsCacheEntry {
+std::optional<GraphStatistics> DecodeGraphStatistics(RecordParser& rec) {
   GraphStatistics stats;
-  Rng::State end_state;
-};
-
-size_t ApproxCacheBytes(const StatisticsCacheEntry& entry) {
-  return ApproxCacheBytes(entry.stats) + sizeof(entry.end_state);
+  const bool ok = DecodePodVector(rec, &stats.degree_histogram) &&
+                  DecodePodVector(rec, &stats.hop_plot) &&
+                  DecodePodVector(rec, &stats.scree) &&
+                  DecodePodVector(rec, &stats.network_value) &&
+                  DecodePodVector(rec, &stats.clustering_by_degree);
+  if (!ok) return std::nullopt;
+  return stats;
 }
 
 }  // namespace
+
+const CacheDomain<GraphStatistics> kStatisticsDomain{
+    "statistics", 1, &EncodeGraphStatistics, &DecodeGraphStatistics};
+const CacheDomain<GraphStatistics> kExpectedDomain{
+    "expected", 1, &EncodeGraphStatistics, &DecodeGraphStatistics};
 
 ReleasePipeline::ReleasePipeline(StatisticsOptions options)
     : options_(options) {}
 
 GraphStatistics ReleasePipeline::Compute(GraphView graph,
                                          Rng& rng) const {
-  StatCache& cache = StatCache::Instance();
-  if (!cache.enabled()) {
-    return ComputeImpl(graph, ComputeNodeStats(graph), rng);
-  }
-  const uint64_t key = CacheKey()
-                           .Mix(graph.ContentFingerprint())
-                           .Mix(rng.StateFingerprint())
-                           .Mix(options_.num_singular_values)
-                           .Mix(options_.num_network_values)
-                           .Mix(options_.exact_hop_plot_limit)
-                           .Mix(options_.anf_trials)
-                           .digest();
-  const auto entry = cache.GetOrComputeDurable<StatisticsCacheEntry>(
-      "statistics", key,
-      [&] {
-        StatisticsCacheEntry e;
-        e.stats = ComputeImpl(graph, *CachedNodeStats(graph), rng);
-        e.end_state = rng.SaveState();
-        return e;
-      },
-      [](const StatisticsCacheEntry& e, RecordBuilder& rec) {
-        EncodeGraphStatistics(rec, e.stats);
-        EncodeRngState(rec, e.end_state);
-      },
-      [](RecordParser& rec) -> std::optional<StatisticsCacheEntry> {
-        StatisticsCacheEntry e;
-        if (!DecodeGraphStatistics(rec, &e.stats) ||
-            !DecodeRngState(rec, &e.end_state)) {
-          return std::nullopt;
-        }
-        return e;
-      });
-  rng.RestoreState(entry->end_state);
-  return entry->stats;
+  return *StatCache::Instance().MemoizeDraws(
+      kStatisticsDomain,
+      CacheKey()
+          .Mix(graph.ContentFingerprint())
+          .Mix(options_.num_singular_values)
+          .Mix(options_.num_network_values)
+          .Mix(options_.exact_hop_plot_limit)
+          .Mix(options_.anf_trials),
+      rng, [&] { return ComputeImpl(graph, *CachedNodeStats(graph), rng); });
 }
 
 GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph,
@@ -179,11 +149,7 @@ GraphStatistics ReleasePipeline::Expected(const Initiator2& theta, uint32_t k,
   // its outcome, so `rng` advances identically on hit and miss — the
   // expected table is a pure function of (θ, k, R, options, parent
   // state), which is exactly the cache key.
-  StatCache& cache = StatCache::Instance();
-  const uint64_t rng_fingerprint = rng.StateFingerprint();
-  std::vector<Rng> streams = SplitRngStreams(rng, realizations);
-  if (!cache.enabled()) return ExpectedImpl(theta, k, realizations, streams);
-  const uint64_t key = CacheKey()
+  const CacheKey key = CacheKey()
                            .MixDouble(theta.a)
                            .MixDouble(theta.b)
                            .MixDouble(theta.c)
@@ -193,19 +159,11 @@ GraphStatistics ReleasePipeline::Expected(const Initiator2& theta, uint32_t k,
                            .Mix(options_.num_network_values)
                            .Mix(options_.exact_hop_plot_limit)
                            .Mix(options_.anf_trials)
-                           .Mix(rng_fingerprint)
-                           .digest();
-  return *cache.GetOrComputeDurable<GraphStatistics>(
-      "expected", key,
-      [&] { return ExpectedImpl(theta, k, realizations, streams); },
-      [](const GraphStatistics& stats, RecordBuilder& rec) {
-        EncodeGraphStatistics(rec, stats);
-      },
-      [](RecordParser& rec) -> std::optional<GraphStatistics> {
-        GraphStatistics stats;
-        if (!DecodeGraphStatistics(rec, &stats)) return std::nullopt;
-        return stats;
-      });
+                           .Mix(rng.StateFingerprint());
+  std::vector<Rng> streams = SplitRngStreams(rng, realizations);
+  return *StatCache::Instance().Memoize(kExpectedDomain, key, [&] {
+    return ExpectedImpl(theta, k, realizations, streams);
+  });
 }
 
 GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,

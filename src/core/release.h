@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
 #include "src/graph/graph_view.h"
 #include "src/graph/node_stats.h"
 #include "src/skg/initiator.h"
@@ -51,6 +52,12 @@ inline size_t ApproxCacheBytes(const GraphStatistics& stats) {
          stats.clustering_by_degree.capacity() * sizeof(std::pair<double, double>);
 }
 
+// The StatCache domains of ReleasePipeline::Compute and Expected: bump a
+// layout whenever its function's output changes (tests/stat_cache_test.cc
+// pins each beside a digest).
+extern const CacheDomain<GraphStatistics> kStatisticsDomain;
+extern const CacheDomain<GraphStatistics> kExpectedDomain;
+
 struct StatisticsOptions {
   uint32_t num_singular_values = 50;
   // Components of the network-value series kept (plots truncate anyway).
@@ -74,10 +81,11 @@ struct StatisticsOptions {
 // StatCache integration: when the process-wide StatCache is enabled,
 // Compute() and Expected() are memoized on every input they are a pure
 // function of — graph fingerprint / (Θ, k, R), the statistics options,
-// and the Rng state — and Compute() restores the rng to the state the
-// original computation left it in, so downstream draws are identical
-// whether the panels were computed or served. An ε sweep thus computes
-// each deterministic panel set once, not once per ε.
+// and the Rng state — and Compute() leaves the rng in the state the
+// original computation left it in (StatCache::MemoizeDraws), so
+// downstream draws are identical whether the panels were computed or
+// served. An ε sweep thus computes each deterministic panel set once,
+// not once per ε.
 class ReleasePipeline {
  public:
   explicit ReleasePipeline(StatisticsOptions options = {});

@@ -66,20 +66,6 @@ Result<GraphHandle> InRam(Result<Graph> graph) {
   return GraphHandle(std::move(graph).value());
 }
 
-size_t CsrBytes(const Graph& graph) {
-  return graph.Offsets().size_bytes() + graph.Adjacency().size_bytes();
-}
-
-// A generated dataset and the Rng state its generator left the stream in.
-struct GeneratedGraph {
-  Graph graph;
-  Rng::State end_state;
-};
-
-size_t ApproxCacheBytes(const GeneratedGraph& entry) {
-  return sizeof(entry) + CsrBytes(entry.graph);
-}
-
 // A cached edge list's load outcome. A parse error is memoized too: it
 // is as much a function of the source content as the graph. (A local
 // type, so the byte-budget overload below is found by ADL.)
@@ -88,55 +74,39 @@ struct LoadedEdgeList {
 };
 
 size_t ApproxCacheBytes(const LoadedEdgeList& entry) {
-  return sizeof(entry) + (entry.graph.ok() ? CsrBytes(entry.graph.value()) : 0);
+  return entry.graph.ok() ? ApproxCacheBytes(entry.graph.value())
+                          : sizeof(entry);
 }
 
-// Record: offsets, adjacency, end state. The bytes come off disk, so the
-// decoder checks every invariant Graph::FromCsr would abort on.
-void EncodeGenerated(const GeneratedGraph& entry, RecordBuilder& rec) {
-  EncodePodVector(rec, entry.graph.Offsets());
-  EncodePodVector(rec, entry.graph.Adjacency());
-  EncodeRngState(rec, entry.end_state);
-}
-
-std::optional<GeneratedGraph> DecodeGenerated(RecordParser& rec) {
-  Graph::OffsetVector offsets;
-  Graph::AdjacencyVector adjacency;
-  GeneratedGraph entry;
-  if (!DecodePodVector(rec, &offsets) || !DecodePodVector(rec, &adjacency) ||
-      !DecodeRngState(rec, &entry.end_state) ||
-      !ValidateCsrSpans(offsets, adjacency, "graph_load entry").ok()) {
-    return std::nullopt;
-  }
-  entry.graph = Graph::FromCsr(std::move(offsets), std::move(adjacency));
-  return entry;
-}
+// Record: offsets, adjacency (then the end state MemoizeDraws appends).
+// The bytes come off disk, so the decoder checks every invariant
+// Graph::FromCsr would abort on.
+const CacheDomain<Graph> kGeneratedGraphDomain{
+    "graph_load", kGeneratedGraphLayout,
+    [](const Graph& graph, RecordBuilder& rec) {
+      EncodePodVector(rec, graph.Offsets());
+      EncodePodVector(rec, graph.Adjacency());
+    },
+    [](RecordParser& rec) -> std::optional<Graph> {
+      Graph::OffsetVector offsets;
+      Graph::AdjacencyVector adjacency;
+      if (!DecodePodVector(rec, &offsets) ||
+          !DecodePodVector(rec, &adjacency) ||
+          !ValidateCsrSpans(offsets, adjacency, "graph_load entry").ok()) {
+        return std::nullopt;
+      }
+      return Graph::FromCsr(std::move(offsets), std::move(adjacency));
+    }};
 
 Result<GraphHandle> OpenGenerated(const DatasetInfo& info, Rng& rng) {
-  StatCache& cache = StatCache::Instance();
-  if (!cache.enabled()) return GraphHandle(info.generator(rng));
   const std::string_view kind =
       GraphSourceKindName(GraphSourceKind::kGenerator);
-  const uint64_t key =
+  return GraphHandle(StatCache::Instance().MemoizeDraws(
+      kGeneratedGraphDomain,
       CacheKey()
-          .Mix(kGeneratedGraphLayout)
           .MixBytes(kind.data(), kind.size())
-          .MixBytes(info.name.data(), info.name.size())
-          .Mix(rng.StateFingerprint())
-          .digest();
-  const auto entry = cache.GetOrComputeDurable<GeneratedGraph>(
-      "graph_load", key,
-      [&] {
-        GeneratedGraph e;
-        e.graph = info.generator(rng);
-        e.end_state = rng.SaveState();
-        return e;
-      },
-      &EncodeGenerated, &DecodeGenerated);
-  // A no-op for the computing caller; a hit replays the stream advance,
-  // so the scenario's later draws are the ones a regeneration leaves.
-  rng.RestoreState(entry->end_state);
-  return GraphHandle(std::shared_ptr<const Graph>(entry, &entry->graph));
+          .MixBytes(info.name.data(), info.name.size()),
+      rng, [&] { return info.generator(rng); }));
 }
 
 // An edge list through its sidecar, memoized by source content so a cold
@@ -148,10 +118,8 @@ Result<GraphHandle> OpenGenerated(const DatasetInfo& info, Rng& rng) {
 Result<GraphHandle> OpenEdgeListCached(const std::string& path) {
   auto source = ReadEdgeListSource(path);
   if (!source.ok()) return source.status();
-  StatCache& memo = StatCache::Instance();
-  if (!memo.enabled()) return InRam(ReadEdgeListCached(path, source.value()));
   const DpkbSourceStamp& stamp = source.value().stamp;
-  const auto entry = memo.GetOrCompute<LoadedEdgeList>(
+  const auto entry = StatCache::Instance().GetOrCompute<LoadedEdgeList>(
       "graph_load", CacheKey().Mix(stamp.size).Mix(stamp.checksum).digest(),
       [&] { return LoadedEdgeList{ReadEdgeListCached(path, source.value())}; });
   if (!entry->graph.ok()) return entry->graph.status();

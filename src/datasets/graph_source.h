@@ -58,9 +58,9 @@ struct GraphLoadOptions {
   bool mmap = false;
 };
 
-// The record layout of a generated dataset's "graph_load" StatCache
-// entry, mixed into its key ahead of the registry name and the caller's
-// Rng state. The key cannot see a generator's code, so bump this
+// The layout of the "graph_load" StatCache domain of generated datasets,
+// mixed into their keys beside the registry name and the caller's Rng
+// state. The key cannot see a generator's code, so bump this
 // whenever a generator's output for a fixed seed changes (a new
 // sampler, a retuned parameter) or the record layout does: otherwise a
 // warm disk tier keeps serving the old graph. tests/graph_source_test.cc

@@ -6,7 +6,6 @@
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
-#include "src/common/stat_cache.h"
 #include "src/graph/node_stats.h"
 
 namespace dpkron {
@@ -199,30 +198,27 @@ double TriangleSensitivityProfile::SmoothSensitivity(double beta) const {
   return best;
 }
 
-// The "triangle_profile" record layout, mixed into the key ahead of the
-// graph fingerprint. Layout 1 — (num_nodes, exact flag, frontier), keyed
-// by the fingerprint alone — is never addressed, so it cannot misdecode.
-constexpr uint64_t kTriangleProfileLayout = 2;
+// Layout 2 is (num_nodes, frontier). Layout 1 — (num_nodes, exact flag,
+// frontier), keyed by the fingerprint alone — is never addressed, so it
+// cannot misdecode.
+const CacheDomain<TriangleSensitivityProfile> kTriangleProfileDomain{
+    "triangle_profile", 2,
+    [](const TriangleSensitivityProfile& profile, RecordBuilder& rec) {
+      rec.U32(profile.num_nodes());
+      EncodePodVector(rec, profile.frontier());
+    },
+    [](RecordParser& rec) -> std::optional<TriangleSensitivityProfile> {
+      const uint32_t num_nodes = rec.U32();
+      std::vector<std::pair<uint64_t, uint64_t>> frontier;
+      if (!rec.ok() || !DecodePodVector(rec, &frontier)) return std::nullopt;
+      return TriangleSensitivityProfile(num_nodes, std::move(frontier));
+    }};
 
 std::shared_ptr<const TriangleSensitivityProfile>
 CachedTriangleSensitivityProfile(GraphView graph) {
-  return StatCache::Instance().GetOrComputeDurable<TriangleSensitivityProfile>(
-      "triangle_profile",
-      CacheKey()
-          .Mix(kTriangleProfileLayout)
-          .Mix(graph.ContentFingerprint())
-          .digest(),
-      [&graph] { return TriangleSensitivityProfile(graph); },
-      [](const TriangleSensitivityProfile& profile, RecordBuilder& rec) {
-        rec.U32(profile.num_nodes());
-        EncodePodVector(rec, profile.frontier());
-      },
-      [](RecordParser& rec) -> std::optional<TriangleSensitivityProfile> {
-        const uint32_t num_nodes = rec.U32();
-        std::vector<std::pair<uint64_t, uint64_t>> frontier;
-        if (!rec.ok() || !DecodePodVector(rec, &frontier)) return std::nullopt;
-        return TriangleSensitivityProfile(num_nodes, std::move(frontier));
-      });
+  return StatCache::Instance().Memoize(
+      kTriangleProfileDomain, CacheKey().Mix(graph.ContentFingerprint()),
+      [&graph] { return TriangleSensitivityProfile(graph); });
 }
 
 PrivateTriangleResult PrivateTriangleCount(GraphView graph, double epsilon,

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
@@ -89,6 +90,9 @@ inline size_t ApproxCacheBytes(const TriangleSensitivityProfile& profile) {
 // plain computation.
 std::shared_ptr<const TriangleSensitivityProfile>
 CachedTriangleSensitivityProfile(GraphView graph);
+// Its StatCache domain: bump the layout whenever the profile changes
+// (tests/stat_cache_test.cc pins it beside a digest).
+extern const CacheDomain<TriangleSensitivityProfile> kTriangleProfileDomain;
 
 struct PrivateTriangleResult {
   double value = 0.0;               // ∆̃

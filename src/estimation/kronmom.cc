@@ -80,6 +80,30 @@ KronMomResult FitKronMomToFeaturesImpl(const GraphFeatures& observed,
   return best;
 }
 
+// Layout 1: (θ, objective, k, converged). Unpinned: libm makes its bits
+// vary by host.
+const CacheDomain<KronMomResult> kKronMomFitDomain{
+    "kronmom_fit", 1,
+    [](const KronMomResult& result, RecordBuilder& rec) {
+      rec.Double(result.theta.a)
+          .Double(result.theta.b)
+          .Double(result.theta.c)
+          .Double(result.objective)
+          .U32(result.k)
+          .U32(result.converged ? 1 : 0);
+    },
+    [](RecordParser& rec) -> std::optional<KronMomResult> {
+      KronMomResult result;
+      result.theta.a = rec.Double();
+      result.theta.b = rec.Double();
+      result.theta.c = rec.Double();
+      result.objective = rec.Double();
+      result.k = rec.U32();
+      result.converged = rec.U32() != 0;
+      if (!rec.ok()) return std::nullopt;
+      return result;
+    }};
+
 }  // namespace
 
 KronMomResult FitKronMomToFeatures(const GraphFeatures& observed, uint32_t k,
@@ -89,7 +113,7 @@ KronMomResult FitKronMomToFeatures(const GraphFeatures& observed, uint32_t k,
   // memoize it by value through the StatCache. In an ε sweep the exact-
   // feature fit recurs in every run of a dataset; fits on privatized
   // (per-run-noise) features simply key distinctly and miss.
-  const uint64_t key = CacheKey()
+  const CacheKey key = CacheKey()
                            .MixDouble(observed.edges)
                            .MixDouble(observed.hairpins)
                            .MixDouble(observed.triangles)
@@ -100,30 +124,10 @@ KronMomResult FitKronMomToFeatures(const GraphFeatures& observed, uint32_t k,
                            .Mix(options.objective.use_edges)
                            .Mix(options.objective.use_hairpins)
                            .Mix(options.objective.use_triangles)
-                           .Mix(options.objective.use_tripins)
-                           .digest();
-  return *StatCache::Instance().GetOrComputeDurable<KronMomResult>(
-      "kronmom_fit", key,
-      [&] { return FitKronMomToFeaturesImpl(observed, k, options); },
-      [](const KronMomResult& result, RecordBuilder& rec) {
-        rec.Double(result.theta.a)
-            .Double(result.theta.b)
-            .Double(result.theta.c)
-            .Double(result.objective)
-            .U32(result.k)
-            .U32(result.converged ? 1 : 0);
-      },
-      [](RecordParser& rec) -> std::optional<KronMomResult> {
-        KronMomResult result;
-        result.theta.a = rec.Double();
-        result.theta.b = rec.Double();
-        result.theta.c = rec.Double();
-        result.objective = rec.Double();
-        result.k = rec.U32();
-        result.converged = rec.U32() != 0;
-        if (!rec.ok()) return std::nullopt;
-        return result;
-      });
+                           .Mix(options.objective.use_tripins);
+  return *StatCache::Instance().Memoize(kKronMomFitDomain, key, [&] {
+    return FitKronMomToFeaturesImpl(observed, k, options);
+  });
 }
 
 KronMomResult FitKronMom(GraphView graph, const KronMomOptions& options) {

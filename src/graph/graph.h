@@ -141,6 +141,12 @@ class Graph {
   mutable std::atomic<uint64_t> fingerprint_{0};
 };
 
+// StatCache byte-budget accounting (common/stat_cache.h).
+inline size_t ApproxCacheBytes(const Graph& graph) {
+  return sizeof(graph) + graph.Offsets().size_bytes() +
+         graph.Adjacency().size_bytes();
+}
+
 }  // namespace dpkron
 
 #endif  // DPKRON_GRAPH_GRAPH_H_

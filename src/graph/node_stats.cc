@@ -1,6 +1,5 @@
 #include "src/graph/node_stats.h"
 
-#include "src/common/stat_cache.h"
 #include "src/graph/degree.h"
 #include "src/graph/triangles.h"
 
@@ -19,22 +18,25 @@ NodeStats ComputeNodeStats(GraphView graph) {
   return stats;
 }
 
+const CacheDomain<NodeStats> kNodeStatsDomain{
+    "node_stats", 1,
+    [](const NodeStats& value, RecordBuilder& rec) {
+      EncodePodVector(rec, value.degrees);
+      EncodePodVector(rec, value.triangles);
+    },
+    [](RecordParser& rec) -> std::optional<NodeStats> {
+      NodeStats value;
+      if (!DecodePodVector(rec, &value.degrees) ||
+          !DecodePodVector(rec, &value.triangles)) {
+        return std::nullopt;
+      }
+      return value;
+    }};
+
 std::shared_ptr<const NodeStats> CachedNodeStats(GraphView graph) {
-  return StatCache::Instance().GetOrComputeDurable<NodeStats>(
-      "node_stats", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-      [&graph] { return ComputeNodeStats(graph); },
-      [](const NodeStats& value, RecordBuilder& rec) {
-        EncodePodVector(rec, value.degrees);
-        EncodePodVector(rec, value.triangles);
-      },
-      [](RecordParser& rec) -> std::optional<NodeStats> {
-        NodeStats value;
-        if (!DecodePodVector(rec, &value.degrees) ||
-            !DecodePodVector(rec, &value.triangles)) {
-          return std::nullopt;
-        }
-        return value;
-      });
+  return StatCache::Instance().Memoize(
+      kNodeStatsDomain, CacheKey().Mix(graph.ContentFingerprint()),
+      [&graph] { return ComputeNodeStats(graph); });
 }
 
 std::vector<uint32_t> SortedDegrees(const NodeStats& stats) {

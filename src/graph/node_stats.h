@@ -35,6 +35,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/stat_cache.h"
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
@@ -60,6 +61,9 @@ NodeStats ComputeNodeStats(GraphView graph);
 // enabled (durably, with a disk tier attached); in-RAM and mmap backings
 // of the same CSR bytes share the entry. Otherwise a plain computation.
 std::shared_ptr<const NodeStats> CachedNodeStats(GraphView graph);
+// Its StatCache domain: bump the layout whenever ComputeNodeStats's
+// output changes (tests/stat_cache_test.cc pins it beside a digest).
+extern const CacheDomain<NodeStats> kNodeStatsDomain;
 
 // The degrees in ascending order (the paper's d_S), expanded from their
 // histogram in O(n + max degree).

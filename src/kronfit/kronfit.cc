@@ -186,53 +186,33 @@ KronFitResult FitKronFit(GraphView graph, Rng& rng,
   return result;
 }
 
+// Layout 1: (θ, log-likelihood, k). Unpinned: libm makes its bits vary.
+const CacheDomain<KronFitResult> kKronFitDomain{
+    "kronfit", 1,
+    [](const KronFitResult& result, RecordBuilder& rec) {
+      rec.Double(result.theta.a)
+          .Double(result.theta.b)
+          .Double(result.theta.c)
+          .Double(result.log_likelihood)
+          .U32(result.k);
+    },
+    [](RecordParser& rec) -> std::optional<KronFitResult> {
+      KronFitResult result;
+      result.theta.a = rec.Double();
+      result.theta.b = rec.Double();
+      result.theta.c = rec.Double();
+      result.log_likelihood = rec.Double();
+      result.k = rec.U32();
+      if (!rec.ok()) return std::nullopt;
+      return result;
+    }};
+
 KronFitResult FitKronFitCached(GraphView graph, Rng& rng,
                                const KronFitOptions& options) {
-  StatCache& cache = StatCache::Instance();
-  if (!cache.enabled()) return FitKronFit(graph, rng, options);
-  const uint64_t key =
-      CacheKey()
-          .Mix(graph.ContentFingerprint())
-          .Mix(rng.StateFingerprint())
-          .Mix(options.iterations)
-          .digest();
-  struct Entry {
-    KronFitResult result;
-    Rng::State end_state;
-  };
-  // Durable entry = the fit plus the Rng state its stream reached, so a
-  // warm-start from disk replays the stream advance exactly like an
-  // in-memory hit.
-  const auto entry = cache.GetOrComputeDurable<Entry>(
-      "kronfit", key,
-      [&] {
-        Entry e;
-        e.result = FitKronFit(graph, rng, options);
-        e.end_state = rng.SaveState();
-        return e;
-      },
-      [](const Entry& e, RecordBuilder& rec) {
-        rec.Double(e.result.theta.a)
-            .Double(e.result.theta.b)
-            .Double(e.result.theta.c)
-            .Double(e.result.log_likelihood)
-            .U32(e.result.k);
-        EncodeRngState(rec, e.end_state);
-      },
-      [](RecordParser& rec) -> std::optional<Entry> {
-        Entry e;
-        e.result.theta.a = rec.Double();
-        e.result.theta.b = rec.Double();
-        e.result.theta.c = rec.Double();
-        e.result.log_likelihood = rec.Double();
-        e.result.k = rec.U32();
-        if (!DecodeRngState(rec, &e.end_state)) return std::nullopt;
-        return e;
-      });
-  // Replay the stream advance on a hit (no-op for the computing caller):
-  // downstream consumers of `rng` see the same draws either way.
-  rng.RestoreState(entry->end_state);
-  return entry->result;
+  return *StatCache::Instance().MemoizeDraws(
+      kKronFitDomain,
+      CacheKey().Mix(graph.ContentFingerprint()).Mix(options.iterations), rng,
+      [&] { return FitKronFit(graph, rng, options); });
 }
 
 }  // namespace dpkron

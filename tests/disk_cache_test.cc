@@ -16,6 +16,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/common/env.h"
 #include "src/common/stat_cache.h"
 #include "src/core/private_estimator.h"
+#include "src/core/release.h"
 #include "src/graph/node_stats.h"
 #include "src/kronfit/kronfit.h"
 #include "src/skg/sampler.h"
@@ -473,35 +475,71 @@ TEST(StatCacheDiskTierTest, StoreFailureDegradesToComputeOnly) {
             StatusCode::kNotFound);
 }
 
+StatCache::Counters DomainCounters(const std::string& domain) {
+  for (const auto& [name, counters] : StatCache::Instance().DomainCounters()) {
+    if (name == domain) return counters;
+  }
+  return {};
+}
+
+// The caller's next draws after `rng` has been through a computation.
+std::pair<double, uint64_t> NextDraws(Rng& rng) {
+  const double gaussian = rng.NextGaussian();  // reads the spare, if any
+  return {gaussian, rng.NextU64()};
+}
+
+// Runs `cached` as a miss, a memory hit and (after a simulated restart)
+// a disk hit in `domain`: each must return `uncached`'s value and leave
+// the caller's rng where `uncached` left it.
+template <typename Uncached, typename Cached>
+void ExpectDrawsReplayed(const std::string& domain, Uncached&& uncached,
+                         Cached&& cached) {
+  SCOPED_TRACE(domain);
+  Rng uncached_rng(42);
+  const auto value = uncached(uncached_rng);
+  const auto next = NextDraws(uncached_rng);
+
+  TempCacheRoot root("stat_cache_disk_" + domain);
+  ScopedCache cache;
+  ASSERT_TRUE(StatCache::Instance().AttachDiskTier(root.path()).ok());
+  using Counters = StatCache::Counters;
+  const std::pair<const char*, uint64_t Counters::*> passes[] = {
+      {"miss", &Counters::disk_misses},
+      {"memory hit", &Counters::hits},
+      {"disk hit", &Counters::disk_hits},
+  };
+  for (const auto& [pass, counter] : passes) {
+    SCOPED_TRACE(pass);
+    if (counter == &Counters::disk_hits) StatCache::Instance().Clear();
+    Rng rng(42);
+    EXPECT_EQ(cached(rng), value);
+    EXPECT_EQ(NextDraws(rng), next);
+    EXPECT_EQ(DomainCounters(domain).*counter, 1u);  // the pass it names
+  }
+}
+
+// The sharpest durable contract: a value served from memory or DISK must
+// leave the caller's rng exactly where the real computation left it, so
+// every downstream draw in a warm process matches a cold one. KronFit
+// and the statistics panels (Lanczos starts, ANF trials) both draw.
 TEST(StatCacheDiskTierTest, KronFitWarmStartReplaysTheRngStream) {
-  // The sharpest durable contract: a KronFit served from DISK must
-  // leave the caller's rng exactly where the real fit left it, so every
-  // downstream draw in a warm process matches a cold one.
-  TempCacheRoot root("stat_cache_disk_kronfit");
   const Graph g = testing::CompleteGraph(32);
   KronFitOptions options;
   options.iterations = 2;
+  const auto fit = [](const KronFitResult& result) {
+    return std::make_tuple(result.theta.a, result.theta.b, result.theta.c,
+                           result.log_likelihood, result.k);
+  };
+  ExpectDrawsReplayed(
+      "kronfit", [&](Rng& rng) { return fit(FitKronFit(g, rng, options)); },
+      [&](Rng& rng) { return fit(FitKronFitCached(g, rng, options)); });
 
-  Rng uncached_rng(42);
-  const KronFitResult uncached = FitKronFit(g, uncached_rng, options);
-  const uint64_t end_state = uncached_rng.StateFingerprint();
-
-  ScopedCache cache;
-  ASSERT_TRUE(StatCache::Instance().AttachDiskTier(root.path()).ok());
-  Rng cold_rng(42);
-  (void)FitKronFitCached(g, cold_rng, options);
-  ASSERT_EQ(StatCache::Instance().TotalCounters().disk_misses, 1u);
-
-  StatCache::Instance().Clear();  // restart
-  Rng warm_rng(42);
-  const KronFitResult warm = FitKronFitCached(g, warm_rng, options);
-  EXPECT_EQ(StatCache::Instance().TotalCounters().disk_hits, 1u);
-  EXPECT_EQ(warm.theta.a, uncached.theta.a);
-  EXPECT_EQ(warm.theta.b, uncached.theta.b);
-  EXPECT_EQ(warm.theta.c, uncached.theta.c);
-  EXPECT_EQ(warm.log_likelihood, uncached.log_likelihood);
-  EXPECT_EQ(warm.k, uncached.k);
-  EXPECT_EQ(warm_rng.StateFingerprint(), end_state);
+  // Compute with the cache still disabled is the uncached reference.
+  const ReleasePipeline pipeline;
+  Rng sample_rng(5);
+  const Graph sample = SampleSkg({0.9, 0.5, 0.2}, 8, sample_rng);
+  const auto panels = [&](Rng& rng) { return pipeline.Compute(sample, rng); };
+  ExpectDrawsReplayed("statistics", panels, panels);
 }
 
 // ------------------------------------------------- byte-budget eviction

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <thread>
@@ -175,6 +176,32 @@ TEST(ParallelTest, ConcurrentRunFromNonPoolThreads) {
   }
   for (std::thread& caller : callers) caller.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Workers spawned by a resize must join the very next section, even
+// when they first run after it started. Each of the 4 chunks waits
+// (boundedly) until all 4 have started, which only happens when 4
+// distinct workers run them at once.
+TEST(ParallelTest, FirstSectionAfterResizeReachesEveryWorker) {
+  ScopedThreadCount guard(1);
+  SetParallelThreadCount(4);
+  std::atomic<int> started{0};
+  std::atomic<int> saw_all{0};
+  std::vector<size_t> workers(4);
+  ParallelForChunks(4, 1, [&](const ParallelChunk& chunk) {
+    workers[chunk.index] = chunk.worker;
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 4) saw_all.fetch_add(1);
+  });
+  // A chunk that gave up at the deadline is not counted.
+  EXPECT_EQ(saw_all.load(), 4);
+  std::sort(workers.begin(), workers.end());
+  EXPECT_EQ(std::unique(workers.begin(), workers.end()) - workers.begin(), 4);
 }
 
 TEST(SplitRngStreamsTest, DeterministicAndDistinct) {

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "src/common/fnv.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
+#include "src/core/release.h"
 #include "src/core/scenario.h"
 #include "src/dp/smooth_sensitivity.h"
 #include "src/graph/graph_io.h"
@@ -164,6 +166,45 @@ TEST(StatCacheTest, ParentLayoutProfileEntryIsNeverAddressed) {
   ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
   EXPECT_EQ(untouched.value(), parent_record.str());
   std::filesystem::remove_all(root);
+}
+
+// A warm disk tier serves whatever a domain's function produced when
+// the entry was written: keys see inputs, not code. These digests pin
+// each deterministic domain's encoded record on one fixed input beside
+// its layout, so a change to one of these outputs fails here until the
+// domain's layout is bumped along with its digest. (kronfit and
+// kronmom_fit run through libm transcendentals, so their bits are not
+// pinned; graph_load is pinned in tests/graph_source_test.cc.)
+TEST(StatCacheTest, DomainOutputsArePinnedToTheirLayouts) {
+  Rng edge_rng(7);
+  testing::EdgeList edges;
+  while (edges.size() < 1200) {  // 160 nodes: the hop plot is exact
+    const auto u = static_cast<Graph::NodeId>(edge_rng.NextU64() % 160);
+    const auto v = static_cast<Graph::NodeId>(edge_rng.NextU64() % 160);
+    if (u != v) edges.emplace_back(u, v);
+  }
+  const Graph g = testing::MakeGraph(160, edges);
+  const auto digest = [](const auto& domain, const auto& value) {
+    RecordBuilder rec;
+    domain.encode(value, rec);
+    return Fnv1a64(rec.str().data(), rec.str().size());
+  };
+  const ReleasePipeline pipeline;
+  Rng rng(11);
+
+  EXPECT_EQ(kNodeStatsDomain.layout, 1u);
+  EXPECT_EQ(digest(kNodeStatsDomain, ComputeNodeStats(g)),
+            0xf5f2e32130c88846ull);
+  EXPECT_EQ(kTriangleProfileDomain.layout, 2u);
+  EXPECT_EQ(digest(kTriangleProfileDomain, TriangleSensitivityProfile(g)),
+            0x67d5f8467c953293ull);
+  EXPECT_EQ(kStatisticsDomain.layout, 1u);
+  EXPECT_EQ(digest(kStatisticsDomain, pipeline.Compute(g, rng)),
+            0xa77543f9fa9926f0ull);
+  EXPECT_EQ(kExpectedDomain.layout, 1u);
+  EXPECT_EQ(digest(kExpectedDomain,
+                   pipeline.Expected({0.9, 0.5, 0.2}, 8, 2, rng)),
+            0x80fb0eee7eb2aac4ull);
 }
 
 TEST(StatCacheTest, KronFitHitReplaysTheRngStream) {
