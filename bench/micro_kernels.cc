@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/core/release.h"
+#include "src/graph/graph_builder.h"
 #include "src/graph/graph_io.h"
 #include "src/dp/degree_sequence.h"
 #include "src/dp/isotonic.h"
@@ -396,6 +397,34 @@ void BM_ParseEdgeListSerial(benchmark::State& state) {
                           static_cast<int64_t>(f.text.size()));
 }
 BENCHMARK(BM_ParseEdgeListSerial)->Unit(benchmark::kMillisecond);
+
+// The CSR build every graph goes through, on a k=14 class-skip sample's
+// edge keys in a fixed shuffled order (the sampler emits them by class,
+// unsorted).
+void BM_FromPackedEdges(benchmark::State& state) {
+  static const std::vector<uint64_t>& shuffled = *new std::vector<uint64_t>([] {
+    Rng rng(8);
+    SkgSampleOptions options;
+    options.method = SkgSampleMethod::kClassSkip;
+    const Graph g = SampleSkg({0.99, 0.45, 0.25}, 14, rng, options);
+    std::vector<uint64_t> keys;
+    g.ForEachEdge([&keys](Graph::NodeId u, Graph::NodeId v) {
+      keys.push_back(GraphBuilder::PackEdge(u, v));
+    });
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.NextBounded(i)]);
+    }
+    return keys;
+  }());
+  ScopedBenchThreads threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        GraphBuilder::FromPackedEdges(1u << 14, shuffled));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(shuffled.size()));
+}
+BENCHMARK(BM_FromPackedEdges)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ReadEdgeListFile(benchmark::State& state) {
   const IngestFixture& f = Ingest();

@@ -48,10 +48,15 @@ class GraphBuilder {
       const std::vector<std::pair<Graph::NodeId, Graph::NodeId>>& edges);
 
   // Builds directly from packed 64-bit edge keys (u << 32) | v with
-  // u < v — the representation the samplers accumulate per thread and
-  // merge. Takes ownership; sorts and dedupes in place, so duplicates
-  // (including across merged batches) are fine. Self-loops must already
-  // be excluded (keys encode u < v by construction).
+  // u < v < num_nodes — the representation the samplers and the edge-list
+  // parser produce; every Graph the program builds comes through here.
+  // Takes ownership, in any order: duplicates (including across merged
+  // batches) are fine, self-loops and out-of-range ids abort. Unsorted
+  // keys get a parallel LSD radix sort over only the bits a node id can
+  // set, then unique; a transposed copy radix-sorted by (v, u) gives
+  // every row its neighbors below it, and rows fill in parallel as that
+  // span followed by the row's own keys. The CSR is a pure function of
+  // the key set: the same at any thread count and for any key order.
   static Graph FromPackedEdges(uint32_t num_nodes,
                                std::vector<uint64_t> keys);
 

@@ -5,12 +5,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -146,13 +149,20 @@ std::vector<std::pair<size_t, size_t>> ChunkRanges(std::string_view text,
   return ranges;
 }
 
-// Concatenates the per-chunk runs in chunk order, densifies raw ids to
-// 0..n-1 by first appearance, and builds the Graph. Reports the first
-// malformed line with its absolute (file-level) line number.
-Result<Graph> MergeChunks(const std::vector<ChunkParse>& chunks,
-                          const std::string& origin) {
+// -------------------------------------------------------- densify
+//
+// Every endpoint has a global position: the u of the i-th edge in chunk
+// order sits at 2i, its v at 2i + 1. A raw id's dense id is the number
+// of distinct ids whose first position comes before its own — the
+// first-appearance order, a pure function of the text.
+
+constexpr size_t kMaxNodeIds = std::numeric_limits<uint32_t>::max();
+
+// The first malformed line, reported with its absolute (file-level)
+// line number; OK when every chunk parsed.
+Status FirstChunkError(const std::vector<ChunkParse>& chunks,
+                       const std::string& origin) {
   size_t line_base = 0;
-  size_t total_edges = 0;
   for (const ChunkParse& chunk : chunks) {
     if (chunk.error_line != 0) {
       return Status::InvalidArgument(
@@ -160,8 +170,223 @@ Result<Graph> MergeChunks(const std::vector<ChunkParse>& chunks,
           chunk.error);
     }
     line_base += chunk.lines;
-    total_edges += chunk.edges.size();
   }
+  return Status::Ok();
+}
+
+// The id-count guard, checked before each chunk: each edge adds at most
+// two ids, so bail before NodeId could wrap. (Checked in two parts:
+// 2·edges alone can exceed the limit for a >2^31-edge chunk, and the
+// subtraction must not underflow.)
+Status CheckIdRoom(size_t distinct_before, size_t chunk_edges,
+                   const std::string& origin) {
+  if (2 * chunk_edges > kMaxNodeIds ||
+      distinct_before > kMaxNodeIds - 2 * chunk_edges) {
+    return Status::OutOfRange(origin + ": more than 2^32 distinct node ids");
+  }
+  return Status::Ok();
+}
+
+// Avalanches a raw id (the murmur3 finalizer), so the shard (top bits)
+// and the table slot (low bits) both depend on every bit of it.
+uint64_t MixId(uint64_t id) {
+  id ^= id >> 33;
+  id *= 0xff51afd7ed558ccdULL;
+  id ^= id >> 33;
+  id *= 0xc4ceb9fe1a85ec53ULL;
+  id ^= id >> 33;
+  return id;
+}
+
+struct Endpoint {
+  uint64_t id;
+  uint64_t position;
+};
+
+// A flat open-addressing map raw id -> first position (linear probing,
+// doubled at half load). Position ~0 marks an empty slot; real positions
+// are array indices, far below it.
+class FirstPositionMap {
+ public:
+  explicit FirstPositionMap(size_t capacity)
+      : slots_(std::bit_ceil(std::max<size_t>(capacity, 16)), kEmptySlot) {}
+
+  // The first position recorded for `id`; records `position` when `id`
+  // is new.
+  uint64_t FindOrInsert(uint64_t id, uint64_t position) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = MixId(id) & mask;; i = (i + 1) & mask) {
+      Endpoint& slot = slots_[i];
+      if (slot.position == kNone) {
+        slot = {id, position};
+        ++size_;
+        return position;
+      }
+      if (slot.id == id) return slot.position;
+    }
+  }
+
+ private:
+  static constexpr uint64_t kNone = ~uint64_t{0};
+  static constexpr Endpoint kEmptySlot = {0, kNone};
+
+  void Grow() {
+    std::vector<Endpoint> old(slots_.size() * 2, kEmptySlot);
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Endpoint& entry : old) {
+      if (entry.position == kNone) continue;
+      size_t i = MixId(entry.id) & mask;
+      while (slots_[i].position != kNone) i = (i + 1) & mask;
+      slots_[i] = entry;
+    }
+  }
+
+  std::vector<Endpoint> slots_;
+  size_t size_ = 0;
+};
+
+// Shards for `endpoints` positions over `chunks` chunks: enough to keep
+// every worker busy, few enough that each holds >= 2^14 endpoints and
+// the chunks x shards histogram stays below the endpoints' own size.
+int ShardBits(uint64_t endpoints, size_t chunks) {
+  const uint64_t per_shard =
+      std::max<uint64_t>(uint64_t{1} << 14, 64 * uint64_t{chunks});
+  return std::bit_width(std::clamp<uint64_t>(endpoints / per_shard, 1, 64)) -
+         1;
+}
+
+// Densifies the per-chunk runs by first appearance and builds the Graph,
+// in parallel. Each chunk's endpoints are scattered, in chunk order, into
+// hash shards, so every shard sees its positions in increasing order and
+// the first time it meets an id is that id's first appearance. Each
+// shard records first_of[p] (the first position of the id at p); a
+// prefix over the per-chunk counts of first positions numbers them. The
+// per-chunk runs are freed once scattered.
+Result<Graph> MergeChunks(std::vector<ChunkParse>* parsed,
+                          const std::string& origin) {
+  std::vector<ChunkParse>& chunks = *parsed;
+  if (Status error = FirstChunkError(chunks, origin); !error.ok()) {
+    return error;
+  }
+  const size_t num_chunks = chunks.size();
+  std::vector<uint64_t> base(num_chunks + 1, 0);  // first position
+  for (size_t c = 0; c < num_chunks; ++c) {
+    base[c + 1] = base[c] + 2 * uint64_t{chunks[c].edges.size()};
+  }
+  const uint64_t endpoints = base[num_chunks];
+
+  const int shard_bits = ShardBits(endpoints, num_chunks);
+  const size_t shards = size_t{1} << shard_bits;
+  auto shard_of = [shard_bits](uint64_t id) -> size_t {
+    return shard_bits == 0 ? 0 : MixId(id) >> (64 - shard_bits);
+  };
+  // cursor[c * shards + s]: where chunk c's next shard-s endpoint goes.
+  std::vector<uint64_t> cursor(num_chunks * shards, 0);
+  ParallelFor(num_chunks, 1, [&](size_t c) {
+    uint64_t* count = cursor.data() + c * shards;
+    for (const RawEdge& edge : chunks[c].edges) {
+      ++count[shard_of(edge.first)];
+      ++count[shard_of(edge.second)];
+    }
+  });
+  std::vector<uint64_t> shard_begin(shards + 1, 0);
+  uint64_t next = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    shard_begin[s] = next;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const uint64_t count = cursor[c * shards + s];
+      cursor[c * shards + s] = next;
+      next += count;
+    }
+  }
+  shard_begin[shards] = next;
+  // Both position-indexed arrays are fully written before they are read.
+  auto scattered = std::make_unique_for_overwrite<Endpoint[]>(endpoints);
+  ParallelFor(num_chunks, 1, [&](size_t c) {
+    uint64_t* slot = cursor.data() + c * shards;
+    uint64_t position = base[c];
+    for (const RawEdge& edge : chunks[c].edges) {
+      scattered[slot[shard_of(edge.first)]++] = {edge.first, position++};
+      scattered[slot[shard_of(edge.second)]++] = {edge.second, position++};
+    }
+    std::vector<RawEdge>().swap(chunks[c].edges);
+  });
+  std::vector<uint64_t>().swap(cursor);
+
+  auto first_of = std::make_unique_for_overwrite<uint64_t[]>(endpoints);
+  ParallelFor(shards, 1, [&](size_t s) {
+    FirstPositionMap first_position((shard_begin[s + 1] - shard_begin[s]) / 4);
+    for (uint64_t i = shard_begin[s]; i < shard_begin[s + 1]; ++i) {
+      const Endpoint& endpoint = scattered[i];
+      first_of[endpoint.position] =
+          first_position.FindOrInsert(endpoint.id, endpoint.position);
+    }
+  });
+  scattered.reset();
+
+  // Per chunk: first positions (new ids) and self-loops (both ends share
+  // a first position).
+  std::vector<uint64_t> new_ids(num_chunks), loops(num_chunks);
+  ParallelFor(num_chunks, 1, [&](size_t c) {
+    for (uint64_t p = base[c]; p < base[c + 1]; p += 2) {
+      new_ids[c] += (first_of[p] == p) + (first_of[p + 1] == p + 1);
+      loops[c] += first_of[p] == first_of[p + 1];
+    }
+  });
+  std::vector<uint64_t> ids_before(num_chunks), keys_before(num_chunks);
+  uint64_t distinct = 0, kept = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const uint64_t edges = (base[c + 1] - base[c]) / 2;
+    if (Status room = CheckIdRoom(distinct, edges, origin); !room.ok()) {
+      return room;
+    }
+    ids_before[c] = distinct;
+    keys_before[c] = kept;
+    distinct += new_ids[c];
+    kept += edges - loops[c];
+  }
+
+  // Each first position takes its dense id, tagged so it cannot be read
+  // as a position; every other position then reads its id through its
+  // first position.
+  constexpr uint64_t kDenseTag = uint64_t{1} << 63;
+  ParallelFor(num_chunks, 1, [&](size_t c) {
+    uint64_t id = ids_before[c];
+    for (uint64_t p = base[c]; p < base[c + 1]; ++p) {
+      if (first_of[p] == p) first_of[p] = kDenseTag | id++;
+    }
+  });
+  std::vector<uint64_t> keys(kept);
+  ParallelFor(num_chunks, 1, [&](size_t c) {
+    auto dense = [&first_of](uint64_t p) {
+      const uint64_t first = first_of[p];
+      return static_cast<Graph::NodeId>(
+          (first & kDenseTag) != 0 ? first : first_of[first]);
+    };
+    uint64_t* out = keys.data() + keys_before[c];
+    for (uint64_t p = base[c]; p < base[c + 1]; p += 2) {
+      const Graph::NodeId u = dense(p), v = dense(p + 1);
+      if (u != v) {
+        *out++ = GraphBuilder::PackEdge(std::min(u, v), std::max(u, v));
+      }
+    }
+  });
+  first_of.reset();
+  return GraphBuilder::FromPackedEdges(static_cast<uint32_t>(distinct),
+                                       std::move(keys));
+}
+
+// The serial oracle's densify: one std::unordered_map in chunk order,
+// independent of the sharded path above.
+Result<Graph> MergeChunksSerial(const std::vector<ChunkParse>& chunks,
+                                const std::string& origin) {
+  if (Status error = FirstChunkError(chunks, origin); !error.ok()) {
+    return error;
+  }
+  size_t total_edges = 0;
+  for (const ChunkParse& chunk : chunks) total_edges += chunk.edges.size();
 
   std::unordered_map<uint64_t, Graph::NodeId> dense_id;
   dense_id.reserve(total_edges / 2 + 16);
@@ -173,15 +398,10 @@ Result<Graph> MergeChunks(const std::vector<ChunkParse>& chunks,
     (void)inserted;
     return it->second;
   };
-  constexpr size_t kMaxNodeIds = std::numeric_limits<uint32_t>::max();
   for (const ChunkParse& chunk : chunks) {
-    // Each edge adds at most two ids; bail before NodeId could wrap.
-    // (Checked in two parts: 2·edges alone can exceed the limit for a
-    // >2^31-edge chunk, and the subtraction must not underflow.)
-    if (2 * chunk.edges.size() > kMaxNodeIds ||
-        dense_id.size() > kMaxNodeIds - 2 * chunk.edges.size()) {
-      return Status::OutOfRange(origin +
-                                ": more than 2^32 distinct node ids");
+    if (Status room = CheckIdRoom(dense_id.size(), chunk.edges.size(), origin);
+        !room.ok()) {
+      return room;
     }
     for (const auto& [u, v] : chunk.edges) {
       // Two statements: emplace_back(intern(u), intern(v)) would leave
@@ -206,7 +426,7 @@ Result<Graph> ParseEdgeListImpl(std::string_view text,
     ParseChunk(text.data() + ranges[i].first, text.data() + ranges[i].second,
                &chunks[i]);
   });
-  return MergeChunks(chunks, origin);
+  return MergeChunks(&chunks, origin);
 }
 
 }  // namespace
@@ -226,7 +446,7 @@ Result<Graph> ParseEdgeList(std::string_view text,
 Result<Graph> ParseEdgeListSerial(std::string_view text) {
   std::vector<ChunkParse> chunks(1);
   ParseChunk(text.data(), text.data() + text.size(), &chunks[0]);
-  return MergeChunks(chunks, "<string>");
+  return MergeChunksSerial(chunks, "<string>");
 }
 
 Status WriteEdgeList(GraphView graph, const std::string& path) {

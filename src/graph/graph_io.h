@@ -13,10 +13,15 @@
 // The default parser is chunked and thread-pool-parallel: the byte
 // range is split into fixed-size chunks snapped forward to newline
 // boundaries (a decomposition that depends only on the bytes and the
-// chunk size, never the thread count), chunks are tokenized via the
-// shared pool, and the per-chunk edge runs are concatenated in chunk
-// order before densification — so the resulting Graph is bit-identical
-// to ParseEdgeListSerial at any thread count.
+// chunk size, never the thread count) and chunks are tokenized via the
+// shared pool. Densification runs on the pool as well: each endpoint's
+// global position (2 · its edge's index in chunk order + its side) is
+// scattered, with its raw id, into hash shards in chunk order, so each
+// shard numbers its ids by first appearance independently, and a prefix
+// over the per-chunk counts of first appearances yields the same dense
+// ids a serial first-appearance map would. The dense edges go straight
+// to GraphBuilder::FromPackedEdges — so the resulting Graph is
+// bit-identical to ParseEdgeListSerial at any thread count.
 //
 // Binary format (.dpkb, little-endian), the sidecar cache behind
 // ReadEdgeListCached and the out-of-core substrate behind MmapGraph.
@@ -105,7 +110,8 @@ Result<Graph> ParseEdgeList(std::string_view text,
                             const EdgeListParseOptions& options = {});
 
 // Single-pass line-by-line reference parser. Same tokenizer, no
-// chunking — the oracle the parallel path must match bit-for-bit.
+// chunking, and a std::unordered_map densify in file order — the oracle
+// the parallel path must match bit-for-bit.
 Result<Graph> ParseEdgeListSerial(std::string_view text);
 
 // Writes `graph` as an edge list (u < v per line) with a comment header.

@@ -1,6 +1,8 @@
 #include "src/graph/triangles.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
 #include "src/common/parallel.h"
 #include "src/common/simd.h"
@@ -36,27 +38,30 @@ ForwardCsr BuildForwardCsrFused(GraphView graph,
   const RankOrder rank{graph};
   const uint32_t n = graph.NumNodes();
   degrees->resize(n);
-  // Single sweep of the view's adjacency: per-node forward lists and
-  // the degree vector fall out of the same traversal. The
-  // flatten below touches only the just-built in-RAM lists — an
-  // out-of-core backing's pages are read once.
-  std::vector<std::vector<Graph::NodeId>> forward(n);
+  // Single sweep of the view's adjacency: each node's forward targets
+  // (a subset of its row) go to the start of that row's span in one
+  // flat array laid out like the view's offsets, and the degree vector
+  // falls out of the same traversal. The compaction below touches only
+  // that in-RAM array — an out-of-core backing's pages are read once.
+  const std::span<const uint32_t> row = graph.Offsets();
+  const auto spans = std::make_unique_for_overwrite<Graph::NodeId[]>(row[n]);
+  ForwardCsr fwd;
+  fwd.offsets.assign(size_t{n} + 1, 0);
   ParallelFor(n, kNodeGrain, [&](size_t u_index) {
     const auto u = static_cast<Graph::NodeId>(u_index);
     (*degrees)[u_index] = graph.Degree(u);
+    Graph::NodeId* out = spans.get() + row[u_index];
     for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) forward[u_index].push_back(v);
+      if (rank.Less(u, v)) *out++ = v;
     }
+    fwd.offsets[u_index + 1] =
+        static_cast<uint32_t>(out - (spans.get() + row[u_index]));
   });
-  ForwardCsr fwd;
-  fwd.offsets.assign(size_t{n} + 1, 0);
-  for (uint32_t u = 0; u < n; ++u) {
-    fwd.offsets[u + 1] =
-        fwd.offsets[u] + static_cast<uint32_t>(forward[u].size());
-  }
-  fwd.targets.resize(fwd.offsets.back());
+  for (uint32_t u = 0; u < n; ++u) fwd.offsets[u + 1] += fwd.offsets[u];
+  fwd.targets.resize(fwd.offsets[n]);
   ParallelFor(n, 4096, [&](size_t u_index) {
-    std::copy(forward[u_index].begin(), forward[u_index].end(),
+    const Graph::NodeId* first = spans.get() + row[u_index];
+    std::copy(first, first + (fwd.offsets[u_index + 1] - fwd.offsets[u_index]),
               fwd.targets.begin() + fwd.offsets[u_index]);
   });
   return fwd;

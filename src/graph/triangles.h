@@ -36,7 +36,8 @@ struct ForwardCsr {
 };
 
 // Builds the forward orientation with a SINGLE sweep of the view's
-// adjacency (per-node lists, then an in-RAM flatten), writing the
+// adjacency (forward targets into a flat array laid out like the view's
+// rows, then an in-RAM compaction), writing the
 // degree vector into *degrees from the same traversal.
 ForwardCsr BuildForwardCsrFused(GraphView graph,
                                 std::vector<uint32_t>* degrees);

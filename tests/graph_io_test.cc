@@ -228,6 +228,64 @@ TEST(ParallelParseTest, BitIdenticalToSerialAcrossThreadCounts) {
   }
 }
 
+// Several MiB of edges, so the default 1 MiB chunks make several
+// chunks: two hubs, both orientations of one edge, repeats, self-loops,
+// sparse ids up to UINT64_MAX, and ids that differ only in their high
+// bits (equal low bits, the collisions a low-bit hash would see).
+std::string MultiChunkEdgeListText() {
+  Rng rng(4242);
+  std::vector<uint64_t> pool;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    pool.push_back(rng.NextU64());  // sparse, any 64-bit id
+    pool.push_back((i << 40) | 0x5a5a5);  // same low 40 bits
+    pool.push_back(UINT64_MAX - i);  // the top of the range
+    pool.push_back(i);  // small dense ids
+  }
+  const uint64_t hubs[2] = {UINT64_MAX, 1ull << 63};
+  std::string text = "# multi-chunk fixture\n";
+  char line[64];
+  while (text.size() < (5u << 20)) {
+    uint64_t u = pool[rng.NextBounded(pool.size())];
+    uint64_t v = pool[rng.NextBounded(pool.size())];
+    switch (rng.NextBounded(8)) {
+      case 0:
+        u = hubs[rng.NextBounded(2)];
+        break;
+      case 1:
+        v = u;  // self-loop
+        break;
+      case 2:
+        std::snprintf(line, sizeof(line), "%llu %llu\n",
+                      static_cast<unsigned long long>(v),
+                      static_cast<unsigned long long>(u));
+        text += line;  // the reverse orientation, then the edge below
+        break;
+      default:
+        break;
+    }
+    std::snprintf(line, sizeof(line), "%llu\t%llu\n",
+                  static_cast<unsigned long long>(u),
+                  static_cast<unsigned long long>(v));
+    text += line;
+  }
+  return text;
+}
+
+TEST(ParallelParseTest, MultiChunkParseMatchesSerialOracle) {
+  const std::string text = MultiChunkEdgeListText();
+  ASSERT_GE(text.size(), 4u << 20);
+  const auto serial = ParseEdgeListSerial(text);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_GT(serial.value().NumNodes(), 10'000u);
+  for (int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE(threads);
+    ScopedThreads scope(threads);
+    const auto parallel = ParseEdgeList(text);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_TRUE(SameCsr(parallel.value(), serial.value()));
+  }
+}
+
 TEST(ParallelParseTest, ChunkBoundariesNeverSplitSemantics) {
   // Every chunk size from 1 byte up must agree with the serial parse —
   // boundaries land inside lines, on '\r', on '\n', everywhere.

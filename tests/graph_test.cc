@@ -1,8 +1,10 @@
 #include "src/graph/graph.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "src/common/rng.h"
 #include "src/graph/graph_builder.h"
 #include "tests/test_util.h"
 
@@ -12,6 +14,8 @@ namespace {
 using testing::CompleteGraph;
 using testing::MakeGraph;
 using testing::PathGraph;
+using testing::SameCsr;
+using testing::ScopedThreads;
 
 TEST(GraphTest, EmptyGraph) {
   Graph g;
@@ -140,6 +144,102 @@ TEST(GraphBuilderTest, LargeStarDegrees) {
   const Graph g = builder.Build();
   EXPECT_EQ(g.Degree(0), n - 1);
   EXPECT_EQ(g.NumEdges(), uint64_t{n - 1});
+}
+
+
+TEST(GraphDeathTest, FromPackedEdgesRejectsLoopsAndOutOfRangeKeys) {
+  EXPECT_DEATH(GraphBuilder::FromPackedEdges(3, {GraphBuilder::PackEdge(1, 1)}),
+               "CHECK");
+  EXPECT_DEATH(GraphBuilder::FromPackedEdges(3, {GraphBuilder::PackEdge(1, 3)}),
+               "CHECK");
+}
+
+// The CSR of `keys` built the plain way: std::sort + unique, then every
+// edge in both orientations sorted by (row, neighbor) and counted into
+// the offsets.
+Graph SortReferenceCsr(uint32_t num_nodes, std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<uint64_t> both;
+  for (const uint64_t key : keys) {
+    both.push_back(key);
+    both.push_back((key << 32) | (key >> 32));
+  }
+  std::sort(both.begin(), both.end());
+  Graph::OffsetVector offsets(size_t{num_nodes} + 1, 0);
+  Graph::AdjacencyVector adjacency;
+  for (const uint64_t entry : both) {
+    ++offsets[(entry >> 32) + 1];
+    adjacency.push_back(static_cast<Graph::NodeId>(entry));
+  }
+  for (uint32_t x = 0; x < num_nodes; ++x) offsets[x + 1] += offsets[x];
+  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
+}
+
+// `count` keys over `num_nodes` nodes in shuffled order: a hub at node 0,
+// edges at the top id, and duplicates of earlier keys.
+std::vector<uint64_t> ShuffledKeys(uint32_t num_nodes, size_t count,
+                                   Rng& rng) {
+  std::vector<uint64_t> keys;
+  if (num_nodes < 2) return keys;
+  while (keys.size() < count) {
+    uint32_t u = 0, v = 0;
+    switch (rng.NextBounded(4)) {
+      case 0:  // hub
+        v = 1 + static_cast<uint32_t>(rng.NextBounded(num_nodes - 1));
+        break;
+      case 1:  // the top id
+        u = static_cast<uint32_t>(rng.NextBounded(num_nodes - 1));
+        v = num_nodes - 1;
+        break;
+      case 2:  // a duplicate
+        if (!keys.empty()) {
+          keys.push_back(keys[rng.NextBounded(keys.size())]);
+          continue;
+        }
+        [[fallthrough]];
+      default:
+        u = static_cast<uint32_t>(rng.NextBounded(num_nodes));
+        v = static_cast<uint32_t>(rng.NextBounded(num_nodes));
+        if (u == v) continue;
+        if (u > v) std::swap(u, v);
+    }
+    keys.push_back(GraphBuilder::PackEdge(u, v));
+  }
+  return keys;
+}
+
+TEST(GraphBuilderTest, FromPackedEdgesMatchesSortReference) {
+  // One radix digit is 11 bits: node counts on both sides of 2^11 change
+  // the digit split, and 150,000 keys span three key chunks.
+  Rng rng(31);
+  for (const uint32_t n :
+       {0u, 1u, 2u, (1u << 11) - 1, 1u << 11, (1u << 11) + 1,
+        (1u << 22) + 1}) {
+    SCOPED_TRACE(n);
+    std::vector<uint64_t> keys = ShuffledKeys(n, 150'000, rng);
+    const Graph reference = SortReferenceCsr(n, keys);
+    ASSERT_EQ(reference.NumNodes(), n);
+    std::vector<uint64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      ScopedThreads scope(threads);
+      EXPECT_TRUE(SameCsr(GraphBuilder::FromPackedEdges(n, keys), reference));
+      EXPECT_TRUE(
+          SameCsr(GraphBuilder::FromPackedEdges(n, sorted), reference));
+    }
+  }
+}
+
+TEST(GraphBuilderTest, FromPackedEdgesOfNoKeysIsEdgeless) {
+  for (const uint32_t n : {0u, 1u, 5u, (1u << 11) + 1}) {
+    const Graph g = GraphBuilder::FromPackedEdges(n, {});
+    EXPECT_EQ(g.NumNodes(), n);
+    EXPECT_EQ(g.NumEdges(), 0u);
+    EXPECT_TRUE(std::all_of(g.Offsets().begin(), g.Offsets().end(),
+                            [](uint32_t offset) { return offset == 0; }));
+  }
 }
 
 }  // namespace
