@@ -122,6 +122,13 @@ inline size_t ApproxCacheBytes(const std::vector<T>& values) {
   return sizeof(values) + values.capacity() * sizeof(T);
 }
 
+// A memoized outcome: an error is as much a function of the key as a
+// value is.
+template <typename T>
+inline size_t ApproxCacheBytes(const Result<T>& result) {
+  return result.ok() ? ApproxCacheBytes(result.value()) : sizeof(result);
+}
+
 // A durable StatCache domain: the name of its entries and counters, the
 // record layout mixed into every key (bump it when the output for fixed
 // inputs or the record's fields change) and the value codec. `decode`

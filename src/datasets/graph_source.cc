@@ -66,21 +66,9 @@ Result<GraphHandle> InRam(Result<Graph> graph) {
   return GraphHandle(std::move(graph).value());
 }
 
-// A cached edge list's load outcome. A parse error is memoized too: it
-// is as much a function of the source content as the graph. (A local
-// type, so the byte-budget overload below is found by ADL.)
-struct LoadedEdgeList {
-  Result<Graph> graph;
-};
-
-size_t ApproxCacheBytes(const LoadedEdgeList& entry) {
-  return entry.graph.ok() ? ApproxCacheBytes(entry.graph.value())
-                          : sizeof(entry);
-}
-
 // Record: offsets, adjacency (then the end state MemoizeDraws appends).
-// The bytes come off disk, so the decoder checks every invariant
-// Graph::FromCsr would abort on.
+// The bytes come off disk: Graph::FromCsr checks them, and a record
+// that breaks a CSR invariant is a miss.
 const CacheDomain<Graph> kGeneratedGraphDomain{
     "graph_load", kGeneratedGraphLayout,
     [](const Graph& graph, RecordBuilder& rec) {
@@ -91,11 +79,12 @@ const CacheDomain<Graph> kGeneratedGraphDomain{
       Graph::OffsetVector offsets;
       Graph::AdjacencyVector adjacency;
       if (!DecodePodVector(rec, &offsets) ||
-          !DecodePodVector(rec, &adjacency) ||
-          !ValidateCsrSpans(offsets, adjacency, "graph_load entry").ok()) {
+          !DecodePodVector(rec, &adjacency)) {
         return std::nullopt;
       }
-      return Graph::FromCsr(std::move(offsets), std::move(adjacency));
+      auto graph = Graph::FromCsr(std::move(offsets), std::move(adjacency));
+      if (!graph.ok()) return std::nullopt;
+      return std::move(graph).value();
     }};
 
 Result<GraphHandle> OpenGenerated(const DatasetInfo& info, Rng& rng) {
@@ -109,9 +98,10 @@ Result<GraphHandle> OpenGenerated(const DatasetInfo& info, Rng& rng) {
       rng, [&] { return info.generator(rng); }));
 }
 
-// An edge list through its sidecar, memoized by source content so a cold
-// sweep's concurrent runs wait on one parse and warm runs skip even the
-// binary load. Keying by content — not path — keeps the sidecar's
+// An edge list through its mapped sidecar, memoized by source content so
+// a cold sweep's concurrent runs wait on one parse and warm runs share
+// one mapping (verified once, when it was opened). A parse error is
+// memoized too. Keying by content — not path — keeps the sidecar's
 // freshness semantics: a rewritten source is a new key, never a stale
 // serve. The key is (size, checksum) alone; generated graphs mix their
 // source kind's name in, which keeps the two kinds apart.
@@ -119,12 +109,9 @@ Result<GraphHandle> OpenEdgeListCached(const std::string& path) {
   auto source = ReadEdgeListSource(path);
   if (!source.ok()) return source.status();
   const DpkbSourceStamp& stamp = source.value().stamp;
-  const auto entry = StatCache::Instance().GetOrCompute<LoadedEdgeList>(
+  return *StatCache::Instance().GetOrCompute<Result<GraphHandle>>(
       "graph_load", CacheKey().Mix(stamp.size).Mix(stamp.checksum).digest(),
-      [&] { return LoadedEdgeList{ReadEdgeListCached(path, source.value())}; });
-  if (!entry->graph.ok()) return entry->graph.status();
-  return GraphHandle(
-      std::shared_ptr<const Graph>(entry, &entry->graph.value()));
+      [&] { return ReadEdgeListMapped(path, source.value()); });
 }
 
 }  // namespace
@@ -139,8 +126,10 @@ Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
       // Synthesized in process; there is no file to map.
       return OpenGenerated(*source.info, rng);
     case GraphSourceKind::kEdgeList:
-      if (options.mmap) return ReadEdgeListMapped(source.ref);
-      if (options.use_cache) return OpenEdgeListCached(source.ref);
+      // Either option serves the sidecar, and a sidecar is always mapped.
+      if (options.use_cache || options.mmap) {
+        return OpenEdgeListCached(source.ref);
+      }
       return InRam(ReadEdgeList(source.ref));
     case GraphSourceKind::kBinary: {
       if (!options.mmap) return InRam(ReadBinaryGraph(source.ref));

@@ -6,7 +6,7 @@
 //     produced in-process by the entry's generator;
 //   * kEdgeList  — a SNAP-style text edge list on disk, parsed by the
 //     chunked parallel reader (optionally through the .dpkb sidecar
-//     cache: parse once, binary-load thereafter);
+//     cache: parse once, map the binary thereafter);
 //   * kBinary    — a .dpkb binary CSR file, loaded directly.
 //
 // Resolution is by the reference itself: a registered dataset name wins,
@@ -45,7 +45,9 @@ struct GraphSource {
 
 struct GraphLoadOptions {
   // For kEdgeList sources: load through the .dpkb sidecar cache
-  // (ReadEdgeListCached) instead of re-parsing the text every run.
+  // (ReadEdgeListMapped) instead of re-parsing the text every run. A
+  // sidecar is always served as a mapping, so for an edge list this
+  // and `mmap` choose the same route.
   bool use_cache = false;
 
   // Serve file-backed sources out-of-core, as a view over an mmap'd
@@ -90,13 +92,14 @@ Result<GraphSource> ResolveGraphSource(const std::string& ref);
 // carries the Rng state the generator reached, restored into `rng` on a
 // memory or disk hit, and the disk record is validated like any
 // untrusted CSR (a bad entry is a miss that regenerates). A cached edge
-// list (options.use_cache) is keyed by its source content stamp, in
-// memory only — the sidecar is its disk tier. A standalone .dpkb is
-// user-supplied, so it is never trusted: the in-RAM route validates it
-// fully, and the mmap route verifies the payload checksum and CSR
-// invariants at open (O(N + E)) before any kernel indexes into it.
-// Edge-list sidecars, stamp-checked against their source, keep the
-// O(header) map.
+// list (options.use_cache or options.mmap) is keyed by its source
+// content stamp, in memory only — the sidecar is its disk tier — and
+// every hit shares one mapping. Stored bytes are verified once, when
+// they are opened (the trust rule in graph_io.h): a standalone .dpkb on
+// either route and a sidecar found on disk have their payload checksum
+// and CSR invariants checked (O(N + E)) before any kernel indexes into
+// them; only a sidecar the load has just written from its own parse
+// maps in O(header).
 Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
                               const GraphLoadOptions& options = {});
 

@@ -1,28 +1,52 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "src/common/macros.h"
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
 
-Graph Graph::FromCsr(OffsetVector offsets, AdjacencyVector adjacency) {
-  DPKRON_CHECK(!offsets.empty());
-  DPKRON_CHECK_EQ(offsets.front(), 0u);
-  DPKRON_CHECK_EQ(offsets.back(), adjacency.size());
-  DPKRON_CHECK_EQ(adjacency.size() % 2, 0u);
+Status ValidateCsrSpans(std::span<const uint32_t> offsets,
+                        std::span<const Graph::NodeId> adjacency) {
+  // offsets.size() - 1 must fit the uint32 node count, and the final
+  // offset (itself a uint32) bounds the adjacency length.
+  if (offsets.empty() ||
+      offsets.size() > std::numeric_limits<uint32_t>::max() ||
+      offsets.front() != 0 || offsets.back() != adjacency.size() ||
+      adjacency.size() % 2 != 0) {
+    return Status::InvalidArgument(
+        "CSR offsets do not run from 0 to an even adjacency length");
+  }
   const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
+  const auto at_node = [](const char* what, uint32_t u) {
+    return Status::InvalidArgument(std::string("CSR ") + what +
+                                   " at node " + std::to_string(u));
+  };
   for (uint32_t u = 0; u < n; ++u) {
-    DPKRON_CHECK_LE(offsets[u], offsets[u + 1]);
-    for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-      DPKRON_CHECK_LT(adjacency[i], n);
-      DPKRON_CHECK_MSG(adjacency[i] != u, "self-loop in CSR input");
-      if (i > offsets[u]) {
-        DPKRON_CHECK_MSG(adjacency[i - 1] < adjacency[i],
-                         "adjacency list not strictly sorted");
+    const uint32_t begin = offsets[u];
+    const uint32_t end = offsets[u + 1];
+    if (begin > end) return at_node("offsets not monotone", u);
+    // A raised interior offset must not index past the adjacency before
+    // the descent back to offsets.back() shows it.
+    if (end > adjacency.size()) return at_node("offsets out of range", u);
+    for (uint32_t i = begin; i < end; ++i) {
+      const Graph::NodeId v = adjacency[i];
+      if (v >= n) return at_node("neighbour out of range", u);
+      if (v == u) return at_node("self-loop", u);
+      if (i > begin && adjacency[i - 1] >= v) {
+        return at_node("adjacency not strictly sorted", u);
       }
     }
+  }
+  return Status::Ok();
+}
+
+Result<Graph> Graph::FromCsr(OffsetVector offsets, AdjacencyVector adjacency) {
+  if (Status status = ValidateCsrSpans(offsets, adjacency); !status.ok()) {
+    return status;
   }
   return Graph(std::move(offsets), std::move(adjacency));
 }

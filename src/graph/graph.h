@@ -4,7 +4,7 @@
 // "sensitive graph database" of the paper, the synthetic realizations
 // sampled from SKG distributions, and the inputs to every statistic.
 //
-// Invariants (validated at construction):
+// Invariants (validated at construction, by ValidateCsrSpans below):
 //   * no self-loops, no parallel edges;
 //   * each undirected edge {u,v} stored twice (u→v and v→u);
 //   * every adjacency list sorted ascending (enables O(log d) HasEdge and
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/aligned.h"
+#include "src/common/status.h"
 
 namespace dpkron {
 
@@ -39,12 +40,13 @@ class Graph {
   // An empty graph (0 nodes).
   Graph() : offsets_(1, 0) {}
 
-  // Takes ownership of validated CSR arrays. `offsets` has num_nodes+1
-  // entries; `adjacency` holds both directions of every edge with each
-  // list sorted. Aborts (DPKRON_CHECK) if the invariants don't hold —
-  // construction from untrusted data should go through GraphBuilder,
-  // which establishes them.
-  static Graph FromCsr(OffsetVector offsets, AdjacencyVector adjacency);
+  // Takes ownership of CSR arrays once ValidateCsrSpans accepts them.
+  // `offsets` has num_nodes+1 entries; `adjacency` holds both directions
+  // of every edge with each list sorted. Arrays that break an invariant
+  // yield its InvalidArgument, so stored bytes of any origin can be
+  // handed over as they are.
+  static Result<Graph> FromCsr(OffsetVector offsets,
+                               AdjacencyVector adjacency);
 
   // Hand-written only because of the atomic fingerprint memo below
   // (std::atomic is neither copyable nor movable); semantics are the
@@ -140,6 +142,14 @@ class Graph {
   // race benignly, both publishing the same value.
   mutable std::atomic<uint64_t> fingerprint_{0};
 };
+
+// The one statement of the CSR invariants: non-empty offsets starting
+// at 0 and ending at an even adjacency length, monotone offsets within
+// it, strictly sorted in-range lists, no self-loops. FromCsr and
+// MmapGraph::Open(verify_payload) both call it. The InvalidArgument
+// names the broken invariant and the node it breaks at.
+Status ValidateCsrSpans(std::span<const uint32_t> offsets,
+                        std::span<const Graph::NodeId> adjacency);
 
 // StatCache byte-budget accounting (common/stat_cache.h).
 inline size_t ApproxCacheBytes(const Graph& graph) {

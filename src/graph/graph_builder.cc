@@ -199,7 +199,9 @@ Graph GraphBuilder::FromPackedEdges(uint32_t num_nodes,
     }
   });
   offsets[num_nodes] = static_cast<uint32_t>(2 * m);
-  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
+  // A builder bug is a broken invariant of the program, not bad input:
+  // value() aborts with the validator's message.
+  return Graph::FromCsr(std::move(offsets), std::move(adjacency)).value();
 }
 
 }  // namespace dpkron

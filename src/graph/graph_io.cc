@@ -523,6 +523,17 @@ uint64_t PayloadChecksum(std::span<const uint32_t> offsets,
   return Fnv1a64Words(adjacency.data(), adjacency.size_bytes(), hash);
 }
 
+// The payload check of a verified open: the mapped sections must hash
+// to the checksum the header recorded (which seeds the view's
+// fingerprint).
+Status CheckPayloadChecksum(GraphView view, const std::string& path) {
+  if (PayloadChecksum(view.Offsets(), view.Adjacency()) !=
+      view.ContentFingerprint()) {
+    return Status::InvalidArgument(path + ": dpkb checksum mismatch");
+  }
+  return Status::Ok();
+}
+
 // Validates a parsed header's fixed fields (everything checkable without
 // touching the payload) — MmapGraph::Open's check, which the copying
 // reader goes through too.
@@ -554,34 +565,6 @@ Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
 }  // namespace
 
 std::string BinaryCachePath(const std::string& path) { return path + ".dpkb"; }
-
-Status ValidateCsrSpans(std::span<const uint32_t> offsets,
-                        std::span<const Graph::NodeId> adjacency,
-                        const std::string& what) {
-  // offsets.size() - 1 must fit the uint32 node count, and the final
-  // offset (itself a uint32) bounds the adjacency length.
-  if (offsets.empty() ||
-      offsets.size() > std::numeric_limits<uint32_t>::max() ||
-      offsets.front() != 0 || offsets.back() != adjacency.size() ||
-      adjacency.size() % 2 != 0) {
-    return Status::InvalidArgument(what + ": corrupt CSR offsets");
-  }
-  const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
-  for (uint32_t u = 0; u < n; ++u) {
-    if (offsets[u] > offsets[u + 1]) {
-      return Status::InvalidArgument(what + ": CSR offsets not monotone");
-    }
-    for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-      if (adjacency[i] >= n || adjacency[i] == u ||
-          (i > offsets[u] && adjacency[i - 1] >= adjacency[i])) {
-        return Status::InvalidArgument(
-            what + ": adjacency violates CSR invariants at node " +
-            std::to_string(u));
-      }
-    }
-  }
-  return Status::Ok();
-}
 
 Status WriteBinaryGraph(GraphView graph, const std::string& path,
                         const DpkbSourceStamp& source) {
@@ -620,21 +603,24 @@ Status WriteBinaryGraph(GraphView graph, const std::string& path,
        bytes(graph.Adjacency().data(), graph.Adjacency().size_bytes())});
 }
 
-Result<Graph> ReadBinaryGraph(const std::string& path,
-                              DpkbSourceStamp* source) {
-  if (source != nullptr) *source = DpkbSourceStamp{};
-  // One .dpkb decoder: the copying load is a verified map (header,
-  // exact size, checksum, CSR invariants) copied into RAM arenas.
-  MmapOptions verify;
-  verify.verify_payload = true;
-  auto mapped = MmapGraph::Open(path, verify);
+Result<Graph> ReadBinaryGraph(const std::string& path) {
+  // One .dpkb decoder: the header checks of a trusted map, the payload
+  // checksum, then a copy into RAM arenas that FromCsr validates — the
+  // CSR invariants are checked once, on the copy.
+  auto mapped = MmapGraph::Open(path);
   if (!mapped.ok()) return mapped.status();
   const GraphView view = mapped.value()->view();
-  if (source != nullptr) *source = mapped.value()->source_stamp();
-  return Graph::FromCsr(
+  if (Status status = CheckPayloadChecksum(view, path); !status.ok()) {
+    return status;
+  }
+  auto graph = Graph::FromCsr(
       Graph::OffsetVector(view.Offsets().begin(), view.Offsets().end()),
       Graph::AdjacencyVector(view.Adjacency().begin(),
                              view.Adjacency().end()));
+  if (!graph.ok()) {
+    return Status::InvalidArgument(path + ": " + graph.status().message());
+  }
+  return graph;
 }
 
 // ------------------------------------------------- out-of-core (mmap)
@@ -730,18 +716,17 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   }
 
   if (options.verify_payload) {
-    // Full streaming re-verification for files of untrusted origin:
-    // the recorded checksum must match the mapped payload, and the CSR
-    // invariants must hold (kernels index adjacency[] by offsets[] and
-    // would otherwise read out of the mapping).
-    if (PayloadChecksum(graph->offsets_, graph->adjacency_) !=
-        header.checksum) {
-      return Status::InvalidArgument(path + ": dpkb checksum mismatch");
-    }
-    if (Status status =
-            ValidateCsrSpans(graph->offsets_, graph->adjacency_, path);
+    // Full streaming verification of bytes found on disk: the recorded
+    // checksum must match the mapped payload, and the CSR invariants
+    // must hold (kernels index adjacency[] by offsets[] and would
+    // otherwise read out of the mapping).
+    if (Status status = CheckPayloadChecksum(graph->view(), path);
         !status.ok()) {
       return status;
+    }
+    if (Status status = ValidateCsrSpans(graph->offsets_, graph->adjacency_);
+        !status.ok()) {
+      return Status::InvalidArgument(path + ": " + status.message());
     }
   }
   return graph;
@@ -766,53 +751,55 @@ Result<EdgeListSource> ReadEdgeListSource(const std::string& path) {
 
 namespace {
 
-// The two ways to serve a sidecar: copied into RAM arenas, or mapped in
-// place. Each yields nothing unless the sidecar opens clean and records
-// `current`. A standalone .dpkb (stamp {0, 0}) never does: the FNV-1a
-// checksum of any source text — even empty — is non-zero.
-std::optional<Graph> ReadFreshSidecar(const std::string& cache,
-                                      const DpkbSourceStamp& current) {
-  DpkbSourceStamp recorded;
-  auto graph = ReadBinaryGraph(cache, &recorded);
-  if (!graph.ok() || recorded != current) return std::nullopt;
-  return std::move(graph).value();
-}
-
+// Maps the sidecar if it opens clean and records `current`. A
+// standalone .dpkb (stamp {0, 0}) never does: the FNV-1a checksum of
+// any source text — even empty — is non-zero. The stamp is read off a
+// trusted O(header) open first, so a stale sidecar costs no payload
+// read; a fresh one found on disk is then reopened verified.
 std::optional<GraphHandle> MapFreshSidecar(const std::string& cache,
-                                           const DpkbSourceStamp& current) {
+                                           const DpkbSourceStamp& current,
+                                           bool verify) {
   auto mapped = MmapGraph::Open(cache);
+  if (mapped.ok() && verify && mapped.value()->source_stamp() == current) {
+    MmapOptions verified;
+    verified.verify_payload = true;
+    mapped = MmapGraph::Open(cache, verified);
+  }
   if (!mapped.ok() || mapped.value()->source_stamp() != current) {
     return std::nullopt;
   }
   return GraphHandle(std::move(mapped).value());
 }
 
-// The sidecar body both loaders share once the source bytes are in
-// hand: serve "<path>.dpkb" through `open_fresh` if it is fresh, else
-// rebuild it. `sidecar_hit` reports which route served the graph.
-//
+}  // namespace
+
+Result<GraphHandle> ReadEdgeListMapped(const std::string& path,
+                                       const EdgeListParseOptions& options) {
+  auto source = ReadEdgeListSource(path);
+  if (!source.ok()) return source.status();
+  return ReadEdgeListMapped(path, source.value(), options);
+}
+
 // The rebuild runs behind the cross-process FileClaim so N processes
-// cold-starting on one dataset do one parse: a waiter re-runs
-// `open_fresh` each poll, and the holder's atomic rename turns the
-// miss into a hit mid-wait. The in-PROCESS analogue of this dedup is
-// the StatCache memo in OpenGraph (graph_source.h). A missing, stale,
+// cold-starting on one dataset do one parse: a waiter re-checks the
+// sidecar each poll, and the holder's atomic rename turns the miss into
+// a hit mid-wait. The in-PROCESS analogue of this dedup is the
+// StatCache memo in OpenGraph (graph_source.h). A missing, stale,
 // old-version or corrupt sidecar is rebuilt from the bytes already in
 // hand, never fatal — including every failure mode of the lock
 // protocol itself.
-template <typename T>
-Result<T> LoadViaSidecar(const std::string& path, const EdgeListSource& source,
-                         const EdgeListParseOptions& options,
-                         std::optional<T> (*open_fresh)(
-                             const std::string&, const DpkbSourceStamp&),
-                         bool* sidecar_hit) {
+Result<GraphHandle> ReadEdgeListMapped(const std::string& path,
+                                       const EdgeListSource& source,
+                                       const EdgeListParseOptions& options) {
   const std::string cache = BinaryCachePath(path);
-  std::optional<T> served;
+  std::optional<GraphHandle> served;
   FileClaim claim(cache + ".lock");
-  *sidecar_hit = claim.LoadOrClaim(options.lock, [&] {
-    served = open_fresh(cache, source.stamp);
-    return served.has_value();
-  });
-  if (*sidecar_hit) return std::move(*served);
+  if (claim.LoadOrClaim(options.lock, [&] {
+        served = MapFreshSidecar(cache, source.stamp, /*verify=*/true);
+        return served.has_value();
+      })) {
+    return std::move(*served);
+  }
 
   auto parsed = ParseEdgeListImpl(source.bytes, path, options);
   if (!parsed.ok()) return parsed.status();
@@ -824,46 +811,13 @@ Result<T> LoadViaSidecar(const std::string& path, const EdgeListSource& source,
     std::fprintf(stderr, "# warning: sidecar cache write failed (%s); "
                  "serving the in-memory parse\n",
                  written.ToString().c_str());
-  }
-  return T(std::move(parsed).value());
-}
-
-}  // namespace
-
-Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
-                                 const EdgeListParseOptions& options) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto source = ReadEdgeListSource(path);
-  if (!source.ok()) return source.status();
-  return ReadEdgeListCached(path, source.value(), cache_hit, options);
-}
-
-Result<Graph> ReadEdgeListCached(const std::string& path,
-                                 const EdgeListSource& source, bool* cache_hit,
-                                 const EdgeListParseOptions& options) {
-  bool sidecar_hit = false;
-  auto result = LoadViaSidecar<Graph>(path, source, options,
-                                      &ReadFreshSidecar, &sidecar_hit);
-  if (cache_hit != nullptr) *cache_hit = sidecar_hit;
-  return result;
-}
-
-Result<GraphHandle> ReadEdgeListMapped(const std::string& path,
-                                       const EdgeListParseOptions& options) {
-  auto source = ReadEdgeListSource(path);
-  if (!source.ok()) return source.status();
-  bool sidecar_hit = false;
-  auto handle = LoadViaSidecar<GraphHandle>(path, source.value(), options,
-                                            &MapFreshSidecar, &sidecar_hit);
-  if (!handle.ok() || sidecar_hit) return handle;
-  // A rebuild returns the parse in hand. Once its sidecar write landed,
-  // serve the mapping instead; if the rewrite could not land —
-  // read-only dataset directory, full disk — the parse serves in-RAM.
-  if (auto mapped = MapFreshSidecar(BinaryCachePath(path),
-                                    source.value().stamp)) {
+  } else if (auto mapped =
+                 MapFreshSidecar(cache, source.stamp, /*verify=*/false)) {
+    // This call's own parse has just written these bytes: the one
+    // sidecar the trust rule maps in O(header).
     return std::move(*mapped);
   }
-  return handle;
+  return GraphHandle(std::move(parsed).value());
 }
 
 }  // namespace dpkron

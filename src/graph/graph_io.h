@@ -24,7 +24,7 @@
 // bit-identical to ParseEdgeListSerial at any thread count.
 //
 // Binary format (.dpkb, little-endian), the sidecar cache behind
-// ReadEdgeListCached and the out-of-core substrate behind MmapGraph.
+// ReadEdgeListMapped and the out-of-core substrate behind MmapGraph.
 // Version 3 ("aligned sections"), the only version read or written:
 //
 //   bytes  field
@@ -61,10 +61,15 @@
 // (src/datasets/graph_source.h), which picks the loader below from the
 // source kind and the GraphLoadOptions.
 //
-// ReadBinaryGraph verifies magic/version/sizes/checksum and the CSR
-// invariants (monotone offsets, strictly sorted in-range lists, no
-// self-loops) before constructing the Graph, so a truncated or
-// corrupted cache degrades to a Status, never an aborted process.
+// Trust rule: .dpkb bytes found on disk are verified once, when they
+// are opened — magic/version/sizes, the payload checksum, and the CSR
+// invariants through ValidateCsrSpans (graph.h) — whichever route
+// serves them: ReadBinaryGraph, a standalone .dpkb under OpenGraph's
+// mmap option, a sidecar hit, or a sidecar another process's rebuild
+// installed. A truncated, corrupted or hostile file degrades to a
+// Status (a stale sidecar to a rebuild), never an aborted process or a
+// read outside the mapping. The one exception is a sidecar the current
+// call has just written from its own parse: it maps in O(header).
 
 #ifndef DPKRON_GRAPH_GRAPH_IO_H_
 #define DPKRON_GRAPH_GRAPH_IO_H_
@@ -88,14 +93,13 @@ struct EdgeListParseOptions {
   // edge order — depends only on this and the input, not on threads.
   size_t chunk_bytes = 1 << 20;
 
-  // Cross-PROCESS sidecar-rebuild coordination (ReadEdgeListCached,
-  // ReadEdgeListMapped): a cache miss claims "<path>.dpkb.lock" through
-  // FileClaim (file_claim.h) before parsing, so N daemons cold-starting
-  // on one dataset do one parse, not N. A loser polls every
-  // lock.poll_ms, re-checking the sidecar each wake (the winner's rename
-  // makes it servable); a lock older than lock.stale_ms is presumed
-  // orphaned and broken. No failure of the lock protocol ever fails a
-  // load.
+  // Cross-PROCESS sidecar-rebuild coordination (ReadEdgeListMapped): a
+  // cache miss claims "<path>.dpkb.lock" through FileClaim
+  // (file_claim.h) before parsing, so N daemons cold-starting on one
+  // dataset do one parse, not N. A loser polls every lock.poll_ms,
+  // re-checking the sidecar each wake (the winner's rename makes it
+  // servable); a lock older than lock.stale_ms is presumed orphaned and
+  // broken. No failure of the lock protocol ever fails a load.
   LockOptions lock;
 };
 
@@ -135,22 +139,10 @@ struct DpkbSourceStamp {
 Status WriteBinaryGraph(GraphView graph, const std::string& path,
                         const DpkbSourceStamp& source = {});
 
-// Loads a .dpkb v3 file into RAM arenas, validating header, checksum
-// and CSR invariants (MmapGraph::Open with verify_payload, then a
-// copy). `source`, when non-null, receives the header's recorded
-// source stamp.
-Result<Graph> ReadBinaryGraph(const std::string& path,
-                              DpkbSourceStamp* source = nullptr);
-
-// Checks every invariant Graph::FromCsr aborts on (non-empty offsets
-// starting at 0 and ending at an even adjacency length, monotone
-// offsets, strictly sorted in-range lists, no self-loops), so CSR
-// arrays of untrusted origin fail with an InvalidArgument naming
-// `what` instead. Every decoder of stored CSR bytes calls it before
-// FromCsr or before serving the arrays to a kernel.
-Status ValidateCsrSpans(std::span<const uint32_t> offsets,
-                        std::span<const Graph::NodeId> adjacency,
-                        const std::string& what);
+// Loads a .dpkb v3 file into RAM arenas: the header checks of
+// MmapGraph::Open, the payload checksum, a copy, then Graph::FromCsr,
+// which checks the CSR invariants of the copy.
+Result<Graph> ReadBinaryGraph(const std::string& path);
 
 // ------------------------------------------------- out-of-core (mmap)
 
@@ -163,12 +155,12 @@ Status ValidateCsrSpans(std::span<const uint32_t> offsets,
 // that the file size matches the header exactly — a file truncated
 // mid-CSR fails with a clean Status and is never mapped, so kernels
 // cannot SIGBUS on the validated range. The payload checksum and CSR
-// invariants are verified only with Options::verify_payload (an
-// O(N + E) streaming read, still zero-copy); the default trusts the
-// checksum recorded at write time, which is what keeps the load
-// O(header). OpenGraph sets verify_payload for every standalone .dpkb
-// (user-supplied, so untrusted); stamp-checked edge-list sidecars open
-// trusted.
+// invariants (ValidateCsrSpans) are verified only with
+// Options::verify_payload (an O(N + E) streaming read, still
+// zero-copy). Every open of bytes found on disk sets it — a standalone
+// .dpkb under OpenGraph, a sidecar hit — so the default, which trusts
+// the checksum recorded at write time and keeps the open O(header), is
+// left to a writer mapping the file it has just written.
 //
 // Fingerprint: the header checksum, which equals
 // Graph::ContentFingerprint of the same CSR by the format contract, so
@@ -253,12 +245,20 @@ class GraphHandle {
   std::shared_ptr<const MmapGraph> mapped_;
 };
 
+// StatCache byte-budget accounting (common/stat_cache.h): the CSR the
+// handle keeps alive, in RAM arenas or in a mapping.
+inline size_t ApproxCacheBytes(const GraphHandle& handle) {
+  const GraphView view = handle.view();
+  return sizeof(handle) + view.Offsets().size_bytes() +
+         view.Adjacency().size_bytes();
+}
+
 // The sidecar cache path for an edge-list file: "<path>.dpkb".
 std::string BinaryCachePath(const std::string& path);
 
 // An edge list's source text and its content stamp: what a sidecar
 // must have recorded to serve in its place, and what OpenGraph keys its
-// in-process memo of parsed edge lists by.
+// in-process memo of loaded edge lists by.
 struct EdgeListSource {
   std::string bytes;
   DpkbSourceStamp stamp;
@@ -267,35 +267,25 @@ struct EdgeListSource {
 // Reads the whole text of `path` and stamps it.
 Result<EdgeListSource> ReadEdgeListSource(const std::string& path);
 
-// Parse-once cache: reads and checksums the source text, then loads
-// "<path>.dpkb" if its recorded source stamp matches the current
-// content; otherwise parses the bytes already in hand and (best-effort)
-// writes the sidecar for next time. Freshness is content-addressed —
-// timestamps play no part — so no rewrite of the source can be served
-// stale. `cache_hit`, when non-null, reports which route served the
-// graph.
-Result<Graph> ReadEdgeListCached(const std::string& path,
-                                 bool* cache_hit = nullptr,
-                                 const EdgeListParseOptions& options = {});
-
-// The same, for a source already read by ReadEdgeListSource(path).
-Result<Graph> ReadEdgeListCached(const std::string& path,
-                                 const EdgeListSource& source,
-                                 bool* cache_hit = nullptr,
-                                 const EdgeListParseOptions& options = {});
-
-// The out-of-core analogue of ReadEdgeListCached: serves the edge list
-// through its sidecar as an mmap-backed handle. Stamp-checks
-// "<path>.dpkb" against the current source bytes and maps it on a hit;
-// on a miss (absent, stale, corrupt, or old-version sidecar) parses the
-// text, rewrites the sidecar as v3 — through the same sidecar body and
-// lock protocol as the cached loader — and retries the map once. If the
-// sidecar cannot be (re)written (read-only dataset dir, ENOSPC), the
-// freshly parsed in-RAM graph serves instead: mmap is an execution
-// strategy, never a correctness requirement, and both backings hash to
-// the same fingerprint.
+// Parse-once cache for an edge list, served out-of-core: reads and
+// stamps the source text, then maps "<path>.dpkb" if its recorded
+// source stamp matches the current content. Freshness is
+// content-addressed — timestamps play no part — so no rewrite of the
+// source can be served stale. A sidecar found on disk is verified at
+// open (the trust rule above); an absent, stale, corrupt or old-version
+// one is rebuilt from the bytes in hand under the cross-process lock
+// protocol, rewritten as v3 and mapped in O(header). If the sidecar
+// cannot be (re)written (read-only dataset dir, ENOSPC), the freshly
+// parsed in-RAM graph serves instead, with a warning: mmap is an
+// execution strategy, never a correctness requirement, and both
+// backings hash to the same fingerprint.
 Result<GraphHandle> ReadEdgeListMapped(
     const std::string& path, const EdgeListParseOptions& options = {});
+
+// The same, for a source already read by ReadEdgeListSource(path).
+Result<GraphHandle> ReadEdgeListMapped(
+    const std::string& path, const EdgeListSource& source,
+    const EdgeListParseOptions& options = {});
 
 }  // namespace dpkron
 

@@ -21,6 +21,7 @@
 namespace dpkron {
 namespace {
 
+using testing::FileInode;
 using testing::SameCsr;
 using testing::ScopedThreads;
 
@@ -37,6 +38,17 @@ std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+// Loads `path` through its sidecar (ReadEdgeListMapped) and reports
+// whether the sidecar already on disk served it (its inode unchanged).
+Result<GraphHandle> LoadThroughSidecar(
+    const std::string& path, bool* hit,
+    const EdgeListParseOptions& options = {}) {
+  const ino_t before = FileInode(BinaryCachePath(path));
+  auto loaded = ReadEdgeListMapped(path, options);
+  *hit = before != 0 && FileInode(BinaryCachePath(path)) == before;
+  return loaded;
 }
 
 TEST(GraphIoTest, ParsesSimpleEdgeList) {
@@ -392,12 +404,12 @@ TEST(EdgeListCacheTest, ParseOnceThenHit) {
   std::remove(cache.c_str());
 
   bool hit = true;
-  const auto first = ReadEdgeListCached(path, &hit);
+  const auto first = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(hit);  // first load parses the text
   EXPECT_TRUE(std::filesystem::exists(cache));
 
-  const auto second = ReadEdgeListCached(path, &hit);
+  const auto second = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(hit);  // second load served from the sidecar
   EXPECT_TRUE(SameCsr(first.value(), second.value()));
@@ -411,7 +423,7 @@ TEST(EdgeListCacheTest, StaleCacheIsRebuilt) {
   const std::string cache = BinaryCachePath(path);
   WriteFile(path, "0 1\n");
   bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  ASSERT_TRUE(LoadThroughSidecar(path, &hit).ok());
 
   // New source content; force the sidecar visibly older than the
   // source (filesystem timestamps can be too coarse to rely on).
@@ -420,13 +432,13 @@ TEST(EdgeListCacheTest, StaleCacheIsRebuilt) {
       cache,
       std::filesystem::last_write_time(path) - std::chrono::seconds(10));
 
-  const auto refreshed = ReadEdgeListCached(path, &hit);
+  const auto refreshed = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(refreshed.ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(refreshed.value().NumEdges(), 2u);
 
   // The rebuild rewrote the sidecar: next load hits it.
-  const auto again = ReadEdgeListCached(path, &hit);
+  const auto again = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(again.value().NumEdges(), 2u);
@@ -442,14 +454,14 @@ TEST(EdgeListCacheTest, MtimePreservingSourceReplacementDetected) {
   const std::string cache = BinaryCachePath(path);
   WriteFile(path, "0 1\n");
   bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  ASSERT_TRUE(LoadThroughSidecar(path, &hit).ok());
 
   WriteFile(path, "0 1\n1 2\n2 3\n");
   std::filesystem::last_write_time(
       path,
       std::filesystem::last_write_time(cache) - std::chrono::seconds(10));
 
-  const auto replaced = ReadEdgeListCached(path, &hit);
+  const auto replaced = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(replaced.ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(replaced.value().NumEdges(), 3u);
@@ -469,22 +481,22 @@ TEST(EdgeListCacheTest, SameSizeSameSecondRewriteDetected) {
   const std::string cache = BinaryCachePath(path);
   WriteFile(path, "0 1\n0 2\n");
   bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  ASSERT_TRUE(LoadThroughSidecar(path, &hit).ok());
 
   WriteFile(path, "0 1\n0 3\n");  // same size, different content
   std::filesystem::last_write_time(path,
                                    std::filesystem::last_write_time(cache));
 
-  const auto rewritten = ReadEdgeListCached(path, &hit);
+  const auto rewritten = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_FALSE(hit);
   // Nodes 0, 1, 3 — the "3" proves the new content was parsed.
   EXPECT_EQ(rewritten.value().NumNodes(), 3u);
   EXPECT_EQ(rewritten.value().NumEdges(), 2u);
-  EXPECT_EQ(rewritten.value().Degree(0), 2u);
+  EXPECT_EQ(rewritten.value().view().Degree(0), 2u);
 
   // The rebuilt sidecar serves the new content from now on.
-  const auto again = ReadEdgeListCached(path, &hit);
+  const auto again = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(hit);
   EXPECT_TRUE(SameCsr(again.value(), rewritten.value()));
@@ -543,7 +555,7 @@ TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
     EXPECT_NE(direct.status().message().find("version"), std::string::npos);
 
     bool hit = true;
-    const auto result = ReadEdgeListCached(path, &hit);
+    const auto result = LoadThroughSidecar(path, &hit);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_FALSE(hit);
     EXPECT_TRUE(SameCsr(result.value(), graph.value()));
@@ -551,7 +563,7 @@ TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
     // The sidecar was rewritten in place as v3: it now loads and hits.
     EXPECT_EQ(ReadFile(cache)[8], 3);
     EXPECT_TRUE(ReadBinaryGraph(cache).ok());
-    const auto upgraded = ReadEdgeListCached(path, &hit);
+    const auto upgraded = LoadThroughSidecar(path, &hit);
     ASSERT_TRUE(upgraded.ok());
     EXPECT_TRUE(hit);
   }
@@ -564,10 +576,9 @@ TEST(BinaryGraphTest, SourceStampRoundTrips) {
   const std::string path = TempPath("stamped.dpkb");
   const DpkbSourceStamp stamp{123, 0xDEADBEEFCAFEF00DULL};
   ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path, stamp).ok());
-  DpkbSourceStamp back;
-  ASSERT_TRUE(ReadBinaryGraph(path, &back).ok());
-  EXPECT_EQ(back.size, stamp.size);
-  EXPECT_EQ(back.checksum, stamp.checksum);
+  const auto back = MmapGraph::Open(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value()->source_stamp(), stamp);
   std::remove(path.c_str());
 }
 
@@ -581,7 +592,7 @@ TEST(EdgeListCacheTest, CorruptCacheFallsBackToParse) {
       std::filesystem::last_write_time(path) + std::chrono::seconds(10));
 
   bool hit = true;
-  const auto result = ReadEdgeListCached(path, &hit);
+  const auto result = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(hit);
   EXPECT_EQ(result.value().NumEdges(), 2u);
@@ -594,9 +605,9 @@ TEST(EdgeListCacheTest, MissingSourceFailsEvenWithCache) {
   const std::string path = TempPath("deleted.edges");
   WriteFile(path, "0 1\n");
   bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  ASSERT_TRUE(LoadThroughSidecar(path, &hit).ok());
   std::remove(path.c_str());
-  const auto result = ReadEdgeListCached(path, &hit);
+  const auto result = LoadThroughSidecar(path, &hit);
   EXPECT_FALSE(result.ok());
   std::remove(BinaryCachePath(path).c_str());
 }
@@ -634,11 +645,11 @@ TEST(IngestionRoundTripTest, AllRoutesProduceIdenticalCsr) {
     const std::string cache = BinaryCachePath(path);
     std::remove(cache.c_str());
     bool hit = false;
-    const auto parsed = ReadEdgeListCached(path, &hit);
+    const auto parsed = LoadThroughSidecar(path, &hit);
     ASSERT_TRUE(parsed.ok());
     EXPECT_FALSE(hit);
     EXPECT_TRUE(SameCsr(parsed.value(), reference));
-    const auto reloaded = ReadEdgeListCached(path, &hit);
+    const auto reloaded = LoadThroughSidecar(path, &hit);
     ASSERT_TRUE(reloaded.ok());
     EXPECT_TRUE(hit);
     EXPECT_TRUE(SameCsr(reloaded.value(), reference));
@@ -678,7 +689,7 @@ TEST(IngestionPerfTest, BinaryCacheReloadBeatsTextParse) {
   using Clock = std::chrono::steady_clock;
   auto start = Clock::now();
   bool hit = true;
-  const auto parsed = ReadEdgeListCached(path, &hit);
+  const auto parsed = LoadThroughSidecar(path, &hit);
   const double parse_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   ASSERT_TRUE(parsed.ok());
@@ -690,7 +701,7 @@ TEST(IngestionPerfTest, BinaryCacheReloadBeatsTextParse) {
   double reload_seconds = 1e9;
   for (int i = 0; i < 3; ++i) {
     start = Clock::now();
-    const auto reloaded = ReadEdgeListCached(path, &hit);
+    const auto reloaded = LoadThroughSidecar(path, &hit);
     const double seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     ASSERT_TRUE(reloaded.ok());
@@ -728,7 +739,7 @@ TEST(EdgeListCacheTest, SidecarWriteFailureDegradesToWarningPlusParse) {
   env.FailWrites(/*after=*/1,
                  Status::ResourceExhausted("No space left on device"));
   bool hit = true;
-  const auto parsed = ReadEdgeListCached(path, &hit);
+  const auto parsed = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_FALSE(hit);
   EXPECT_EQ(parsed.value().NumNodes(), 3u);
@@ -739,11 +750,11 @@ TEST(EdgeListCacheTest, SidecarWriteFailureDegradesToWarningPlusParse) {
   // Once space is back the next load parses again AND rebuilds the
   // sidecar, so the one after that is a cache hit.
   env.ClearFaults();
-  const auto rebuilt = ReadEdgeListCached(path, &hit);
+  const auto rebuilt = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_FALSE(hit);
   EXPECT_TRUE(std::filesystem::exists(cache));
-  const auto served = ReadEdgeListCached(path, &hit);
+  const auto served = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(served.ok());
   EXPECT_TRUE(hit);
   EXPECT_TRUE(SameCsr(parsed.value(), served.value()));
@@ -768,7 +779,7 @@ TEST(EdgeListCacheTest, SidecarSurvivesCrashRightAfterWrite) {
   FaultInjectionEnv env;
   ScopedEnvOverride scope(&env);
   bool hit = true;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  ASSERT_TRUE(LoadThroughSidecar(path, &hit).ok());
   EXPECT_FALSE(hit);
   ASSERT_TRUE(std::filesystem::exists(cache));
 
@@ -776,7 +787,7 @@ TEST(EdgeListCacheTest, SidecarSurvivesCrashRightAfterWrite) {
 
   const auto recovered = ReadBinaryGraph(cache);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  const auto cached = ReadEdgeListCached(path, &hit);
+  const auto cached = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(hit);  // the surviving sidecar serves the load
   EXPECT_TRUE(SameCsr(recovered.value(), cached.value()));
@@ -812,7 +823,7 @@ TEST(SidecarLockTest, RebuildLockIsTakenAndRemovedAroundParse) {
   std::remove(lock.c_str());
 
   bool hit = true;
-  const auto loaded = ReadEdgeListCached(path, &hit);
+  const auto loaded = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE(hit);
   EXPECT_TRUE(std::filesystem::exists(cache));
@@ -835,6 +846,7 @@ TEST(SidecarLockTest, WaiterServesSidecarInstalledByLockHolder) {
   WriteFile(lock, "");
   // ...and, while this loader polls, installs the sidecar (atomic
   // rename) and releases. Install-before-release is the protocol.
+  ino_t installed = 0;
   std::thread winner([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     const auto parsed = ParseEdgeList(text);
@@ -842,19 +854,20 @@ TEST(SidecarLockTest, WaiterServesSidecarInstalledByLockHolder) {
     const DpkbSourceStamp stamp{text.size(),
                                 Fnv1a64Words(text.data(), text.size())};
     ASSERT_TRUE(WriteBinaryGraph(parsed.value(), cache, stamp).ok());
+    installed = FileInode(cache);
     std::remove(lock.c_str());
   });
 
   EdgeListParseOptions options;
   options.lock.poll_ms = 5;
   options.lock.stale_ms = 10000;  // far beyond the winner's 60ms
-  bool hit = false;
-  const auto loaded = ReadEdgeListCached(path, &hit, options);
+  const auto loaded = ReadEdgeListMapped(path, options);
   winner.join();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // The waiter was served by the winner's sidecar — one parse total,
-  // which is the point of the lock.
-  EXPECT_TRUE(hit);
+  // The waiter was served by the winner's sidecar, not a rebuild of its
+  // own — one parse total, which is the point of the lock.
+  EXPECT_TRUE(loaded.value().mmap_backed());
+  EXPECT_EQ(FileInode(cache), installed);
   EXPECT_FALSE(std::filesystem::exists(lock));
 
   std::remove(path.c_str());
@@ -875,7 +888,7 @@ TEST(SidecarLockTest, OrphanedLockIsBrokenAfterStaleTimeout) {
   options.lock.poll_ms = 2;
   options.lock.stale_ms = 30;
   bool hit = true;
-  const auto loaded = ReadEdgeListCached(path, &hit, options);
+  const auto loaded = LoadThroughSidecar(path, &hit, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE(hit);  // the takeover parsed the text itself
   EXPECT_EQ(loaded.value().NumEdges(), 2u);

@@ -334,6 +334,99 @@ TEST(GraphSourceMemoTest, CachedEdgeListLoadsShareOneGraph) {
   std::remove(BinaryCachePath(path).c_str());
 }
 
+// Two --mmap loads of one edge list share one verified mapping through
+// the content-stamp memo, as --dataset-cache loads do.
+TEST(GraphSourceMemoTest, MappedEdgeListLoadsShareOneMapping) {
+  const std::string path = TempPath("memo_mapped.edges");
+  std::ofstream(path) << "0 1\n1 2\n2 0\n";
+  std::remove(BinaryCachePath(path).c_str());
+  ScopedGraphMemo memo;
+  Rng rng(1);
+  GraphLoadOptions options;
+  options.mmap = true;
+  const auto first = OpenGraph(path, rng, options);
+  const auto second = OpenGraph(path, rng, options);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_TRUE(first.value().mmap_backed());
+  EXPECT_EQ(first.value().view().Adjacency().data(),
+            second.value().view().Adjacency().data());
+  EXPECT_EQ(GraphLoadCounters().misses, 1u);
+  EXPECT_EQ(GraphLoadCounters().hits, 1u);
+  std::remove(path.c_str());
+  std::remove(BinaryCachePath(path).c_str());
+}
+
+// A sidecar whose header and source stamp are intact but whose payload
+// was changed on disk is never served: every route that reaches the
+// sidecar verifies it at open, rebuilds it from the text and serves the
+// fresh parse.
+TEST(GraphSourceTest, TamperedSidecarIsRebuiltOnEveryRoute) {
+  const std::string path = TempPath("tampered.edges");
+  std::ofstream(path) << "0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n";
+  const std::string cache = BinaryCachePath(path);
+  const auto fresh = ReadEdgeList(path);
+  ASSERT_TRUE(fresh.ok());
+  const Graph& parsed = fresh.value();
+  ASSERT_EQ(parsed.Neighbors(0)[0], 1u);  // ids densify to themselves
+
+  // Byte offsets of the v3 sections (graph_io.h): offsets at 64, the
+  // adjacency on the next 64-byte boundary past them.
+  const size_t offsets_at = 64;
+  const size_t adjacency_at =
+      (offsets_at + sizeof(uint32_t) * (parsed.NumNodes() + 1) + 63) / 64 *
+      64;
+  const std::pair<const char*, std::pair<size_t, uint32_t>> tampers[] = {
+      // Node 0's neighbours {1, 5} become {4, 5}: still a valid CSR.
+      {"adjacency word", {adjacency_at, 4}},
+      {"interior offset", {offsets_at + 3 * sizeof(uint32_t), 0x7fffffff}},
+  };
+  GraphLoadOptions use_cache;
+  use_cache.use_cache = true;
+  GraphLoadOptions mmap;
+  mmap.mmap = true;
+  const std::pair<const char*, std::function<Result<GraphHandle>()>>
+      routes[] = {
+          {"ReadEdgeListMapped", [&] { return ReadEdgeListMapped(path); }},
+          {"OpenGraph{use_cache}",
+           [&] {
+             Rng rng(1);
+             return OpenGraph(path, rng, use_cache);
+           }},
+          {"OpenGraph{mmap}",
+           [&] {
+             Rng rng(1);
+             return OpenGraph(path, rng, mmap);
+           }},
+      };
+  for (const auto& [tamper, at] : tampers) {
+    for (const auto& [route, load] : routes) {
+      SCOPED_TRACE(std::string(tamper) + " via " + route);
+      std::remove(cache.c_str());
+      ASSERT_TRUE(ReadEdgeListMapped(path).ok());  // a fresh sidecar
+      {
+        std::fstream file(cache, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+        file.seekp(static_cast<std::streamoff>(at.first));
+        file.write(reinterpret_cast<const char*>(&at.second),
+                   sizeof(at.second));
+      }
+      const ino_t tampered = testing::FileInode(cache);
+
+      const auto loaded = load();
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded.value().view().ContentFingerprint(),
+                parsed.ContentFingerprint());
+      EXPECT_TRUE(testing::SameCsr(loaded.value(), parsed));
+      EXPECT_NE(testing::FileInode(cache), tampered);  // rewritten
+      MmapOptions verify;
+      verify.verify_payload = true;
+      EXPECT_TRUE(MmapGraph::Open(cache, verify).ok());
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(cache.c_str());
+}
+
 // The one "graph_load" entry under a disk root, read back through the
 // codec's own field order: offsets, adjacency, end state.
 struct StoredEntry {

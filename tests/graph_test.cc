@@ -1,6 +1,7 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,17 +100,41 @@ TEST(GraphTest, CopyIsIndependent) {
 
 TEST(GraphTest, FromCsrAcceptsValidInput) {
   // Triangle 0-1-2.
-  const Graph g = Graph::FromCsr({0, 2, 4, 6}, {1, 2, 0, 2, 0, 1});
-  EXPECT_EQ(g.NumNodes(), 3u);
-  EXPECT_EQ(g.NumEdges(), 3u);
+  const auto g = Graph::FromCsr({0, 2, 4, 6}, {1, 2, 0, 2, 0, 1});
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g.value().NumNodes(), 3u);
+  EXPECT_EQ(g.value().NumEdges(), 3u);
 }
 
-TEST(GraphDeathTest, FromCsrRejectsSelfLoop) {
-  EXPECT_DEATH(Graph::FromCsr({0, 2, 4}, {0, 1, 0, 1}), "self-loop");
+// A broken invariant is an InvalidArgument naming it and the node.
+void ExpectFromCsrRejects(Graph::OffsetVector offsets,
+                          Graph::AdjacencyVector adjacency,
+                          const std::string& message) {
+  const auto g = Graph::FromCsr(std::move(offsets), std::move(adjacency));
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(g.status().message().find(message), std::string::npos)
+      << g.status().message();
 }
 
-TEST(GraphDeathTest, FromCsrRejectsUnsortedAdjacency) {
-  EXPECT_DEATH(Graph::FromCsr({0, 2, 3, 4}, {2, 1, 0, 0}), "sorted");
+TEST(GraphTest, FromCsrRejectsSelfLoop) {
+  ExpectFromCsrRejects({0, 2, 4}, {0, 1, 0, 1}, "self-loop at node 0");
+}
+
+TEST(GraphTest, FromCsrRejectsUnsortedAdjacency) {
+  ExpectFromCsrRejects({0, 2, 3, 4}, {2, 1, 0, 0},
+                       "not strictly sorted at node 0");
+}
+
+TEST(GraphTest, FromCsrRejectsOutOfRangeNeighbourAndBadOffsets) {
+  ExpectFromCsrRejects({0, 1, 2}, {1, 2}, "out of range at node 1");
+  ExpectFromCsrRejects({0, 2, 1, 2}, {1, 2}, "not monotone at node 1");
+  // A raised interior offset is caught before it indexes past the
+  // adjacency.
+  ExpectFromCsrRejects({0, 0x7fffffff, 2}, {1, 0},
+                       "offsets out of range at node 0");
+  ExpectFromCsrRejects({}, {}, "do not run from 0");
+  ExpectFromCsrRejects({0, 1}, {0, 1}, "do not run from 0");
 }
 
 TEST(GraphDeathTest, BuilderRejectsOutOfRangeNode) {
@@ -173,7 +198,7 @@ Graph SortReferenceCsr(uint32_t num_nodes, std::vector<uint64_t> keys) {
     adjacency.push_back(static_cast<Graph::NodeId>(entry));
   }
   for (uint32_t x = 0; x < num_nodes; ++x) offsets[x + 1] += offsets[x];
-  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
+  return Graph::FromCsr(std::move(offsets), std::move(adjacency)).value();
 }
 
 // `count` keys over `num_nodes` nodes in shuffled order: a hub at node 0,

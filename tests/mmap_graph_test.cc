@@ -238,7 +238,7 @@ TEST(GraphHandleTest, CarriesEitherBackingBehindOneType) {
 }
 
 // ReadEdgeListMapped: miss parses + writes the v3 sidecar and serves
-// the mapping; hit maps in O(header); a source rewrite invalidates the
+// the mapping; hit maps it verified; a source rewrite invalidates the
 // stamp (content-addressed, so a same-size rewrite still misses); a
 // corrupt sidecar silently rebuilds.
 TEST(ReadEdgeListMappedTest, SidecarMissHitStaleAndCorrupt) {

@@ -3,6 +3,10 @@
 #ifndef DPKRON_TESTS_TEST_UTIL_H_
 #define DPKRON_TESTS_TEST_UTIL_H_
 
+#include <sys/stat.h>
+
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,12 +36,18 @@ class ScopedThreads {
   int saved_;
 };
 
-// Equal CSR arrays: the same graph, bit for bit.
-inline bool SameCsr(const Graph& a, const Graph& b) {
-  return std::vector<uint32_t>(a.Offsets().begin(), a.Offsets().end()) ==
-             std::vector<uint32_t>(b.Offsets().begin(), b.Offsets().end()) &&
-         std::vector<uint32_t>(a.Adjacency().begin(), a.Adjacency().end()) ==
-             std::vector<uint32_t>(b.Adjacency().begin(), b.Adjacency().end());
+// Equal CSR arrays: the same graph, bit for bit, on any backing.
+inline bool SameCsr(GraphView a, GraphView b) {
+  return std::ranges::equal(a.Offsets(), b.Offsets()) &&
+         std::ranges::equal(a.Adjacency(), b.Adjacency());
+}
+
+// The file's inode, 0 when it does not exist. A sidecar rebuild renames
+// a new file into place, so an unchanged inode across a load shows the
+// sidecar on disk served it.
+inline ino_t FileInode(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
 }
 
 // The exact features E, H, ∆, T of `graph`, from its node stats.
