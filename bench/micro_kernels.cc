@@ -193,6 +193,8 @@ BENCHMARK(BM_KronFitIteration)
     ->Args({12, 4})
     ->Args({12, 8})
     ->Args({14, 1})
+    ->Args({14, 2})
+    ->Args({14, 4})
     ->Args({14, 8})
     ->Unit(benchmark::kMillisecond);
 

@@ -12,6 +12,13 @@
 //   * Which OS thread executes which chunk is dynamic (work stealing via
 //     an atomic cursor), so per-*worker* state may be used only for
 //     commutative accumulation (e.g. integer counts).
+//   * Placement: state a chunk or worker writes in its hot loop (an Rng,
+//     a counter, a vector it pushes to) sits on its own 64-byte cache
+//     line — alignas(64) on the per-worker struct, as Rng itself is —
+//     or is accumulated in a local and stored to the shared array once
+//     at the end. Neighbours in one std::vector otherwise keep taking
+//     each other's line, and adding threads makes the section slower.
+//     Placement never changes a value, only where it lives.
 // Under this contract every kernel in dpkron produces bit-identical
 // results at 1, 2 or 64 threads (tests/parallel_test.cc enforces it).
 //

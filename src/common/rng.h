@@ -18,7 +18,12 @@
 namespace dpkron {
 
 // xoshiro256** PRNG with convenience distributions.
-class Rng {
+//
+// Cache-line aligned: every draw writes the state, and parallel kernels
+// keep one stream per chain, chunk or region side by side in a
+// std::vector (SplitRngStreams), so unaligned neighbours would keep
+// taking each other's line (the placement rule in common/parallel.h).
+class alignas(64) Rng {
  public:
   // Seeds the 256-bit state from `seed` via splitmix64.
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);

@@ -89,11 +89,14 @@ TriangleSensitivityProfile::TriangleSensitivityProfile(GraphView graph)
   // would); for adjacent pairs without common neighbors it IS the exact
   // value. Either way exactness of the max is preserved.
   constexpr size_t kGrain = 256;
-  struct Walker {
+  // One cache line per walker: every touched.push_back writes the
+  // vector header, so adjacent walkers would share a line.
+  struct alignas(64) Walker {
     std::vector<uint32_t> count;  // per j: common neighbors (+1 if adjacent)
     std::vector<Graph::NodeId> touched;
     std::vector<int64_t> best_b;
   };
+  static_assert(alignof(Walker) >= 64);
   std::vector<Walker> walkers(ParallelThreadCount());
   ParallelForChunks(n, kGrain, [&](const ParallelChunk& chunk) {
     Walker& walker = walkers[chunk.worker];

@@ -93,24 +93,30 @@ std::vector<uint64_t> ApproxHopPlot(GraphView graph, Rng& rng,
     // node (crossing the ISA boundary per neighbor costs more than the
     // merge itself at ANF's sketch widths).
     const bool use_avx2 = Avx2Active();
-    ParallelFor(n, kAnfGrain, [&](size_t u) {
-      uint64_t* dst = &next[u * trials];
-      const auto neighbors = graph.Neighbors(static_cast<Graph::NodeId>(u));
-      bool local_changed = false;
-      if (use_avx2) {
-        local_changed = OrMergeRowAvx2(dst, masks.data(), trials,
-                                       neighbors.data(), neighbors.size());
-      } else {
-        for (Graph::NodeId v : neighbors) {
-          const uint64_t* src = &masks[static_cast<size_t>(v) * trials];
-          for (uint32_t t = 0; t < trials; ++t) {
-            const uint64_t merged = dst[t] | src[t];
-            local_changed |= (merged != dst[t]);
-            dst[t] = merged;
+    ParallelForChunks(n, kAnfGrain, [&](const ParallelChunk& chunk) {
+      // One store per chunk: in the early rounds nearly every node
+      // changes, and a store per node would keep `changed`'s line moving
+      // between workers.
+      bool chunk_changed = false;
+      for (size_t u = chunk.begin; u < chunk.end; ++u) {
+        uint64_t* dst = &next[u * trials];
+        const auto neighbors =
+            graph.Neighbors(static_cast<Graph::NodeId>(u));
+        if (use_avx2) {
+          chunk_changed |= OrMergeRowAvx2(dst, masks.data(), trials,
+                                          neighbors.data(), neighbors.size());
+        } else {
+          for (Graph::NodeId v : neighbors) {
+            const uint64_t* src = &masks[static_cast<size_t>(v) * trials];
+            for (uint32_t t = 0; t < trials; ++t) {
+              const uint64_t merged = dst[t] | src[t];
+              chunk_changed |= (merged != dst[t]);
+              dst[t] = merged;
+            }
           }
         }
       }
-      if (local_changed) changed.store(true, std::memory_order_relaxed);
+      if (chunk_changed) changed.store(true, std::memory_order_relaxed);
     });
     masks.swap(next);
     if (!changed.load(std::memory_order_relaxed)) {

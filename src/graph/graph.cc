@@ -3,11 +3,39 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/macros.h"
+#include "src/common/parallel.h"
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
+
+namespace {
+
+// The first CSR invariant node u breaks, or nullptr. Reads only u's own
+// offsets and row, so nodes can be checked in any order.
+const char* NodeDefect(std::span<const uint32_t> offsets,
+                       std::span<const Graph::NodeId> adjacency, uint32_t n,
+                       uint32_t u) {
+  const uint32_t begin = offsets[u];
+  const uint32_t end = offsets[u + 1];
+  if (begin > end) return "offsets not monotone";
+  // A raised interior offset must not index past the adjacency before
+  // the descent back to offsets.back() shows it.
+  if (end > adjacency.size()) return "offsets out of range";
+  for (uint32_t i = begin; i < end; ++i) {
+    const Graph::NodeId v = adjacency[i];
+    if (v >= n) return "neighbour out of range";
+    if (v == u) return "self-loop";
+    if (i > begin && adjacency[i - 1] >= v) {
+      return "adjacency not strictly sorted";
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 Status ValidateCsrSpans(std::span<const uint32_t> offsets,
                         std::span<const Graph::NodeId> adjacency) {
@@ -21,25 +49,25 @@ Status ValidateCsrSpans(std::span<const uint32_t> offsets,
         "CSR offsets do not run from 0 to an even adjacency length");
   }
   const uint32_t n = static_cast<uint32_t>(offsets.size() - 1);
-  const auto at_node = [](const char* what, uint32_t u) {
-    return Status::InvalidArgument(std::string("CSR ") + what +
-                                   " at node " + std::to_string(u));
-  };
-  for (uint32_t u = 0; u < n; ++u) {
-    const uint32_t begin = offsets[u];
-    const uint32_t end = offsets[u + 1];
-    if (begin > end) return at_node("offsets not monotone", u);
-    // A raised interior offset must not index past the adjacency before
-    // the descent back to offsets.back() shows it.
-    if (end > adjacency.size()) return at_node("offsets out of range", u);
-    for (uint32_t i = begin; i < end; ++i) {
-      const Graph::NodeId v = adjacency[i];
-      if (v >= n) return at_node("neighbour out of range", u);
-      if (v == u) return at_node("self-loop", u);
-      if (i > begin && adjacency[i - 1] >= v) {
-        return at_node("adjacency not strictly sorted", u);
+  // Node chunks are checked on the pool; each keeps its first failing
+  // node (n = none), and the lowest one is reported, so the message is
+  // the one a serial scan from node 0 would give.
+  constexpr size_t kNodeGrain = 4096;
+  std::vector<uint32_t> first_failing(ParallelChunkCount(n, kNodeGrain), n);
+  ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
+    for (size_t u = chunk.begin; u < chunk.end; ++u) {
+      if (NodeDefect(offsets, adjacency, n, static_cast<uint32_t>(u)) !=
+          nullptr) {
+        first_failing[chunk.index] = static_cast<uint32_t>(u);
+        return;
       }
     }
+  });
+  for (const uint32_t u : first_failing) {
+    if (u == n) continue;
+    return Status::InvalidArgument(
+        std::string("CSR ") + NodeDefect(offsets, adjacency, n, u) +
+        " at node " + std::to_string(u));
   }
   return Status::Ok();
 }

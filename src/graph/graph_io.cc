@@ -89,13 +89,16 @@ LineKind ParseLine(const char* p, const char* end, RawEdge* edge,
 // --------------------------------------------------------- chunk parse
 
 // Result of tokenizing one byte range: the raw edges in file order, the
-// number of lines seen, and the first malformed line (if any).
-struct ChunkParse {
+// number of lines seen, and the first malformed line (if any). Every
+// line writes `lines` and most push an edge, so each chunk's result
+// sits on its own cache line.
+struct alignas(64) ChunkParse {
   std::vector<RawEdge> edges;
   size_t lines = 0;
   size_t error_line = 0;  // 1-based within the chunk; 0 = no error
   std::string error;
 };
+static_assert(alignof(ChunkParse) >= 64);
 
 void ParseChunk(const char* begin, const char* end, ChunkParse* out) {
   const char* p = begin;
@@ -283,13 +286,16 @@ Result<Graph> MergeChunks(std::vector<ChunkParse>* parsed,
     return shard_bits == 0 ? 0 : MixId(id) >> (64 - shard_bits);
   };
   // cursor[c * shards + s]: where chunk c's next shard-s endpoint goes.
+  // Both passes below count and advance a local copy of chunk c's row:
+  // neighbouring rows share cache lines.
   std::vector<uint64_t> cursor(num_chunks * shards, 0);
   ParallelFor(num_chunks, 1, [&](size_t c) {
-    uint64_t* count = cursor.data() + c * shards;
+    std::vector<uint64_t> count(shards, 0);
     for (const RawEdge& edge : chunks[c].edges) {
       ++count[shard_of(edge.first)];
       ++count[shard_of(edge.second)];
     }
+    std::copy(count.begin(), count.end(), cursor.begin() + c * shards);
   });
   std::vector<uint64_t> shard_begin(shards + 1, 0);
   uint64_t next = 0;
@@ -305,7 +311,8 @@ Result<Graph> MergeChunks(std::vector<ChunkParse>* parsed,
   // Both position-indexed arrays are fully written before they are read.
   auto scattered = std::make_unique_for_overwrite<Endpoint[]>(endpoints);
   ParallelFor(num_chunks, 1, [&](size_t c) {
-    uint64_t* slot = cursor.data() + c * shards;
+    std::vector<uint64_t> slot(cursor.begin() + c * shards,
+                               cursor.begin() + (c + 1) * shards);
     uint64_t position = base[c];
     for (const RawEdge& edge : chunks[c].edges) {
       scattered[slot[shard_of(edge.first)]++] = {edge.first, position++};
@@ -327,13 +334,17 @@ Result<Graph> MergeChunks(std::vector<ChunkParse>* parsed,
   scattered.reset();
 
   // Per chunk: first positions (new ids) and self-loops (both ends share
-  // a first position).
+  // a first position), counted in locals and stored once, since
+  // neighbouring chunks' counters share a line.
   std::vector<uint64_t> new_ids(num_chunks), loops(num_chunks);
   ParallelFor(num_chunks, 1, [&](size_t c) {
+    uint64_t chunk_new_ids = 0, chunk_loops = 0;
     for (uint64_t p = base[c]; p < base[c + 1]; p += 2) {
-      new_ids[c] += (first_of[p] == p) + (first_of[p + 1] == p + 1);
-      loops[c] += first_of[p] == first_of[p + 1];
+      chunk_new_ids += (first_of[p] == p) + (first_of[p + 1] == p + 1);
+      chunk_loops += first_of[p] == first_of[p + 1];
     }
+    new_ids[c] = chunk_new_ids;
+    loops[c] = chunk_loops;
   });
   std::vector<uint64_t> ids_before(num_chunks), keys_before(num_chunks);
   uint64_t distinct = 0, kept = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
@@ -361,10 +362,14 @@ Graph SampleEdgeSkip(const Initiator2& theta, uint32_t k, Rng& rng) {
   std::vector<std::vector<uint64_t>> batches(frontier.size());
   ParallelFor(frontier.size(), 1, [&](size_t i) {
     const EdgeSkipRegion& region = frontier[i];
-    batches[i].reserve(static_cast<size_t>(
+    // Filled locally and moved in once: every push_back writes the
+    // vector header, and neighbouring batches' headers share a line.
+    std::vector<uint64_t> batch;
+    batch.reserve(static_cast<size_t>(
         std::min<uint64_t>(region.count, uint64_t{1} << 20)));
     DescendRegion(region.u_prefix, region.v_prefix, region.level,
-                  region.count, k, law, streams[i], &batches[i]);
+                  region.count, k, law, streams[i], &batch);
+    batches[i] = std::move(batch);
   });
 
   size_t total = 0;

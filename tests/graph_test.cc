@@ -137,6 +137,28 @@ TEST(GraphTest, FromCsrRejectsOutOfRangeNeighbourAndBadOffsets) {
   ExpectFromCsrRejects({0, 1}, {0, 1}, "do not run from 0");
 }
 
+// Two bad nodes far enough apart to fall in different validation
+// chunks: the lower one is reported, whichever defect it has and
+// however many threads check the chunks.
+TEST(GraphTest, FromCsrReportsTheLowestBadNodeAcrossChunks) {
+  constexpr uint32_t kNodes = 1 << 16;
+  constexpr uint32_t kEarly = 1000, kLate = 60000;
+  // Every row is empty except kEarly's and kLate's, one entry each.
+  auto offsets_with_two_rows = [] {
+    Graph::OffsetVector offsets(kNodes + 1, 0);
+    for (uint32_t u = kEarly + 1; u <= kNodes; ++u) offsets[u] = 1;
+    for (uint32_t u = kLate + 1; u <= kNodes; ++u) offsets[u] = 2;
+    return offsets;
+  };
+  for (const int threads : {1, 4}) {
+    testing::ScopedThreads scoped(threads);
+    ExpectFromCsrRejects(offsets_with_two_rows(), {kEarly, kNodes + 7},
+                         "CSR self-loop at node 1000");
+    ExpectFromCsrRejects(offsets_with_two_rows(), {kNodes + 7, kLate},
+                         "CSR neighbour out of range at node 1000");
+  }
+}
+
 TEST(GraphDeathTest, BuilderRejectsOutOfRangeNode) {
   GraphBuilder builder(3);
   EXPECT_DEATH(builder.AddEdge(0, 3), "CHECK");

@@ -218,6 +218,25 @@ TEST(SplitRngStreamsTest, DeterministicAndDistinct) {
   EXPECT_EQ(std::unique(firsts.begin(), firsts.end()), firsts.end());
 }
 
+// The placement rule: chains and chunks write their stream on every
+// draw, so no two streams may share a 64-byte line.
+TEST(SplitRngStreamsTest, StreamsOccupyDistinctCacheLines) {
+  static_assert(alignof(Rng) >= 64);
+  Rng parent(11);
+  const std::vector<Rng> streams = SplitRngStreams(parent, 8);
+  std::vector<uintptr_t> lines;
+  for (const Rng& stream : streams) {
+    const auto first = reinterpret_cast<uintptr_t>(&stream);
+    const uintptr_t last = first + sizeof(Rng) - 1;
+    EXPECT_EQ(first % 64, 0u);
+    for (uintptr_t line = first / 64; line <= last / 64; ++line) {
+      lines.push_back(line);
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(std::unique(lines.begin(), lines.end()), lines.end());
+}
+
 // ------------------- kernel thread-count invariance -------------------
 
 TEST(KernelInvarianceTest, Triangles) {
