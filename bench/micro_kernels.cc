@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/fnv.h"
 #include "src/common/parallel.h"
@@ -285,18 +287,44 @@ void BM_TriangleSensitivityProfile(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleSensitivityProfile)->Arg(10)->Arg(12);
 
-// Thread sweep over the profile on the k=12 graph: the parallel class-1
-// walk folding into per-worker max-b-per-a arrays, then the serial exact
+// The profile's inputs by shape code: 0 is the k=12 graph, then the
+// hostile shapes — 1 a 16,384-leaf star, 2 a 10^6-leaf star (every leaf
+// clears against the seed floor, so both are linear) and 3 K_{2,16384}
+// (its leaf pairs (2, 0) never clear, so it stays quadratic).
+const Graph& ProfileShape(int64_t shape) {
+  static const Graph* graphs[4] = {};
+  if (graphs[shape] != nullptr) return *graphs[shape];
+  if (shape == 0) return *(graphs[0] = &TestGraph(12));
+  std::vector<std::pair<Graph::NodeId, Graph::NodeId>> edges;
+  uint32_t n = 0;
+  if (shape == 3) {
+    n = 2 + 16384;
+    for (Graph::NodeId leaf = 2; leaf < n; ++leaf) {
+      edges.emplace_back(0, leaf);
+      edges.emplace_back(1, leaf);
+    }
+  } else {
+    n = 1 + (shape == 1 ? 16384 : 1000000);
+    for (Graph::NodeId leaf = 1; leaf < n; ++leaf) edges.emplace_back(0, leaf);
+  }
+  return *(graphs[shape] = new Graph(GraphBuilder::FromEdges(n, edges)));
+}
+
+// Args: shape code, then thread count. The sweep over the k=12 graph
+// times the seed walk, the O(m) clearing passes and the open-only walk
+// folding into per-worker max-b-per-a arrays, then the serial exact
 // far-pair search (BM_TriangleSensitivityProfile above tracks the
 // default-width configuration across graph sizes).
 void BM_SmoothSensitivityProfile(benchmark::State& state) {
-  const Graph& g = TestGraph(12);
-  ScopedBenchThreads threads(static_cast<int>(state.range(0)));
+  const Graph& g = ProfileShape(state.range(0));
+  ScopedBenchThreads threads(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(TriangleSensitivityProfile(g));
   }
 }
-BENCHMARK(BM_SmoothSensitivityProfile)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_SmoothSensitivityProfile)
+    ->ArgsProduct({{0}, {1, 2, 4, 8}})
+    ->ArgsProduct({{1, 2, 3}, {1, 4}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SmoothSensitivityEvaluation(benchmark::State& state) {

@@ -11,18 +11,35 @@
 // and the β-smooth sensitivity SS_β(G) = max_{s≥0} e^{−βs} · LS^(s)(G).
 //
 // c_ij(s) is non-decreasing in both a_ij and b_ij, so the max over pairs
-// is attained on the Pareto frontier of {(a_ij, b_ij)}. The profile is
-// computed EXACTLY for every graph (this matters: an inexact upper bound
-// is easy to produce but can silently lose the β-smoothness property the
+// is attained on the Pareto frontier of {(a_ij, b_ij)}, and a pair that
+// a real pair weakly dominates can be skipped. The profile is computed
+// EXACTLY for every graph (this matters: an inexact upper bound is easy
+// to produce but can silently lose the β-smoothness property the
 // privacy proof needs, and switching bounds by graph is not smooth
 // either). Pairs fall into three classes:
-//   * distance ≤ 2 with a common neighbor — enumerated exactly;
+//   * distance ≤ 2 with a common neighbor — exact (a, b) from a wedge
+//     walk, certify-and-skip:
+//       1. Seed: the top kSeedSources = 32 nodes by degree (desc, id
+//          asc) are walked against every 2-hop partner, cut once the
+//          walks have read as many adjacency entries as the graph
+//          holds. Their points, as a suffix max S[a], bound the
+//          frontier from below.
+//       2. Clear: with M(v) the largest degree in N(v) and
+//          D(u) = max_{v∈N(u)} M(v), every pair (u, x) with a common
+//          neighbor has a ≤ min(d_u, D(u)) and b ≤ d_u + D(u) − 2a. Node
+//          u is cleared iff S[a] ≥ d_u + D(u) − 2a for every such a:
+//          all its pairs are then dominated by a seed pair.
+//       3. Walk: only pairs of two open (uncleared) nodes remain. Each
+//          open source visits all its common neighbors but reads
+//          partners from an adjacency that keeps only open nodes.
 //   * adjacent — covered exactly by the dominated-or-exact candidate
-//     (0, d_u + d_v − 2) per edge;
+//     (0, d_u + d_v − 2) per edge, whose maximum is
+//     max_u d_u + M(u) − 2;
 //   * distance > 2 — a = 0 and b = d_i + d_j exactly, so only the
-//     maximum degree sum over far pairs matters. It is found exactly by
-//     visiting sources in degree-rank order, each with its N≤2 stamped,
-//     until no later pair can beat the best sum found.
+//     maximum degree sum over far pairs matters, and only above the
+//     class-2 maximum. It is found exactly by visiting sources in
+//     degree-rank order, each with its N≤2 stamped, until no later pair
+//     can beat the best sum found.
 
 #ifndef DPKRON_DP_SMOOTH_SENSITIVITY_H_
 #define DPKRON_DP_SMOOTH_SENSITIVITY_H_
@@ -41,11 +58,17 @@ namespace dpkron {
 // The per-distance local-sensitivity profile of ∆ at a fixed graph.
 class TriangleSensitivityProfile {
  public:
-  // Computes the profile of `graph` in O(Σ_w deg(w)²) work: the class-1
-  // walk is chunked across the thread pool with one counter array
-  // (O(N)) and one max-b-per-a array per worker, merged by max, so the
-  // profile is identical at any thread count; the far-pair search is
-  // serial and costs at most as much as that walk.
+  // Computes the profile of `graph` in O(m) for the M, D, clearing and
+  // open-adjacency passes, plus the seed walks (≈ 2m adjacency reads
+  // plus one source), plus the wedges i–v–j with both i and j open.
+  // A star is linear (every leaf clears); K_{2,n} is still quadratic
+  // (its leaf pairs (2, 0) never clear against the hubs' (n, 0)), and
+  // so is any graph whose open nodes share hubs; Σ_w d_w² bounds every
+  // case. Each pass is chunked across the thread pool, each worker folds
+  // into its own counter array (O(N)) and max-b-per-a array, and the
+  // merge is a max, so the profile is identical at any thread count.
+  // The far-pair search is serial and costs at most as much as a full
+  // wedge walk.
   explicit TriangleSensitivityProfile(GraphView graph);
 
   // Reassembles a profile from its serialized parts — the decode path of

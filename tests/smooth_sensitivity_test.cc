@@ -205,9 +205,30 @@ int64_t FarPairDegreeSumByBfs(const Graph& g) {
   return best;
 }
 
+// The Pareto frontier of `candidates`: sorted by a desc then b desc and
+// reduced to strictly rising b.
+std::vector<std::pair<uint64_t, uint64_t>> ParetoFrontier(
+    std::vector<std::pair<uint64_t, uint64_t>> candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& x, const auto& y) {
+              return x.first != y.first ? x.first > y.first
+                                        : x.second > y.second;
+            });
+  std::vector<std::pair<uint64_t, uint64_t>> frontier;
+  for (const auto& [a, b] : candidates) {
+    if (frontier.empty() || b > frontier.back().second) {
+      frontier.emplace_back(a, b);
+    }
+  }
+  return frontier;
+}
+
 // Every class-1 pair's (a, b) from a stamped counter with HasEdge for
 // adjacency, every edge's (0, d_u + d_v − 2) and the BFS far candidate,
-// sorted by a desc then b desc and reduced to strictly rising b.
+// reduced to their Pareto frontier. Each source's pairs are reduced to
+// their own frontier first (the frontier of a union is the frontier of
+// the union of frontiers), which keeps a star's quadratic pair count
+// out of memory.
 std::vector<std::pair<uint64_t, uint64_t>> FrontierByCollectAndSort(
     const Graph& g) {
   const uint32_t n = g.NumNodes();
@@ -215,6 +236,7 @@ std::vector<std::pair<uint64_t, uint64_t>> FrontierByCollectAndSort(
   if (n < 2) return candidates;
   std::vector<uint32_t> common(n, 0), stamp(n, 0);
   std::vector<Graph::NodeId> touched;
+  std::vector<std::pair<uint64_t, uint64_t>> source_pairs;
   for (Graph::NodeId i = 0; i < n; ++i) {
     touched.clear();
     for (Graph::NodeId w : g.Neighbors(i)) {
@@ -228,11 +250,15 @@ std::vector<std::pair<uint64_t, uint64_t>> FrontierByCollectAndSort(
         ++common[j];
       }
     }
+    source_pairs.clear();
     for (Graph::NodeId j : touched) {
       const uint64_t a = common[j];
       const uint64_t adjacent = g.HasEdge(i, j) ? 1 : 0;
-      candidates.emplace_back(
+      source_pairs.emplace_back(
           a, uint64_t{g.Degree(i)} + g.Degree(j) - 2 * a - 2 * adjacent);
+    }
+    for (const auto& point : ParetoFrontier(source_pairs)) {
+      candidates.push_back(point);
     }
   }
   g.ForEachEdge([&](Graph::NodeId u, Graph::NodeId v) {
@@ -240,19 +266,7 @@ std::vector<std::pair<uint64_t, uint64_t>> FrontierByCollectAndSort(
   });
   const int64_t far = FarPairDegreeSumByBfs(g);
   if (far >= 0) candidates.emplace_back(0, static_cast<uint64_t>(far));
-
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& x, const auto& y) {
-              return x.first != y.first ? x.first > y.first
-                                        : x.second > y.second;
-            });
-  std::vector<std::pair<uint64_t, uint64_t>> frontier;
-  for (const auto& [a, b] : candidates) {
-    if (frontier.empty() || b > frontier.back().second) {
-      frontier.emplace_back(a, b);
-    }
-  }
-  return frontier;
+  return ParetoFrontier(std::move(candidates));
 }
 
 TEST(ProfileOracleTest, FoldedFrontierMatchesCollectAndSortAtAnyWidth) {
@@ -269,6 +283,96 @@ TEST(ProfileOracleTest, FoldedFrontierMatchesCollectAndSortAtAnyWidth) {
   graphs.emplace_back("star", StarGraph(300));
   graphs.emplace_back("complete", CompleteGraph(40));
   graphs.emplace_back("empty", MakeGraph(30, {}));
+  // The shapes the seed-and-clear walk must get right. A 5,000-leaf
+  // star: every leaf clears, at equality (its staircase (1, 0) is the
+  // seed floor), and only the center is walked.
+  graphs.emplace_back("star 5000", StarGraph(5001));
+  {
+    // K_{2,300}: leaf pairs (2, 0) stay open against the hubs' (300, 0).
+    EdgeList edges;
+    for (uint32_t leaf = 2; leaf < 302; ++leaf) {
+      edges.emplace_back(0u, leaf);
+      edges.emplace_back(1u, leaf);
+    }
+    graphs.emplace_back("K_{2,300}", MakeGraph(302, edges));
+  }
+  {
+    // A hub whose 200 leaves each have one private neighbour: the
+    // private neighbours clear against the hub's seed pairs (1, 199).
+    constexpr uint32_t kLeaves = 200;
+    EdgeList edges;
+    for (uint32_t leaf = 1; leaf <= kLeaves; ++leaf) {
+      edges.emplace_back(0u, leaf);
+      edges.emplace_back(leaf, leaf + kLeaves);
+    }
+    graphs.emplace_back("hub with private neighbours",
+                        MakeGraph(2 * kLeaves + 1, edges));
+  }
+  {
+    // Fewer nodes than the seed count: a wheel of 13.
+    EdgeList edges;
+    for (uint32_t rim = 1; rim <= 12; ++rim) {
+      edges.emplace_back(0u, rim);
+      edges.emplace_back(rim, rim % 12 + 1);
+    }
+    graphs.emplace_back("wheel 13", MakeGraph(13, edges));
+  }
+  {
+    // A broom: hub 0 with 60 leaves and a handle 0–61–62. The seeds are
+    // the hub and the handle's middle (their walks read the graph's
+    // adjacency size), and the hub's pair (1, 60) with the handle's end
+    // makes the end's bound d + D − 2a = 1 + 61 − 2 equal the seed floor
+    // at its only a, so the end clears at equality.
+    EdgeList edges;
+    for (uint32_t leaf = 1; leaf <= 60; ++leaf) edges.emplace_back(0u, leaf);
+    edges.emplace_back(0u, 61u);
+    edges.emplace_back(61u, 62u);
+    graphs.emplace_back("broom", MakeGraph(63, edges));
+  }
+  {
+    // 34 hubs, each with 40 private leaves, share three centers: the hub
+    // pairs (3, 80) seed a floor that clears the degree-2 joint v, yet
+    // the non-seed nodes i and j (41 leaves and v each) stay open, and
+    // their pair (1, 82), counted only through v, is the largest b of
+    // any pair with a common neighbour.
+    constexpr uint32_t kHubs = 34, kHubLeaves = 40, kSideLeaves = 41;
+    EdgeList edges;
+    uint32_t next = kHubs + 3;  // 0..33 hubs, 34..36 centers
+    for (uint32_t hub = 0; hub < kHubs; ++hub) {
+      for (uint32_t center = kHubs; center < kHubs + 3; ++center) {
+        edges.emplace_back(hub, center);
+      }
+      for (uint32_t leaf = 0; leaf < kHubLeaves; ++leaf) {
+        edges.emplace_back(hub, next++);
+      }
+    }
+    const uint32_t i = next++, j = next++, v = next++;
+    edges.emplace_back(i, v);
+    edges.emplace_back(j, v);
+    for (uint32_t side : {i, j}) {
+      for (uint32_t leaf = 0; leaf < kSideLeaves; ++leaf) {
+        edges.emplace_back(side, next++);
+      }
+    }
+    graphs.emplace_back("open pair through a cleared joint",
+                        MakeGraph(next, edges));
+  }
+  {
+    // K_40 seeds a floor of (38, 0) only. Beside it, u (degree 1) hangs
+    // off w, whose other neighbour x has 19 leaves: the pair (u, x) is
+    // (1, 19), so u's bound must use the partner's degree D(u) = 20, not
+    // its own, or u clears and (1, 19) is lost.
+    EdgeList edges;
+    for (uint32_t p = 0; p < 40; ++p) {
+      for (uint32_t q = p + 1; q < 40; ++q) edges.emplace_back(p, q);
+    }
+    const uint32_t x = 40, w = 41, u = 42;
+    edges.emplace_back(x, w);
+    edges.emplace_back(w, u);
+    for (uint32_t leaf = 43; leaf < 62; ++leaf) edges.emplace_back(x, leaf);
+    graphs.emplace_back("low-degree node beside a high-degree partner",
+                        MakeGraph(62, edges));
+  }
   for (const auto& [name, g] : graphs) {
     const auto expected = FrontierByCollectAndSort(g);
     for (int threads : {1, 2, 8}) {
