@@ -467,16 +467,20 @@ void BM_ReadEdgeListFile(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadEdgeListFile)->Unit(benchmark::kMillisecond);
 
-void BM_ReadBinaryGraph(benchmark::State& state) {
+// The one open of .dpkb bytes found on disk: map, then stream the
+// payload checksum and the CSR invariants.
+void BM_OpenBinaryGraphVerified(benchmark::State& state) {
   const IngestFixture& f = Ingest();
   const auto binary_size = std::filesystem::file_size(f.binary_path);
+  MmapOptions verified;
+  verified.verify_payload = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ReadBinaryGraph(f.binary_path));
+    benchmark::DoNotOptimize(MmapGraph::Open(f.binary_path, verified));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(binary_size));
 }
-BENCHMARK(BM_ReadBinaryGraph)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OpenBinaryGraphVerified)->Unit(benchmark::kMillisecond);
 
 // Warm-cache reload (read and stamp the text, verified map of the
 // sidecar), normalized to the text size it stands in for. A rebuild

@@ -15,8 +15,9 @@
 // (and whether the AVX2 TUs were actually compiled with AVX2 — the CMake
 // flag probe can fail on exotic toolchains); Cap defaults to the highest
 // level, is lowered to scalar by the DPKRON_FORCE_SCALAR environment
-// variable (read once, at first use), and is adjustable at runtime with
-// SetSimdLevelCap (the --force-scalar flags and the parity tests).
+// variable (read once, at first use) — the one switch a user has — and
+// is adjustable at runtime with SetSimdLevelCap (the parity tests'
+// ScopedSimdLevelCap).
 
 #ifndef DPKRON_COMMON_SIMD_H_
 #define DPKRON_COMMON_SIMD_H_

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "src/common/parallel.h"
-#include "src/common/simd.h"
 #include "src/common/stat_cache.h"
 
 namespace dpkron {
@@ -120,16 +119,12 @@ void AddRuntimeFlags(FlagTable& table, RuntimeFlags* runtime,
   table.Number("--threads", &runtime->threads, 1,
                "compute-pool threads (default: DPKRON_THREADS, else all)",
                kMaxThreads);
-  table.Bool("--force-scalar", &runtime->force_scalar,
-             "disable SIMD dispatch (also DPKRON_FORCE_SCALAR=1)");
   table.String("--disk-cache", "DIR", &runtime->disk_cache,
                "attach the persistent StatCache tier rooted at DIR");
   table.Megabytes("--cache-mem-budget", &runtime->cache_mem_budget,
                   "cap the in-memory StatCache; oldest entries evict");
   table.Megabytes("--disk-cache-budget", &runtime->disk_cache_budget,
                   "cap the --disk-cache size; oldest entries are unlinked");
-  table.Bool("--mmap", &overrides->dataset_mmap,
-             "serve file datasets out-of-core from an mmap'd .dpkb");
   table.Bool("--dataset-cache", &overrides->dataset_cache,
              "keep a .dpkb sidecar next to file datasets");
   table.Number("--kronfit-iterations", &overrides->kronfit_iterations, 1u,
@@ -150,7 +145,6 @@ Status ApplyRuntimeFlags(const RuntimeFlags& runtime) {
     if (!parsed.ok()) return parsed;
   }
   if (threads > 0) SetParallelThreadCount(threads);
-  if (runtime.force_scalar) SetSimdLevelCap(SimdLevel::kScalar);
   // Cross-run stat caching is on in both binaries: cached values are
   // bit-identical to recomputation, so no output changes.
   StatCache& cache = StatCache::Instance();

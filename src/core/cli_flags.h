@@ -130,24 +130,22 @@ class FlagTable {
 // The process-wide runtime flags of both binaries.
 struct RuntimeFlags {
   int threads = 0;  // 0 = not given: DPKRON_THREADS, else hardware
-  bool force_scalar = false;
   std::string disk_cache;          // StatCache disk-tier root; "" = none
   uint64_t cache_mem_budget = 0;   // bytes; 0 = unbounded
   uint64_t disk_cache_budget = 0;  // bytes; 0 = unbounded
 };
 
-// Adds the flags both binaries share: --threads, --force-scalar,
-// --disk-cache, --cache-mem-budget and --disk-cache-budget into
-// `runtime`; --mmap, --dataset-cache, --kronfit-iterations and --smoke
-// into `overrides`.
+// Adds the flags both binaries share: --threads, --disk-cache,
+// --cache-mem-budget and --disk-cache-budget into `runtime`;
+// --dataset-cache, --kronfit-iterations and --smoke into `overrides`.
 void AddRuntimeFlags(FlagTable& table, RuntimeFlags* runtime,
                      ScenarioOverrides* overrides);
 
 // Sets the thread count (--threads, else a DPKRON_THREADS environment
-// value, which is parsed like --threads) and the SIMD cap, enables the
-// process-wide StatCache, attaches its disk tier and sets both byte
-// budgets. The flag combination and DPKRON_THREADS are checked before
-// anything is applied.
+// value, which is parsed like --threads), enables the process-wide
+// StatCache, attaches its disk tier and sets both byte budgets. The
+// flag combination and DPKRON_THREADS are checked before anything is
+// applied.
 Status ApplyRuntimeFlags(const RuntimeFlags& runtime);
 
 }  // namespace dpkron

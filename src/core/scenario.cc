@@ -24,7 +24,6 @@ ScenarioParams ResolveParams(const ScenarioParams& defaults,
   if (overrides.sweep_epsilons) params.sweep_epsilons = *overrides.sweep_epsilons;
   if (overrides.dataset) params.dataset = *overrides.dataset;
   params.dataset_cache = params.dataset_cache || overrides.dataset_cache;
-  params.dataset_mmap = params.dataset_mmap || overrides.dataset_mmap;
   params.smoke = overrides.smoke;
   if (params.smoke) {
     // Central axis shrinking so every scenario's smoke run is uniformly
@@ -53,7 +52,6 @@ Result<GraphHandle> LoadScenarioGraph(const std::string& ref,
                                       const ScenarioParams& params, Rng& rng) {
   GraphLoadOptions options;
   options.use_cache = params.dataset_cache;
-  options.mmap = params.dataset_mmap;
   return OpenGraph(EffectiveDatasetRef(ref, params), rng, options);
 }
 

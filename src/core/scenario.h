@@ -59,13 +59,11 @@ struct ScenarioParams {
   // .dpkb path) instead of their spec-declared registry datasets —
   // the hook behind `dpkron_experiments --dataset`.
   std::string dataset;
-  // File-backed overrides go through the .dpkb sidecar cache.
+  // An edge-list override is served from its mapped .dpkb sidecar
+  // (GraphLoadOptions::use_cache). The source kind picks every other
+  // backing: generators stay in RAM and a .dpkb override is always a
+  // verified mapping, so this flag changes nothing for them.
   bool dataset_cache = false;
-  // Serve file-backed datasets out-of-core via an mmap'd .dpkb
-  // (GraphLoadOptions::mmap). A pure execution strategy — results are
-  // bit-identical to in-RAM loads — so it is deliberately NOT recorded
-  // in the run JSON or mixed into sweep fingerprints.
-  bool dataset_mmap = false;
 };
 
 // The most realizations one run averages. Each realization holds a
@@ -84,7 +82,6 @@ struct ScenarioOverrides {
   bool smoke = false;
   std::optional<std::string> dataset;
   bool dataset_cache = false;
-  bool dataset_mmap = false;
 };
 
 // Spec defaults + overrides + smoke shrinking, in that order.

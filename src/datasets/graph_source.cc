@@ -126,13 +126,9 @@ Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
       // Synthesized in process; there is no file to map.
       return OpenGenerated(*source.info, rng);
     case GraphSourceKind::kEdgeList:
-      // Either option serves the sidecar, and a sidecar is always mapped.
-      if (options.use_cache || options.mmap) {
-        return OpenEdgeListCached(source.ref);
-      }
+      if (options.use_cache) return OpenEdgeListCached(source.ref);
       return InRam(ReadEdgeList(source.ref));
     case GraphSourceKind::kBinary: {
-      if (!options.mmap) return InRam(ReadBinaryGraph(source.ref));
       // Kernels index adjacency[] by offsets[] straight out of the
       // mapping, so an unverified hostile payload would read out of it.
       MmapOptions untrusted;

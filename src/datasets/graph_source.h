@@ -7,7 +7,8 @@
 //   * kEdgeList  — a SNAP-style text edge list on disk, parsed by the
 //     chunked parallel reader (optionally through the .dpkb sidecar
 //     cache: parse once, map the binary thereafter);
-//   * kBinary    — a .dpkb binary CSR file, loaded directly.
+//   * kBinary    — a .dpkb binary CSR file, served as a verified
+//     mapping.
 //
 // Resolution is by the reference itself: a registered dataset name wins,
 // a path ending in ".dpkb" is binary, any other existing file is an
@@ -44,20 +45,12 @@ struct GraphSource {
 };
 
 struct GraphLoadOptions {
-  // For kEdgeList sources: load through the .dpkb sidecar cache
-  // (ReadEdgeListMapped) instead of re-parsing the text every run. A
-  // sidecar is always served as a mapping, so for an edge list this
-  // and `mmap` choose the same route.
+  // For kEdgeList sources: serve the mapped .dpkb sidecar
+  // (ReadEdgeListMapped, rebuilt if stale) instead of re-parsing the
+  // text into RAM every run. Generators and .dpkb files ignore it.
+  // Purely an execution strategy: both backings hash to the same
+  // fingerprint, so results and cache entries are bit-identical.
   bool use_cache = false;
-
-  // Serve file-backed sources out-of-core, as a view over an mmap'd
-  // .dpkb: kBinary maps the file directly, kEdgeList maps its sidecar
-  // (rebuilding it if stale, so this implies the cache), and generators
-  // stay in-RAM — there is no file to map. Purely an execution
-  // strategy: the handle's view hashes to the same fingerprint either
-  // way, so results and cache entries are bit-identical to an in-RAM
-  // load.
-  bool mmap = false;
 };
 
 // The layout of the "graph_load" StatCache domain of generated datasets,
@@ -76,9 +69,10 @@ inline constexpr uint64_t kGeneratedGraphLayout = 1;
 Result<GraphSource> ResolveGraphSource(const std::string& ref);
 
 // The one way to open a graph: resolves `ref` (ResolveGraphSource) and
-// materializes it behind an owning handle whose backing the options
-// choose — in-RAM arenas (always, for generators; default for files)
-// or an mmap'd .dpkb (options.mmap). Kernels take the handle's
+// materializes it behind an owning handle whose backing the source kind
+// chooses — in-RAM arenas for a generator, a verified mapping for a
+// .dpkb, and for an edge list an in-RAM parse or, with
+// options.use_cache, its mapped sidecar. Kernels take the handle's
 // GraphView either way.
 //
 // Generator sources consume `rng` exactly as MakeDataset does;
@@ -92,14 +86,13 @@ Result<GraphSource> ResolveGraphSource(const std::string& ref);
 // carries the Rng state the generator reached, restored into `rng` on a
 // memory or disk hit, and the disk record is validated like any
 // untrusted CSR (a bad entry is a miss that regenerates). A cached edge
-// list (options.use_cache or options.mmap) is keyed by its source
-// content stamp, in memory only — the sidecar is its disk tier — and
-// every hit shares one mapping. Stored bytes are verified once, when
-// they are opened (the trust rule in graph_io.h): a standalone .dpkb on
-// either route and a sidecar found on disk have their payload checksum
-// and CSR invariants checked (O(N + E)) before any kernel indexes into
-// them; only a sidecar the load has just written from its own parse
-// maps in O(header).
+// list (options.use_cache) is keyed by its source content stamp, in
+// memory only — the sidecar is its disk tier — and every hit shares one
+// mapping. Stored bytes are verified once, when they are opened (the
+// trust rule in graph_io.h): a standalone .dpkb and a sidecar found on
+// disk have their payload checksum and CSR invariants checked
+// (O(N + E)) before any kernel indexes into them; only a sidecar the
+// load has just written from its own parse maps in O(header).
 Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
                               const GraphLoadOptions& options = {});
 

@@ -534,20 +534,8 @@ uint64_t PayloadChecksum(std::span<const uint32_t> offsets,
   return Fnv1a64Words(adjacency.data(), adjacency.size_bytes(), hash);
 }
 
-// The payload check of a verified open: the mapped sections must hash
-// to the checksum the header recorded (which seeds the view's
-// fingerprint).
-Status CheckPayloadChecksum(GraphView view, const std::string& path) {
-  if (PayloadChecksum(view.Offsets(), view.Adjacency()) !=
-      view.ContentFingerprint()) {
-    return Status::InvalidArgument(path + ": dpkb checksum mismatch");
-  }
-  return Status::Ok();
-}
-
 // Validates a parsed header's fixed fields (everything checkable without
-// touching the payload) — MmapGraph::Open's check, which the copying
-// reader goes through too.
+// touching the payload) — the check every MmapGraph::Open runs.
 Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
                           const std::string& path) {
   if (std::memcmp(header.magic, kDpkbMagic, sizeof(kDpkbMagic)) != 0) {
@@ -612,26 +600,6 @@ Status WriteBinaryGraph(GraphView graph, const std::string& path,
        bytes(graph.Offsets().data(), graph.Offsets().size_bytes()),
        bytes(zeros, AdjacencySectionStart(header.num_nodes) - offsets_end),
        bytes(graph.Adjacency().data(), graph.Adjacency().size_bytes())});
-}
-
-Result<Graph> ReadBinaryGraph(const std::string& path) {
-  // One .dpkb decoder: the header checks of a trusted map, the payload
-  // checksum, then a copy into RAM arenas that FromCsr validates — the
-  // CSR invariants are checked once, on the copy.
-  auto mapped = MmapGraph::Open(path);
-  if (!mapped.ok()) return mapped.status();
-  const GraphView view = mapped.value()->view();
-  if (Status status = CheckPayloadChecksum(view, path); !status.ok()) {
-    return status;
-  }
-  auto graph = Graph::FromCsr(
-      Graph::OffsetVector(view.Offsets().begin(), view.Offsets().end()),
-      Graph::AdjacencyVector(view.Adjacency().begin(),
-                             view.Adjacency().end()));
-  if (!graph.ok()) {
-    return Status::InvalidArgument(path + ": " + graph.status().message());
-  }
-  return graph;
 }
 
 // ------------------------------------------------- out-of-core (mmap)
@@ -731,9 +699,9 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
     // checksum must match the mapped payload, and the CSR invariants
     // must hold (kernels index adjacency[] by offsets[] and would
     // otherwise read out of the mapping).
-    if (Status status = CheckPayloadChecksum(graph->view(), path);
-        !status.ok()) {
-      return status;
+    if (PayloadChecksum(graph->offsets_, graph->adjacency_) !=
+        header.checksum) {
+      return Status::InvalidArgument(path + ": dpkb checksum mismatch");
     }
     if (Status status = ValidateCsrSpans(graph->offsets_, graph->adjacency_);
         !status.ok()) {

@@ -59,17 +59,22 @@
 //
 // Scenarios, sweeps and the server open graphs through OpenGraph
 // (src/datasets/graph_source.h), which picks the loader below from the
-// source kind and the GraphLoadOptions.
+// source kind (and, for an edge list, GraphLoadOptions::use_cache).
 //
-// Trust rule: .dpkb bytes found on disk are verified once, when they
-// are opened — magic/version/sizes, the payload checksum, and the CSR
-// invariants through ValidateCsrSpans (graph.h) — whichever route
-// serves them: ReadBinaryGraph, a standalone .dpkb under OpenGraph's
-// mmap option, a sidecar hit, or a sidecar another process's rebuild
-// installed. A truncated, corrupted or hostile file degrades to a
-// Status (a stale sidecar to a rebuild), never an aborted process or a
-// read outside the mapping. The one exception is a sidecar the current
-// call has just written from its own parse: it maps in O(header).
+// Trust rule: every .dpkb byte found on disk is served by one call,
+// MmapGraph::Open with verify_payload — magic/version/sizes, the
+// payload checksum, and the CSR invariants through ValidateCsrSpans
+// (graph.h), checked once, at open — whether it is a standalone .dpkb,
+// a sidecar hit, or a sidecar another process's rebuild installed. A
+// truncated, corrupted or hostile file degrades to a Status (a stale
+// sidecar to a rebuild), never an aborted process or a read outside
+// the mapping. The one exception is a sidecar the current call has
+// just written from its own parse: it maps in O(header).
+//
+// A mapped file is read in place for as long as a handle holds it, so
+// a standalone .dpkb lives under the contract sidecars (which dpkrond
+// maps by default) already do: writers rename complete files into
+// place, as WriteBinaryGraph does, and never rewrite one in place.
 
 #ifndef DPKRON_GRAPH_GRAPH_IO_H_
 #define DPKRON_GRAPH_GRAPH_IO_H_
@@ -139,11 +144,6 @@ struct DpkbSourceStamp {
 Status WriteBinaryGraph(GraphView graph, const std::string& path,
                         const DpkbSourceStamp& source = {});
 
-// Loads a .dpkb v3 file into RAM arenas: the header checks of
-// MmapGraph::Open, the payload checksum, a copy, then Graph::FromCsr,
-// which checks the CSR invariants of the copy.
-Result<Graph> ReadBinaryGraph(const std::string& path);
-
 // ------------------------------------------------- out-of-core (mmap)
 
 // A .dpkb v3 file mapped read-only into the address space: the CSR
@@ -158,9 +158,10 @@ Result<Graph> ReadBinaryGraph(const std::string& path);
 // invariants (ValidateCsrSpans) are verified only with
 // Options::verify_payload (an O(N + E) streaming read, still
 // zero-copy). Every open of bytes found on disk sets it — a standalone
-// .dpkb under OpenGraph, a sidecar hit — so the default, which trusts
-// the checksum recorded at write time and keeps the open O(header), is
-// left to a writer mapping the file it has just written.
+// .dpkb under OpenGraph, a sidecar hit — and it is the only .dpkb
+// reader there is; the default, which trusts the checksum recorded at
+// write time and keeps the open O(header), is left to a writer mapping
+// the file it has just written.
 //
 // Fingerprint: the header checksum, which equals
 // Graph::ContentFingerprint of the same CSR by the format contract, so

@@ -128,18 +128,6 @@ Gradient3 KronFitLikelihood::NoEdgeGradient() const {
 
 double KronFitLikelihood::LogLikelihood(GraphView graph,
                                         const PermutationState& sigma) const {
-  if (Avx2Active()) {
-    const uint32_t* offsets = graph.Offsets().data();
-    const uint32_t* adjacency = graph.Adjacency().data();
-    const uint32_t* positions = sigma.sigma().data();
-    const double edge_sum = ParallelSum(
-        graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
-          return EdgeTermSumChunkAvx2(offsets, adjacency, begin, end,
-                                      positions, mask_, shift_,
-                                      edge_term_padded_.data());
-        });
-    return edge_sum - NoEdgeTerm();
-  }
   const double edge_sum = ParallelSum(
       graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
         double sum = 0.0;
@@ -159,13 +147,6 @@ double KronFitLikelihood::SwapDelta(GraphView graph,
                                     uint32_t v) const {
   if (u == v) return 0.0;
   const uint32_t pu = sigma.Position(u), pv = sigma.Position(v);
-  if (Avx2Active()) {
-    const auto nu = graph.Neighbors(u);
-    const auto nv = graph.Neighbors(v);
-    return SwapDeltaAvx2(nu.data(), nu.size(), v, nv.data(), nv.size(), u,
-                         pu, pv, sigma.sigma().data(), mask_, shift_,
-                         edge_term_padded_.data());
-  }
   double delta = 0.0;
   // Edges incident to u (skip the shared edge {u,v}: handled once below).
   for (Graph::NodeId w : graph.Neighbors(u)) {

@@ -84,7 +84,8 @@ class KronFitLikelihood {
 
   // Change in Σ_E EdgeTerm if nodes u and v exchanged positions; O(deg u +
   // deg v). (The no-edge term does not move.) `sigma` is the state
-  // *before* the swap.
+  // *before* the swap. Scalar at every SIMD level: the AVX2 swap loop
+  // (MetropolisSwaps) inlines this exact term chain.
   double SwapDelta(GraphView graph, const PermutationState& sigma,
                    uint32_t u, uint32_t v) const;
 

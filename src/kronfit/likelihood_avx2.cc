@@ -2,8 +2,8 @@
 // likelihood_kernels.h for the dispatch and determinism contract).
 // Every kernel keeps the floating-point adds in the scalar chain order
 // — the double outputs are released, so their bits are frozen. The
-// streaming kernels (LogLikelihood / EdgeGradient) vectorize the
-// integer digit counting around that fixed chain; the Metropolis loop
+// streaming EdgeGradient kernel vectorizes the integer digit counting
+// around that fixed chain; the Metropolis loop
 // keeps even the index math scalar (measured fastest — see the comment
 // in MetropolisSwapsAvx2) and spends its win on the exp-free accept
 // test instead.
@@ -112,74 +112,7 @@ inline bool AcceptNegativeDelta(double delta, double uniform) {
   return uniform < std::exp(delta);
 }
 
-// One SwapDelta neighbor walk: continues `acc` over the list with
-// et[idx(p_add, pw)] − et[idx(p_sub, pw)] per neighbor w ≠ skip, in list
-// order (the scalar chain).
-inline double SwapDeltaList(double acc, const uint32_t* neighbors,
-                            size_t degree, uint32_t skip, uint32_t p_add,
-                            uint32_t p_sub, const uint32_t* positions,
-                            __m256i vmask, __m128i vshift, uint32_t mask,
-                            uint32_t shift, const double* et) {
-  const __m256i vadd = _mm256_set1_epi32(static_cast<int>(p_add));
-  const __m256i vsub = _mm256_set1_epi32(static_cast<int>(p_sub));
-  const __m256i vskip = _mm256_set1_epi32(static_cast<int>(skip));
-  alignas(32) uint32_t idx_add[8];
-  alignas(32) uint32_t idx_sub[8];
-  size_t i = 0;
-  for (; i + 8 <= degree; i += 8) {
-    const __m256i w = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(neighbors + i));
-    const __m256i vpw = GatherPositions(w, positions);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idx_add),
-                       DigitIndex8(vadd, vpw, vmask, vshift));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idx_sub),
-                       DigitIndex8(vsub, vpw, vmask, vshift));
-    const unsigned skip_mask =
-        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_cmpeq_epi32(w, vskip))));
-    if (skip_mask == 0) {
-      for (int j = 0; j < 8; ++j) acc += et[idx_add[j]] - et[idx_sub[j]];
-    } else {
-      for (int j = 0; j < 8; ++j) {
-        if (!((skip_mask >> j) & 1u)) {
-          acc += et[idx_add[j]] - et[idx_sub[j]];
-        }
-      }
-    }
-  }
-  for (; i < degree; ++i) {
-    const uint32_t w = neighbors[i];
-    if (w == skip) continue;
-    const uint32_t p = positions[w];
-    acc += et[ScalarIndex(p_add, p, mask, shift)] -
-           et[ScalarIndex(p_sub, p, mask, shift)];
-  }
-  return acc;
-}
-
 }  // namespace
-
-double SwapDeltaAvx2(const uint32_t* u_neighbors, size_t u_degree,
-                     uint32_t v, const uint32_t* v_neighbors,
-                     size_t v_degree, uint32_t u, uint32_t pu, uint32_t pv,
-                     const uint32_t* positions, uint32_t mask,
-                     uint32_t shift, const double* edge_term_padded) {
-  const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
-  const __m128i vshift = _mm_cvtsi32_si128(static_cast<int>(shift));
-  double acc = SwapDeltaList(0.0, u_neighbors, u_degree, /*skip=*/v, pv,
-                             pu, positions, vmask, vshift, mask, shift,
-                             edge_term_padded);
-  acc = SwapDeltaList(acc, v_neighbors, v_degree, /*skip=*/u, pu, pv,
-                      positions, vmask, vshift, mask, shift,
-                      edge_term_padded);
-  // Clear the ymm uppers before returning to (possibly) legacy-SSE
-  // caller code; without this every SSE instruction in the caller picks
-  // up a false dependency on the dirty uppers. The assignment above also
-  // keeps the second SwapDeltaList call out of tail position — a tail
-  // jump would bypass this.
-  _mm256_zeroupper();
-  return acc;
-}
 
 void MetropolisSwapsAvx2(const uint32_t* offsets, const uint32_t* adjacency,
                          uint32_t n, PermutationState* sigma, Rng& rng,
@@ -249,15 +182,18 @@ void MetropolisSwapsAvx2(const uint32_t* offsets, const uint32_t* adjacency,
   _mm256_zeroupper();
 }
 
-double EdgeTermSumChunkAvx2(const uint32_t* offsets,
-                            const uint32_t* adjacency, size_t begin,
-                            size_t end, const uint32_t* positions,
-                            uint32_t mask, uint32_t shift,
-                            const double* edge_term_padded) {
+void EdgeGradientChunkAvx2(const uint32_t* offsets,
+                           const uint32_t* adjacency, size_t begin,
+                           size_t end, const uint32_t* positions,
+                           uint32_t mask, uint32_t shift,
+                           const double* grad4_padded, double out[4]) {
   const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
   const __m128i vshift = _mm_cvtsi32_si128(static_cast<int>(shift));
   alignas(32) uint32_t idx[8];
-  double sum = 0.0;
+  // Lane l of acc accumulates component l (a, b, c, unused) in exactly
+  // the scalar per-component edge order — lane-wise adds do not mix
+  // lanes, so each component's chain matches its scalar chain.
+  __m256d acc = _mm256_setzero_pd();
   for (size_t u = begin; u < end; ++u) {
     // Lists are strictly sorted, so the v > u half-edges are a suffix —
     // but finding it by binary search costs more than it saves at SKG
@@ -275,55 +211,6 @@ double EdgeTermSumChunkAvx2(const uint32_t* offsets,
       const __m256i w = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(row + i));
       // Node ids fit in 31 bits, so the signed compare is exact.
-      const unsigned keep =
-          static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(
-              _mm256_cmpgt_epi32(w, vu))));
-      if (keep == 0) continue;
-      const __m256i vpw = GatherPositions(w, positions);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(idx),
-                         DigitIndex8(vpu, vpw, vmask, vshift));
-      if (keep == 0xFFu) {
-        for (int j = 0; j < 8; ++j) sum += edge_term_padded[idx[j]];
-      } else {
-        for (int j = 0; j < 8; ++j) {
-          if ((keep >> j) & 1u) sum += edge_term_padded[idx[j]];
-        }
-      }
-    }
-    for (; i < len; ++i) {
-      const uint32_t w = row[i];
-      if (w <= u) continue;
-      sum += edge_term_padded[ScalarIndex(pu, positions[w], mask, shift)];
-    }
-  }
-  _mm256_zeroupper();
-  return sum;
-}
-
-void EdgeGradientChunkAvx2(const uint32_t* offsets,
-                           const uint32_t* adjacency, size_t begin,
-                           size_t end, const uint32_t* positions,
-                           uint32_t mask, uint32_t shift,
-                           const double* grad4_padded, double out[4]) {
-  const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
-  const __m128i vshift = _mm_cvtsi32_si128(static_cast<int>(shift));
-  alignas(32) uint32_t idx[8];
-  // Lane l of acc accumulates component l (a, b, c, unused) in exactly
-  // the scalar per-component edge order — lane-wise adds do not mix
-  // lanes, so each component's chain matches its scalar chain. Row
-  // handling mirrors EdgeTermSumChunkAvx2: full-row walk with a v > u
-  // lane mask instead of a binary search for the suffix.
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t u = begin; u < end; ++u) {
-    const uint32_t* row = adjacency + offsets[u];
-    const size_t len = offsets[u + 1] - offsets[u];
-    const uint32_t pu = positions[u];
-    const __m256i vpu = _mm256_set1_epi32(static_cast<int>(pu));
-    const __m256i vu = _mm256_set1_epi32(static_cast<int>(u));
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-      const __m256i w = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(row + i));
       const unsigned keep =
           static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(
               _mm256_cmpgt_epi32(w, vu))));
@@ -362,24 +249,10 @@ void EdgeGradientChunkAvx2(const uint32_t* offsets,
 
 namespace dpkron {
 
-double SwapDeltaAvx2(const uint32_t*, size_t, uint32_t, const uint32_t*,
-                     size_t, uint32_t, uint32_t, uint32_t,
-                     const uint32_t*, uint32_t, uint32_t, const double*) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-  return 0.0;
-}
-
 void MetropolisSwapsAvx2(const uint32_t*, const uint32_t*, uint32_t,
                          PermutationState*, Rng&, uint64_t, uint32_t,
                          uint32_t, const double*) {
   DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-}
-
-double EdgeTermSumChunkAvx2(const uint32_t*, const uint32_t*, size_t,
-                            size_t, const uint32_t*, uint32_t, uint32_t,
-                            const double*) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-  return 0.0;
 }
 
 void EdgeGradientChunkAvx2(const uint32_t*, const uint32_t*, size_t,

@@ -2,15 +2,17 @@
 // likelihood_avx2.cc, compiled with -mavx2; reach only behind
 // Avx2Active()).
 //
-// All three kernels take the *padded* tables KronFitLikelihood builds
+// Both kernels take the *padded* tables KronFitLikelihood builds
 // alongside its dense ones: stride 2^shift ≥ k+1 over nb, so the cell
 // index for a position pair (p, q) is
 //   (popcount(p&q&mask) << shift) | popcount((p^q)&mask)
-// — a vector shift+or instead of a multiply. The vectorization covers
+// — a shift+or instead of a multiply. The gradient kernel vectorizes
 // the index computation (nibble-LUT popcounts over 8 pairs at a time);
 // the table values themselves are accumulated with exactly the scalar
 // path's add order, which is what makes the results bit-identical
 // (doubles are not reassociated — the digit counting is integer work).
+// The other likelihood entry points (LogLikelihood, once per fit, and
+// SwapDelta, which only the scalar swap loop calls) have no AVX2 twin.
 
 #ifndef DPKRON_KRONFIT_LIKELIHOOD_KERNELS_H_
 #define DPKRON_KRONFIT_LIKELIHOOD_KERNELS_H_
@@ -47,26 +49,6 @@ void MetropolisSwapsAvx2(const uint32_t* offsets, const uint32_t* adjacency,
                          uint32_t n, PermutationState* sigma, Rng& rng,
                          uint64_t count, uint32_t mask, uint32_t shift,
                          const double* edge_term_padded);
-
-// SwapDelta for the proposed exchange of nodes u and v (positions pu,
-// pv): walks u's neighbor list (skipping v) adding
-// et[idx(pv,pw)] − et[idx(pu,pw)], then v's list (skipping u) adding
-// et[idx(pu,pw)] − et[idx(pv,pw)], into one running accumulator —
-// the same single FP chain as the scalar loop.
-double SwapDeltaAvx2(const uint32_t* u_neighbors, size_t u_degree,
-                     uint32_t v, const uint32_t* v_neighbors,
-                     size_t v_degree, uint32_t u, uint32_t pu, uint32_t pv,
-                     const uint32_t* positions, uint32_t mask,
-                     uint32_t shift, const double* edge_term_padded);
-
-// Σ EdgeTerm over the CSR rows [begin, end), counting each edge once
-// (only neighbors v > u), accumulated in row-major edge order — the
-// scalar LogLikelihood chunk body.
-double EdgeTermSumChunkAvx2(const uint32_t* offsets,
-                            const uint32_t* adjacency, size_t begin,
-                            size_t end, const uint32_t* positions,
-                            uint32_t mask, uint32_t shift,
-                            const double* edge_term_padded);
 
 // Per-chunk gradient accumulation over rows [begin, end): out[0..2] are
 // the (a, b, c) partials, accumulated per-component in the scalar edge

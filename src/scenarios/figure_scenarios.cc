@@ -62,8 +62,8 @@ Status RunFigure(const ScenarioSpec& spec, const ScenarioParams& p,
 
   auto loaded = LoadScenarioGraph(dataset, p, rng);
   if (!loaded.ok()) return loaded.status();
-  // The handle owns whichever backing --mmap chose; every consumer below
-  // takes its GraphView.
+  // The handle owns whichever backing the source kind chose; every
+  // consumer below takes its GraphView.
   const GraphHandle original = std::move(loaded).value();
   const uint32_t k = ChooseKroneckerOrder(original.NumNodes());
 

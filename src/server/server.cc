@@ -201,9 +201,8 @@ std::string DpkronServer::Process(const QueuedRequest& task) {
   if (request.seed.has_value()) overrides.seed = *request.seed;
   if (!request.dataset.empty()) overrides.dataset = request.dataset;
   if (!overrides.dataset) {
-    // The sidecar choices reach run.params only for file datasets.
+    // The sidecar choice reaches run.params only for file datasets.
     overrides.dataset_cache = false;
-    overrides.dataset_mmap = false;
   }
   ScenarioOutput output(request.scenario, /*text_out=*/nullptr);
   const Status ran = RunScenario(*spec, overrides, output);

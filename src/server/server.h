@@ -71,8 +71,8 @@ struct ServerConfig {
   double delta_budget = 0.5;
   uint64_t compact_threshold = PrivacyAccountant::kDefaultCompactThreshold;
   // Scenario knobs for every request; the request supplies ε, seed and
-  // dataset (the sidecar/mmap choices apply only when it names one).
-  // Sidecars are on by default.
+  // dataset (the sidecar choice applies only when it names an edge
+  // list). Sidecars are on by default.
   ScenarioOverrides base;
   // Time source; nullptr = the monotonic system clock. Tests inject
   // FakeClock to drive the deadline checkpoints deterministically.

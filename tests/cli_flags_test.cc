@@ -126,9 +126,8 @@ TEST(CliFlagsTest, ByteBudgetsRefuseMegabytesThatOverflowTheByteCount) {
 TEST(CliFlagsTest, ValidValuesSetTheFields) {
   BinaryFlags flags;
   const Status parsed = flags.Parse({
-      "--threads=3", "--force-scalar", "--disk-cache=cache_dir",
-      "--cache-mem-budget=64", "--disk-cache-budget=2", "--mmap",
-      "--dataset-cache", "--kronfit-iterations=5", "--smoke",
+      "--threads=3", "--disk-cache=cache_dir", "--cache-mem-budget=64",
+      "--disk-cache-budget=2", "--dataset-cache", "--kronfit-iterations=5", "--smoke",
       "--seed=18446744073709551615", "--epsilon=0.25", "--realizations=0",
       "--trials=7", "--sweep-epsilons=0.2,1e-1,0", "--sweep-seeds=3",
       "--retries=0", "--sweep-shards=4", "--sweep-shard-id=0", "--port=0",
@@ -136,11 +135,9 @@ TEST(CliFlagsTest, ValidValuesSetTheFields) {
       "--budgets=2,0.25"});
   ASSERT_TRUE(parsed.ok()) << parsed.ToString();
   EXPECT_EQ(flags.runtime.threads, 3);
-  EXPECT_TRUE(flags.runtime.force_scalar);
   EXPECT_EQ(flags.runtime.disk_cache, "cache_dir");
   EXPECT_EQ(flags.runtime.cache_mem_budget, 64ull << 20);
   EXPECT_EQ(flags.runtime.disk_cache_budget, 2ull << 20);
-  EXPECT_TRUE(flags.overrides.dataset_mmap);
   EXPECT_TRUE(flags.overrides.dataset_cache);
   EXPECT_EQ(flags.overrides.kronfit_iterations, 5u);
   EXPECT_TRUE(flags.overrides.smoke);
@@ -245,6 +242,13 @@ TEST(CliFlagsTest, UnknownFlagsAndMisplacedValuesAreRefused) {
   EXPECT_EQ(flags.Parse({"--threads"}).code(), StatusCode::kInvalidArgument);
   // Prefixes are not names.
   EXPECT_EQ(flags.Parse({"--thread=2"}).code(), StatusCode::kNotFound);
+  // Retired spellings: the source kind picks a graph's backing, and
+  // DPKRON_FORCE_SCALAR=1 is the one way to force scalar dispatch.
+  for (const char* retired : {"--mmap", "--force-scalar"}) {
+    const Status refused = flags.Parse({retired});
+    EXPECT_EQ(refused.code(), StatusCode::kNotFound) << retired;
+    EXPECT_NE(refused.message().find(retired), std::string::npos);
+  }
 }
 
 TEST(CliFlagsTest, UsageListsEveryFlagFromTheTable) {

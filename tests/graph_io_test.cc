@@ -330,71 +330,6 @@ TEST(ParallelParseTest, FirstAppearanceDensificationOrderPreserved) {
   EXPECT_FALSE(g.value().HasEdge(1, 2));
 }
 
-// --------------------------- binary (.dpkb) ---------------------------
-
-TEST(BinaryGraphTest, RoundTripsBitIdenticalCsr) {
-  const Graph graphs[] = {
-      testing::PetersenGraph(),
-      Graph(),                                  // empty graph
-      testing::MakeGraph(5, {{0, 1}}),          // isolated trailing nodes
-      testing::StarGraph(50),
-      testing::MakeGraph(1, {}),                // single isolated node
-  };
-  for (const Graph& g : graphs) {
-    const std::string path = TempPath("roundtrip.dpkb");
-    ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
-    const auto back = ReadBinaryGraph(path);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_TRUE(SameCsr(back.value(), g));
-    EXPECT_EQ(back.value().NumNodes(), g.NumNodes());
-    std::remove(path.c_str());
-  }
-}
-
-TEST(BinaryGraphTest, MissingFileIsNotFound) {
-  const auto result = ReadBinaryGraph("/nonexistent/graph.dpkb");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-}
-
-TEST(BinaryGraphTest, RejectsBadMagicVersionTruncationAndCorruption) {
-  const std::string path = TempPath("corrupt.dpkb");
-  ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path).ok());
-  const std::string good = ReadFile(path);
-
-  // Bad magic.
-  std::string bad = good;
-  bad[0] = 'X';
-  WriteFile(path, bad);
-  auto result = ReadBinaryGraph(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("magic"), std::string::npos);
-
-  // Unsupported version.
-  bad = good;
-  bad[8] = 99;
-  WriteFile(path, bad);
-  result = ReadBinaryGraph(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("version"), std::string::npos);
-
-  // Truncated payload.
-  WriteFile(path, good.substr(0, good.size() - 5));
-  result = ReadBinaryGraph(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-
-  // Flipped payload byte → checksum mismatch.
-  bad = good;
-  bad[good.size() - 1] ^= 0x40;
-  WriteFile(path, bad);
-  result = ReadBinaryGraph(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("checksum"), std::string::npos);
-
-  std::remove(path.c_str());
-}
-
 // ----------------------------- sidecar cache -----------------------------
 
 TEST(EdgeListCacheTest, ParseOnceThenHit) {
@@ -515,6 +450,8 @@ TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
   WriteFile(path, text);
   const auto graph = ParseEdgeListSerial(text);
   ASSERT_TRUE(graph.ok());
+  MmapOptions verify;
+  verify.verify_payload = true;
   const std::string offsets(
       reinterpret_cast<const char*>(graph.value().Offsets().data()),
       graph.value().Offsets().size_bytes());
@@ -550,7 +487,7 @@ TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
   for (const std::string& old : {v1, v2}) {
     SCOPED_TRACE(old.size() == v1.size() ? "v1" : "v2");
     WriteFile(cache, old);
-    const auto direct = ReadBinaryGraph(cache);
+    const auto direct = MmapGraph::Open(cache, verify);
     ASSERT_FALSE(direct.ok());
     EXPECT_NE(direct.status().message().find("version"), std::string::npos);
 
@@ -562,7 +499,7 @@ TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
 
     // The sidecar was rewritten in place as v3: it now loads and hits.
     EXPECT_EQ(ReadFile(cache)[8], 3);
-    EXPECT_TRUE(ReadBinaryGraph(cache).ok());
+    EXPECT_TRUE(MmapGraph::Open(cache, verify).ok());
     const auto upgraded = LoadThroughSidecar(path, &hit);
     ASSERT_TRUE(upgraded.ok());
     EXPECT_TRUE(hit);
@@ -785,12 +722,14 @@ TEST(EdgeListCacheTest, SidecarSurvivesCrashRightAfterWrite) {
 
   env.DropUnsyncedData();  // kill -9 + power cut
 
-  const auto recovered = ReadBinaryGraph(cache);
+  MmapOptions verify;
+  verify.verify_payload = true;
+  const auto recovered = MmapGraph::Open(cache, verify);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const auto cached = LoadThroughSidecar(path, &hit);
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(hit);  // the surviving sidecar serves the load
-  EXPECT_TRUE(SameCsr(recovered.value(), cached.value()));
+  EXPECT_TRUE(SameCsr(recovered.value()->view(), cached.value()));
 
   std::remove(path.c_str());
   std::remove(cache.c_str());

@@ -90,11 +90,13 @@ TEST(GraphSourceTest, GeneratorLoadMatchesMakeDataset) {
   const Graph direct = MakeDataset("AS20-like", rng_b);
   EXPECT_EQ(loaded.value().view().Edges(), direct.Edges());
 
-  // There is no file to map: --mmap leaves generators in RAM.
+  // There is no file to map: generators stay in RAM whatever the
+  // options say.
+  EXPECT_FALSE(loaded.value().mmap_backed());
   Rng rng_c(42);
-  GraphLoadOptions mmap;
-  mmap.mmap = true;
-  const auto in_ram = OpenGraph("AS20-like", rng_c, mmap);
+  GraphLoadOptions use_cache;
+  use_cache.use_cache = true;
+  const auto in_ram = OpenGraph("AS20-like", rng_c, use_cache);
   ASSERT_TRUE(in_ram.ok());
   EXPECT_FALSE(in_ram.value().mmap_backed());
   EXPECT_EQ(in_ram.value().view().Edges(), direct.Edges());
@@ -115,25 +117,28 @@ TEST(GraphSourceTest, EdgeListLoadIgnoresRng) {
   std::remove(path.c_str());
 }
 
+// A standalone .dpkb has one backing, a verified mapping, whatever the
+// options say (use_cache concerns edge lists only).
 TEST(GraphSourceTest, BinaryLoad) {
   const std::string path = TempPath("load.dpkb");
   ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path).ok());
   Rng rng(1);
-  GraphLoadOptions mmap;
-  mmap.mmap = true;
-  for (const GraphLoadOptions& options : {GraphLoadOptions{}, mmap}) {
+  GraphLoadOptions use_cache;
+  use_cache.use_cache = true;
+  for (const GraphLoadOptions& options : {GraphLoadOptions{}, use_cache}) {
     const auto loaded = OpenGraph(path, rng, options);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().mmap_backed(), options.mmap);
+    EXPECT_TRUE(loaded.value().mmap_backed());
     EXPECT_EQ(loaded.value().NumNodes(), 10u);
     EXPECT_EQ(loaded.value().NumEdges(), 15u);
   }
   std::remove(path.c_str());
 }
 
-// A user-supplied .dpkb is untrusted on both routes. An out-of-range
-// adjacency word is what a kernel would index with; the mmap route must
-// catch it at open (payload verification), not fault inside a kernel.
+// A user-supplied .dpkb is untrusted. An out-of-range adjacency word is
+// what a kernel would index with; the one route, a verified mapping,
+// must catch it at open, not fault inside a kernel — with or without
+// --dataset-cache.
 TEST(GraphSourceTest, CorruptBinaryPayloadIsInvalidArgumentOnBothRoutes) {
   const std::string path = TempPath("hostile.dpkb");
   ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path).ok());
@@ -148,12 +153,15 @@ TEST(GraphSourceTest, CorruptBinaryPayloadIsInvalidArgumentOnBothRoutes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 
   Rng rng(1);
-  GraphLoadOptions mmap;
-  mmap.mmap = true;
-  for (const GraphLoadOptions& options : {GraphLoadOptions{}, mmap}) {
+  GraphLoadOptions use_cache;
+  use_cache.use_cache = true;
+  for (const GraphLoadOptions& options : {GraphLoadOptions{}, use_cache}) {
     const auto loaded = OpenGraph(path, rng, options);
-    ASSERT_FALSE(loaded.ok()) << "mmap=" << options.mmap;
+    ASSERT_FALSE(loaded.ok()) << "use_cache=" << options.use_cache;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("dpkb checksum mismatch"),
+              std::string::npos)
         << loaded.status().ToString();
   }
   std::remove(path.c_str());
@@ -334,8 +342,8 @@ TEST(GraphSourceMemoTest, CachedEdgeListLoadsShareOneGraph) {
   std::remove(BinaryCachePath(path).c_str());
 }
 
-// Two --mmap loads of one edge list share one verified mapping through
-// the content-stamp memo, as --dataset-cache loads do.
+// Two --dataset-cache loads of one edge list, the first of which writes
+// the sidecar, share one mapping through the content-stamp memo.
 TEST(GraphSourceMemoTest, MappedEdgeListLoadsShareOneMapping) {
   const std::string path = TempPath("memo_mapped.edges");
   std::ofstream(path) << "0 1\n1 2\n2 0\n";
@@ -343,7 +351,7 @@ TEST(GraphSourceMemoTest, MappedEdgeListLoadsShareOneMapping) {
   ScopedGraphMemo memo;
   Rng rng(1);
   GraphLoadOptions options;
-  options.mmap = true;
+  options.use_cache = true;
   const auto first = OpenGraph(path, rng, options);
   const auto second = OpenGraph(path, rng, options);
   ASSERT_TRUE(first.ok() && second.ok());
@@ -382,8 +390,6 @@ TEST(GraphSourceTest, TamperedSidecarIsRebuiltOnEveryRoute) {
   };
   GraphLoadOptions use_cache;
   use_cache.use_cache = true;
-  GraphLoadOptions mmap;
-  mmap.mmap = true;
   const std::pair<const char*, std::function<Result<GraphHandle>()>>
       routes[] = {
           {"ReadEdgeListMapped", [&] { return ReadEdgeListMapped(path); }},
@@ -391,11 +397,6 @@ TEST(GraphSourceTest, TamperedSidecarIsRebuiltOnEveryRoute) {
            [&] {
              Rng rng(1);
              return OpenGraph(path, rng, use_cache);
-           }},
-          {"OpenGraph{mmap}",
-           [&] {
-             Rng rng(1);
-             return OpenGraph(path, rng, mmap);
            }},
       };
   for (const auto& [tamper, at] : tampers) {

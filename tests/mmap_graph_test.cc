@@ -98,18 +98,39 @@ TEST(MmapGraphTest, MapsAV3FileZeroCopy) {
   EXPECT_EQ(mapped.value()->source_stamp().checksum, 0u);
 }
 
+// The empty graph and the other degenerate shapes round-trip through
+// both opens: the trusted one and the verified one every file found on
+// disk goes through.
 TEST(MmapGraphTest, EmptyGraphRoundTrips) {
   TempFile file("mmap_empty.dpkb");
-  ASSERT_TRUE(WriteBinaryGraph(Graph(), file.path()).ok());
-  auto mapped = MmapGraph::Open(file.path());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_EQ(mapped.value()->NumNodes(), 0u);
-  EXPECT_EQ(mapped.value()->NumEdges(), 0u);
+  const Graph graphs[] = {
+      Graph(),                                  // empty graph
+      testing::MakeGraph(5, {{0, 1}}),          // isolated trailing nodes
+      testing::StarGraph(50),
+      testing::MakeGraph(1, {}),                // single isolated node
+  };
+  MmapOptions verify;
+  verify.verify_payload = true;
+  for (const Graph& g : graphs) {
+    ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
+    for (const MmapOptions& options : {MmapOptions{}, verify}) {
+      const auto back = MmapGraph::Open(file.path(), options);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_TRUE(testing::SameCsr(back.value()->view(), g));
+      ExpectViewEquals(back.value()->view(), g);
+    }
+  }
 }
 
 TEST(MmapGraphTest, MissingFileIsNotFound) {
-  auto mapped = MmapGraph::Open(::testing::TempDir() + "/no_such_graph.dpkb");
-  EXPECT_FALSE(mapped.ok());
+  MmapOptions verify;
+  verify.verify_payload = true;
+  for (const MmapOptions& options : {MmapOptions{}, verify}) {
+    auto mapped = MmapGraph::Open(
+        ::testing::TempDir() + "/no_such_graph.dpkb", options);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), StatusCode::kNotFound);
+  }
 }
 
 // The no-SIGBUS contract: any truncation — mid-header, mid-offsets,
@@ -123,16 +144,23 @@ TEST(MmapGraphTest, TruncationAnywhereFailsCleanly) {
   const std::string good = ReadAll(file.path());
   ASSERT_GT(good.size(), 64u);
 
-  const size_t cuts[] = {0, 10, 55, 64, 70, 100, good.size() - 4,
-                         good.size() - 1};
+  MmapOptions verify;
+  verify.verify_payload = true;
+  const size_t cuts[] = {0, 10, 55, 64, 70, 100, good.size() - 5,
+                         good.size() - 4, good.size() - 1};
   for (const size_t cut : cuts) {
     WriteAll(file.path(), good.substr(0, cut));
-    auto mapped = MmapGraph::Open(file.path());
-    EXPECT_FALSE(mapped.ok()) << "truncation at byte " << cut;
+    for (const MmapOptions& options : {MmapOptions{}, verify}) {
+      auto mapped = MmapGraph::Open(file.path(), options);
+      ASSERT_FALSE(mapped.ok()) << "truncation at byte " << cut;
+      EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument)
+          << "truncation at byte " << cut;
+    }
   }
   // Trailing garbage is an exact-size violation too, not an over-map.
   WriteAll(file.path(), good + std::string(7, '\0'));
   EXPECT_FALSE(MmapGraph::Open(file.path()).ok());
+  EXPECT_FALSE(MmapGraph::Open(file.path(), verify).ok());
 }
 
 TEST(MmapGraphTest, BadMagicAndVersionFail) {
@@ -141,10 +169,18 @@ TEST(MmapGraphTest, BadMagicAndVersionFail) {
   ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
   const std::string good = ReadAll(file.path());
 
+  MmapOptions verify;
+  verify.verify_payload = true;
   std::string bad = good;
   bad[0] = 'X';
   WriteAll(file.path(), bad);
-  EXPECT_FALSE(MmapGraph::Open(file.path()).ok());
+  for (const MmapOptions& options : {MmapOptions{}, verify}) {
+    const auto mapped = MmapGraph::Open(file.path(), options);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_NE(mapped.status().message().find("bad magic"),
+              std::string::npos)
+        << mapped.status().ToString();
+  }
 
   // Only version 3 is readable: version 2 (the packed layout) fails
   // with a Status naming it, like any unknown version.
@@ -152,12 +188,14 @@ TEST(MmapGraphTest, BadMagicAndVersionFail) {
     bad = good;
     bad[8] = version;
     WriteAll(file.path(), bad);
-    const auto mapped = MmapGraph::Open(file.path());
-    ASSERT_FALSE(mapped.ok()) << int{version};
-    EXPECT_NE(mapped.status().message().find(
-                  "unsupported dpkb version " + std::to_string(version)),
-              std::string::npos)
-        << mapped.status().ToString();
+    for (const MmapOptions& options : {MmapOptions{}, verify}) {
+      const auto mapped = MmapGraph::Open(file.path(), options);
+      ASSERT_FALSE(mapped.ok()) << int{version};
+      EXPECT_NE(mapped.status().message().find(
+                    "unsupported dpkb version " + std::to_string(version)),
+                std::string::npos)
+          << mapped.status().ToString();
+    }
   }
 }
 
@@ -176,7 +214,22 @@ TEST(MmapGraphTest, VerifyPayloadCatchesCorruption) {
 
   MmapOptions verify;
   verify.verify_payload = true;
-  EXPECT_FALSE(MmapGraph::Open(file.path(), verify).ok());
+  auto rejected = MmapGraph::Open(file.path(), verify);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("dpkb checksum mismatch"),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  // A flipped high bit in the last adjacency word is a checksum
+  // mismatch too, caught before the CSR check sees the wild id.
+  ASSERT_TRUE(WriteBinaryGraph(PetersenGraph(), file.path()).ok());
+  bytes = ReadAll(file.path());
+  bytes[bytes.size() - 1] ^= 0x40;
+  WriteAll(file.path(), bytes);
+  rejected = MmapGraph::Open(file.path(), verify);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("checksum"), std::string::npos);
 
   // An intact file passes verify_payload.
   ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());

@@ -82,40 +82,6 @@ TEST(SimdDispatchTest, LevelNamesAndCapRoundTrip) {
   EXPECT_LE(ActiveSimdLevel(), SimdLevelCap());
 }
 
-TEST(SimdParityTest, SwapDeltaBitIdentical) {
-  for (const uint32_t k : {4u, 8u, 10u}) {
-    Rng graph_rng(100 + k);
-    const Graph g = SampleSkg({0.99, 0.55, 0.35}, k, graph_rng);
-    for (const Initiator2& theta :
-         {Initiator2{0.9, 0.6, 0.2}, Initiator2{0.99, 0.55, 0.35},
-          Initiator2{0.5, 0.5, 0.5}}) {
-      const KronFitLikelihood model(theta, k);
-      PermutationState sigma = DegreeGuidedInit(g, k);
-      Rng perturb_rng(7);
-      PerturbUniform(&sigma, g.NumNodes() / 2, perturb_rng);
-      Rng pair_rng(42);
-      for (int trial = 0; trial < 200; ++trial) {
-        const auto u =
-            static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
-        const auto v =
-            static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
-        std::optional<double> reference;
-        for (SimdLevel level : TestableLevels()) {
-          ScopedSimdLevelCap cap(level);
-          const double delta = model.SwapDelta(g, sigma, u, v);
-          if (!reference) {
-            reference = delta;
-          } else {
-            EXPECT_EQ(*reference, delta)
-                << "k=" << k << " u=" << u << " v=" << v << " level="
-                << SimdLevelName(level);
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdParityTest, LogLikelihoodAndGradientBitIdentical) {
   for (const uint32_t k : {6u, 10u}) {
     Rng graph_rng(200 + k);
