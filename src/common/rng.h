@@ -70,13 +70,11 @@ class alignas(64) Rng {
   // edge counts multinomially across Kronecker quadrants.
   uint64_t NextBinomial(uint64_t n, double p);
 
-  // Block-draw APIs for vectorized consumers (the DP noise mechanisms):
+  // Block-draw APIs for batched consumers (the DP noise mechanisms):
   // out[i] receives exactly the value the i-th sequential Next* call
   // would have produced, and the stream advances identically — the
   // contract that lets a batched caller stay byte-compatible with a
-  // draw-at-a-time one (tests/simd_test.cc enforces it). The per-draw
-  // math (libm log1p etc.) stays scalar; the vector win is downstream,
-  // in the element-wise noise application.
+  // draw-at-a-time one (tests/simd_test.cc enforces it).
   void FillLaplace(double scale, double* out, size_t n);
   void FillBinomial(uint64_t trials, double p, uint64_t* out, size_t n);
 

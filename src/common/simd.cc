@@ -22,9 +22,6 @@ int DetectLevel() {
   if (__builtin_cpu_supports("avx2") && Avx2KernelsCompiled()) {
     return static_cast<int>(SimdLevel::kAvx2);
   }
-  if (__builtin_cpu_supports("popcnt")) {
-    return static_cast<int>(SimdLevel::kPopcnt);
-  }
 #endif
   return static_cast<int>(SimdLevel::kScalar);
 }
@@ -79,8 +76,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kPopcnt:
-      return "popcnt";
     case SimdLevel::kAvx2:
       return "avx2";
   }

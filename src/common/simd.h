@@ -3,11 +3,16 @@
 // The library is compiled for the portable x86-64 baseline (plus the
 // guarded -mpopcnt); only the *_avx2.cc translation units are built with
 // -mavx2, and they are reached exclusively through the level check below,
-// so the binary still runs on pre-AVX2 silicon. The selected level is a
-// pure performance choice: every vectorized kernel is bit-identical to
-// its scalar reference (fixed reduction order, identical RNG
+// so the binary still runs on pre-AVX2 silicon. An AVX2 twin exists only
+// where it measurably beats its scalar loop: the ANF row merge
+// (OrMergeRowAvx2), the forward-list triangle intersection
+// (PerNodeTrianglesChunkAvx2), the Metropolis swap loop
+// (MetropolisSwapsAvx2) and the exact SKG sampler's lane sweep
+// (SweepExactLanesAvx2). Every other kernel has one scalar body. The
+// selected level is a pure performance choice: each twin is
+// bit-identical to its scalar path (fixed reduction order, identical RNG
 // consumption), which tests/simd_test.cc enforces across levels and
-// thread counts. Forcing a lower level therefore never changes results —
+// thread counts. Forcing scalar therefore never changes results —
 // scenario/sweep documents and privacy ledgers are byte-for-byte the
 // same under `DPKRON_FORCE_SCALAR=1`.
 //
@@ -27,12 +32,9 @@
 
 namespace dpkron {
 
-// Ordered: a higher level strictly extends the ISA of the lower ones.
-// kPopcnt is what the default build's "scalar" C++ actually uses (the
-// global guarded -mpopcnt); it is distinguished from kScalar only so the
-// recorded dispatch string tells a forced-fallback run from a genuinely
-// old CPU.
-enum class SimdLevel : int { kScalar = 0, kPopcnt = 1, kAvx2 = 2 };
+// Ordered: kAvx2 extends the baseline ISA the scalar code is built for
+// (which already includes the guarded -mpopcnt).
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1 };
 
 // Best level this CPU + this build supports. Probed once.
 SimdLevel DetectedSimdLevel();
@@ -41,7 +43,7 @@ SimdLevel DetectedSimdLevel();
 SimdLevel SimdLevelCap();
 void SetSimdLevelCap(SimdLevel cap);
 
-// "scalar" / "popcnt" / "avx2" — the string recorded in bench/scenario
+// "scalar" / "avx2" — the string recorded in bench/scenario
 // context blocks.
 const char* SimdLevelName(SimdLevel level);
 

@@ -1,12 +1,9 @@
-// Element-wise AVX2 kernels shared by spmv / ANF / the DP mechanisms.
-//
-// Every function here is an exact drop-in for the scalar loop it
-// replaces: each output element is produced by the same operations in
-// the same order as the scalar code (one rounding per element for the
-// floating-point kernels, pure bitwise ops for the integer ones), so
-// results are bit-identical at every dispatch level. Callers must only
-// reach these behind an Avx2Active() check — when the AVX2 TUs were
-// compiled without AVX2 support these are unreachable aborting stubs.
+// The ANF expand-round AVX2 kernel (defined in vec_kernels_avx2.cc,
+// compiled with -mavx2). OR-merging is pure bitwise work, so the result
+// is bit-identical to the scalar loop in graph/anf.cc at every dispatch
+// level. Callers must only reach it behind an Avx2Active() check — when
+// the AVX2 TUs were compiled without AVX2 support it is an unreachable
+// aborting stub.
 
 #ifndef DPKRON_COMMON_VEC_KERNELS_H_
 #define DPKRON_COMMON_VEC_KERNELS_H_
@@ -15,20 +12,6 @@
 #include <cstdint>
 
 namespace dpkron {
-
-// dst[i] = a[i] + b[i] (dst may alias a or b).
-void AddVectorsAvx2(const double* a, const double* b, double* dst,
-                    size_t n);
-
-// y[i] += alpha * x[i]. Compiled with -ffp-contract=off, so the
-// multiply and add round separately — exactly like the baseline TUs.
-void AxpyAvx2(double alpha, const double* x, double* y, size_t n);
-
-// x[i] *= alpha.
-void ScaleAvx2(double alpha, double* x, size_t n);
-
-// dst[i] |= src[i]; returns true iff any dst word changed.
-bool OrMergeAvx2(uint64_t* dst, const uint64_t* src, size_t n);
 
 // ANF expand round for one node: dst[t] |= masks[v·trials + t] for
 // every v in neighbors[0, degree). Returns true iff any dst word

@@ -25,100 +25,40 @@ bool Avx2KernelsCompiled() {
 
 #ifdef __AVX2__
 
-// Every public kernel ends with _mm256_zeroupper(): the callers are
-// legacy-SSE translation units, and returning with dirty ymm uppers
-// gives each of their SSE instructions a false dependency on the stale
-// upper halves.
-
-void AddVectorsAvx2(const double* a, const double* b, double* dst,
-                    size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-  _mm256_zeroupper();
-}
-
-void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-  _mm256_zeroupper();
-}
-
-void ScaleAvx2(double alpha, double* x, size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-  _mm256_zeroupper();
-}
-
-namespace {
-
-// Shared OR-merge body; public entry points clear the ymm uppers.
-inline bool OrMergeImpl(uint64_t* dst, const uint64_t* src, size_t n) {
-  __m256i changed = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i merged = _mm256_or_si256(d, s);
-    changed = _mm256_or_si256(changed, _mm256_xor_si256(merged, d));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), merged);
-  }
-  bool any = !_mm256_testz_si256(changed, changed);
-  for (; i < n; ++i) {
-    const uint64_t merged = dst[i] | src[i];
-    any |= (merged != dst[i]);
-    dst[i] = merged;
-  }
-  return any;
-}
-
-}  // namespace
-
-bool OrMergeAvx2(uint64_t* dst, const uint64_t* src, size_t n) {
-  const bool any = OrMergeImpl(dst, src, n);
-  _mm256_zeroupper();
-  return any;
-}
+// OrMergeRowAvx2 ends with _mm256_zeroupper(): its caller is a
+// legacy-SSE translation unit, and returning with dirty ymm uppers gives
+// each of its SSE instructions a false dependency on the stale upper
+// halves.
 
 bool OrMergeRowAvx2(uint64_t* dst, const uint64_t* masks, size_t trials,
                     const uint32_t* neighbors, size_t degree) {
-  bool any = false;
+  __m256i changed = _mm256_setzero_si256();
+  bool tail_changed = false;
   for (size_t e = 0; e < degree; ++e) {
-    any |= OrMergeImpl(dst, masks + size_t{neighbors[e]} * trials, trials);
+    const uint64_t* src = masks + size_t{neighbors[e]} * trials;
+    size_t i = 0;
+    for (; i + 4 <= trials; i += 4) {
+      const __m256i d =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+      const __m256i s =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+      const __m256i merged = _mm256_or_si256(d, s);
+      changed = _mm256_or_si256(changed, _mm256_xor_si256(merged, d));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), merged);
+    }
+    for (; i < trials; ++i) {
+      const uint64_t merged = dst[i] | src[i];
+      tail_changed |= (merged != dst[i]);
+      dst[i] = merged;
+    }
   }
+  const bool any = tail_changed || !_mm256_testz_si256(changed, changed);
   _mm256_zeroupper();
   return any;
 }
 
-#else  // !__AVX2__ — unreachable stubs (dispatch never selects kAvx2).
+#else  // !__AVX2__ — unreachable stub (dispatch never selects kAvx2).
 
-void AddVectorsAvx2(const double*, const double*, double*, size_t) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-}
-void AxpyAvx2(double, const double*, double*, size_t) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-}
-void ScaleAvx2(double, double*, size_t) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-}
-bool OrMergeAvx2(uint64_t*, const uint64_t*, size_t) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-  return false;
-}
 bool OrMergeRowAvx2(uint64_t*, const uint64_t*, size_t, const uint32_t*,
                     size_t) {
   DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");

@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "src/common/simd.h"
-#include "src/common/vec_kernels.h"
-
 namespace dpkron {
 namespace {
 
@@ -43,18 +40,12 @@ Result<std::vector<double>> AddLaplaceNoiseVector(
   const double scale = sensitivity / epsilon;
   // Batched draw, then element-wise add. The stream consumption and the
   // per-element add (one rounding) match the old draw-and-add-per-
-  // element loop exactly, and the add is element-wise, so scalar and
-  // AVX2 outputs are bit-identical to each other and to pre-batch
+  // element loop exactly, so outputs are bit-identical to pre-batch
   // releases.
   std::vector<double> noisy(values.size());
   rng.FillLaplace(scale, noisy.data(), noisy.size());
-  if (Avx2Active()) {
-    AddVectorsAvx2(values.data(), noisy.data(), noisy.data(),
-                   noisy.size());
-  } else {
-    for (size_t i = 0; i < values.size(); ++i) {
-      noisy[i] = values[i] + noisy[i];
-    }
+  for (size_t i = 0; i < values.size(); ++i) {
+    noisy[i] = values[i] + noisy[i];
   }
   return noisy;
 }

@@ -91,7 +91,9 @@ std::vector<uint64_t> ApproxHopPlot(GraphView graph, Rng& rng,
     // Bitwise OR-merge is order-free, so the AVX2 kernel is exact. The
     // AVX2 path hands the whole neighbor walk to one kernel call per
     // node (crossing the ISA boundary per neighbor costs more than the
-    // merge itself at ANF's sketch widths).
+    // merge itself at ANF's sketch widths). The scalar path folds the
+    // change test into a branch-free `grown` word per row, which lets
+    // the compiler vectorize its inner loop.
     const bool use_avx2 = Avx2Active();
     ParallelForChunks(n, kAnfGrain, [&](const ParallelChunk& chunk) {
       // One store per chunk: in the early rounds nearly every node
@@ -106,14 +108,16 @@ std::vector<uint64_t> ApproxHopPlot(GraphView graph, Rng& rng,
           chunk_changed |= OrMergeRowAvx2(dst, masks.data(), trials,
                                           neighbors.data(), neighbors.size());
         } else {
+          uint64_t grown = 0;
           for (Graph::NodeId v : neighbors) {
             const uint64_t* src = &masks[static_cast<size_t>(v) * trials];
             for (uint32_t t = 0; t < trials; ++t) {
               const uint64_t merged = dst[t] | src[t];
-              chunk_changed |= (merged != dst[t]);
+              grown |= merged ^ dst[t];
               dst[t] = merged;
             }
           }
+          chunk_changed |= grown != 0;
         }
       }
       if (chunk_changed) changed.store(true, std::memory_order_relaxed);

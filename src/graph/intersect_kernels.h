@@ -8,7 +8,9 @@
 // with the smaller maximum — every value pair is compared exactly once,
 // so equality counts need no dedup. Heavily skewed length ratios fall
 // back to galloping binary search. Counting is integer work, so results
-// are trivially identical to the scalar merge.
+// are trivially identical to the scalar merge in triangles.cc.
+// IntersectAvx2 is the per-pair body of the chunk kernel, exposed so
+// tests can drive every tail-remainder shape directly.
 
 #ifndef DPKRON_GRAPH_INTERSECT_KERNELS_H_
 #define DPKRON_GRAPH_INTERSECT_KERNELS_H_
@@ -17,10 +19,6 @@
 #include <cstdint>
 
 namespace dpkron {
-
-// |a ∩ b|.
-uint64_t IntersectCountAvx2(const uint32_t* a, size_t a_len,
-                            const uint32_t* b, size_t b_len);
 
 // Writes a ∩ b (ascending) into `out` (capacity ≥ min(a_len, b_len));
 // returns the intersection size.

@@ -134,28 +134,4 @@ std::vector<uint64_t> PerNodeTrianglesFromForward(const ForwardCsr& fwd,
 
 }  // namespace internal
 
-uint32_t CommonNeighbors(GraphView graph, Graph::NodeId u,
-                         Graph::NodeId v) {
-  const auto nu = graph.Neighbors(u);
-  const auto nv = graph.Neighbors(v);
-  if (Avx2Active()) {
-    return static_cast<uint32_t>(
-        IntersectCountAvx2(nu.data(), nu.size(), nv.data(), nv.size()));
-  }
-  uint32_t common = 0;
-  size_t i = 0, j = 0;
-  while (i < nu.size() && j < nv.size()) {
-    if (nu[i] < nv[j]) {
-      ++i;
-    } else if (nu[i] > nv[j]) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
-    }
-  }
-  return common;
-}
-
 }  // namespace dpkron

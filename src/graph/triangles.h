@@ -1,8 +1,6 @@
 // Triangle primitives: the (degree, id)-rank forward orientation and
 // its per-node intersection kernel, which ComputeNodeStats
-// (graph/node_stats.h) runs as the triangle half of its one pass, and
-// the pairwise common-neighbor count behind the per-edge triangle
-// counts a_ij of the smooth-sensitivity computation (NRS'07).
+// (graph/node_stats.h) runs as the triangle half of its one pass.
 //
 // Node-iterator over sorted adjacency lists restricted to higher-rank
 // "forward" neighbors (the compact-forward algorithm): O(m^{3/2}) worst
@@ -18,11 +16,6 @@
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
-
-// Number of common neighbors of u and v (= triangles through edge {u,v}
-// when the edge exists, but defined for any pair). O(deg u + deg v).
-uint32_t CommonNeighbors(GraphView graph, Graph::NodeId u,
-                         Graph::NodeId v);
 
 namespace internal {
 

@@ -126,36 +126,9 @@ inline void BlockIntersect(const uint32_t* a, size_t a_len,
   }
 }
 
-// Internal bodies, shared by the single-pair entry points and the
-// chunk loop below. Only the public functions issue vzeroupper — the
-// chunk loop stays in AVX state across every intersection and clears
-// the uppers once on exit.
-inline uint64_t IntersectCountImpl(const uint32_t* a, size_t a_len,
-                                   const uint32_t* b, size_t b_len) {
-  if (a_len > b_len) {
-    std::swap(a, b);
-    std::swap(a_len, b_len);
-  }
-  if (a_len == 0) return 0;
-  // Dominant case at SKG degrees: both lists fit one (padded) block —
-  // a single all-rotations compare, no merge loop at all.
-  if (a_len <= 8 && b_len <= 8) {
-    const unsigned m = MatchMask8(LoadBlockPadded(a, a_len),
-                                  LoadBlockPadded(b, b_len)) &
-                       ((1u << a_len) - 1);
-    return static_cast<unsigned>(__builtin_popcount(m));
-  }
-  uint64_t count = 0;
-  if ((b_len >> kGallopRatioShift) >= a_len) {
-    GallopIntersect(a, a_len, b, b_len, [&](uint32_t) { ++count; });
-    return count;
-  }
-  BlockIntersect(a, a_len, b, b_len, [&](unsigned mask, size_t) {
-    count += static_cast<unsigned>(__builtin_popcount(mask));
-  });
-  return count;
-}
-
+// Internal body, shared by IntersectAvx2 and the chunk loop below. Only
+// the public functions issue vzeroupper — the chunk loop stays in AVX
+// state across every intersection and clears the uppers once on exit.
 inline size_t IntersectImpl(const uint32_t* a, size_t a_len,
                             const uint32_t* b, size_t b_len,
                             uint32_t* out) {
@@ -165,6 +138,8 @@ inline size_t IntersectImpl(const uint32_t* a, size_t a_len,
   }
   size_t n = 0;
   if (a_len == 0) return 0;
+  // Dominant case at SKG degrees: both lists fit one (padded) block —
+  // a single all-rotations compare, no merge loop at all.
   if (a_len <= 8 && b_len <= 8) {
     unsigned m = MatchMask8(LoadBlockPadded(a, a_len),
                             LoadBlockPadded(b, b_len)) &
@@ -190,16 +165,6 @@ inline size_t IntersectImpl(const uint32_t* a, size_t a_len,
 }
 
 }  // namespace
-
-uint64_t IntersectCountAvx2(const uint32_t* a, size_t a_len,
-                            const uint32_t* b, size_t b_len) {
-  const uint64_t count = IntersectCountImpl(a, a_len, b, b_len);
-  // Clear dirty ymm uppers before returning to (possibly) legacy-SSE
-  // caller code — without this the caller's SSE instructions all gain
-  // false dependencies on the stale upper halves.
-  _mm256_zeroupper();
-  return count;
-}
 
 size_t IntersectAvx2(const uint32_t* a, size_t a_len, const uint32_t* b,
                      size_t b_len, uint32_t* out) {
@@ -233,12 +198,6 @@ void PerNodeTrianglesChunkAvx2(const uint32_t* offsets,
 #else  // !__AVX2__ — unreachable stubs (dispatch never selects kAvx2).
 
 namespace dpkron {
-
-uint64_t IntersectCountAvx2(const uint32_t*, size_t, const uint32_t*,
-                            size_t) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-  return 0;
-}
 
 size_t IntersectAvx2(const uint32_t*, size_t, const uint32_t*, size_t,
                      uint32_t*) {

@@ -59,22 +59,15 @@ KronFitLikelihood::KronFitLikelihood(const Initiator2& theta, uint32_t k)
       grad_c_[idx] = n11 / c * factor;
     }
   }
-  // AVX2-path layouts: same values (copies, not recomputation — the
-  // layouts can never drift from the dense tables), power-of-two row
+  // AVX2-path layout: the same values (copies, not recomputation — the
+  // layout can never drift from the dense table) at power-of-two row
   // stride 2^shift_ (> k ≥ nb, so "(n11 << shift) | nb" is collision-
-  // free), gradient components fused into 32-byte cells.
-  const size_t stride = size_t{1} << shift_;
-  edge_term_padded_.assign(stride * (k + 1), 0.0);
-  grad4_padded_.assign(stride * (k + 1) * 4, 0.0);
+  // free).
+  edge_term_padded_.assign((size_t{1} << shift_) * (k + 1), 0.0);
   for (uint32_t n11 = 0; n11 <= k; ++n11) {
     for (uint32_t nb = 0; nb + n11 <= k; ++nb) {
-      const size_t src = size_t{n11} * (k + 1) + nb;
-      const size_t dst = (size_t{n11} << shift_) | nb;
-      edge_term_padded_[dst] = edge_term_[src];
-      grad4_padded_[dst * 4 + 0] = grad_a_[src];
-      grad4_padded_[dst * 4 + 1] = grad_b_[src];
-      grad4_padded_[dst * 4 + 2] = grad_c_[src];
-      grad4_padded_[dst * 4 + 3] = edge_term_[src];
+      edge_term_padded_[(size_t{n11} << shift_) | nb] =
+          edge_term_[size_t{n11} * (k + 1) + nb];
     }
   }
 }
@@ -176,18 +169,6 @@ bool KronFitLikelihood::MetropolisSwaps(GraphView graph,
 
 Gradient3 KronFitLikelihood::EdgeGradient(GraphView graph,
                                           const PermutationState& sigma) const {
-  if (Avx2Active()) {
-    const uint32_t* offsets = graph.Offsets().data();
-    const uint32_t* adjacency = graph.Adjacency().data();
-    const uint32_t* positions = sigma.sigma().data();
-    return ParallelSumArray<3>(
-        graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
-          alignas(32) double out[4];
-          EdgeGradientChunkAvx2(offsets, adjacency, begin, end, positions,
-                                mask_, shift_, grad4_padded_.data(), out);
-          return Gradient3{out[0], out[1], out[2]};
-        });
-  }
   return ParallelSumArray<3>(
       graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
         Gradient3 grad{0.0, 0.0, 0.0};

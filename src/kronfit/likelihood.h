@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/aligned.h"
 #include "src/graph/graph_view.h"
 #include "src/kronfit/permutation.h"
 #include "src/skg/initiator.h"
@@ -99,7 +98,8 @@ class KronFitLikelihood {
 
   // ∇_(a,b,c) Σ_E EdgeTerm at alignment σ. Combined with NoEdgeGradient()
   // this is the full likelihood gradient. Chunk-ordered 3-component
-  // parallel reduction over CSR node ranges.
+  // parallel reduction over CSR node ranges; scalar at every SIMD level
+  // (a gathered AVX2 twin measured no faster across a KronFit iteration).
   Gradient3 EdgeGradient(GraphView graph,
                          const PermutationState& sigma) const;
 
@@ -125,15 +125,11 @@ class KronFitLikelihood {
   // (k+1)² tables over (n11, nb); see TableIndex.
   std::vector<double> edge_term_;
   std::vector<double> grad_a_, grad_b_, grad_c_;
-  // AVX2-path tables (likelihood_kernels.h): the same values re-laid-out
-  // with a power-of-two row stride so the cell index is a shift+or, and
-  // — for the gradient — combined into 32-byte cells
-  // [g_a, g_b, g_c, edge_term] one aligned vector load wide. Values are
-  // copied from the dense tables, so both layouts are bit-identical.
-  template <typename T>
-  using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
-  AlignedVector<double> edge_term_padded_;
-  AlignedVector<double> grad4_padded_;
+  // The Metropolis AVX2 loop's table (likelihood_kernels.h): edge_term_
+  // re-laid-out with a power-of-two row stride so the cell index is a
+  // shift+or. Values are copied from the dense table, so both layouts
+  // are bit-identical.
+  std::vector<double> edge_term_padded_;
 };
 
 }  // namespace dpkron

@@ -1,16 +1,11 @@
-// AVX2 implementation of the KronFit digit-pair kernels (see
-// likelihood_kernels.h for the dispatch and determinism contract).
-// Every kernel keeps the floating-point adds in the scalar chain order
-// — the double outputs are released, so their bits are frozen. The
-// streaming EdgeGradient kernel vectorizes the integer digit counting
-// around that fixed chain; the Metropolis loop
-// keeps even the index math scalar (measured fastest — see the comment
-// in MetropolisSwapsAvx2) and spends its win on the exp-free accept
-// test instead.
+// AVX2 implementation of the KronFit Metropolis swap loop (see
+// likelihood_kernels.h for the dispatch and determinism contract). The
+// loop keeps the floating-point adds in the scalar chain order and even
+// the index math scalar (measured fastest — see the comment in
+// MetropolisSwapsAvx2), and spends its win on the exp-free accept test.
 
 #include "src/kronfit/likelihood_kernels.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -23,42 +18,6 @@
 
 namespace dpkron {
 namespace {
-
-// positions[w] for 8 node ids at once. One hardware gather beats both
-// staging alternatives measured here: eight scalar stores + a 32-byte
-// reload cannot store-forward (no single covering store, ~20-cycle
-// stall per block), and an insert chain is 2-µop-per-insert port-5
-// traffic that serializes against the shuffle-heavy popcount LUT below.
-inline __m256i GatherPositions(__m256i w, const uint32_t* positions) {
-  return _mm256_i32gather_epi32(reinterpret_cast<const int*>(positions),
-                                w, 4);
-}
-
-// Per-32-bit-lane popcount: nibble shuffle-LUT, then the
-// maddubs(×1)/madd(×1) pair folds the 4 byte counts of each lane.
-inline __m256i Popcount32x8(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0,
-                       1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi =
-      _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                        _mm256_shuffle_epi8(lut, hi));
-  return _mm256_madd_epi16(_mm256_maddubs_epi16(bytes, _mm256_set1_epi8(1)),
-                           _mm256_set1_epi16(1));
-}
-
-// Padded-table cell indices for 8 position pairs:
-// (popcount(p&q&mask) << shift) | popcount((p^q)&mask).
-inline __m256i DigitIndex8(__m256i p, __m256i q, __m256i mask,
-                           __m128i shift) {
-  const __m256i both = _mm256_and_si256(_mm256_and_si256(p, q), mask);
-  const __m256i diff = _mm256_and_si256(_mm256_xor_si256(p, q), mask);
-  return _mm256_or_si256(_mm256_sll_epi32(Popcount32x8(both), shift),
-                         Popcount32x8(diff));
-}
 
 inline size_t ScalarIndex(uint32_t p, uint32_t q, uint32_t mask,
                           uint32_t shift) {
@@ -182,82 +141,15 @@ void MetropolisSwapsAvx2(const uint32_t* offsets, const uint32_t* adjacency,
   _mm256_zeroupper();
 }
 
-void EdgeGradientChunkAvx2(const uint32_t* offsets,
-                           const uint32_t* adjacency, size_t begin,
-                           size_t end, const uint32_t* positions,
-                           uint32_t mask, uint32_t shift,
-                           const double* grad4_padded, double out[4]) {
-  const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
-  const __m128i vshift = _mm_cvtsi32_si128(static_cast<int>(shift));
-  alignas(32) uint32_t idx[8];
-  // Lane l of acc accumulates component l (a, b, c, unused) in exactly
-  // the scalar per-component edge order — lane-wise adds do not mix
-  // lanes, so each component's chain matches its scalar chain.
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t u = begin; u < end; ++u) {
-    // Lists are strictly sorted, so the v > u half-edges are a suffix —
-    // but finding it by binary search costs more than it saves at SKG
-    // degrees. Walk the whole row instead: a lane compare marks the
-    // v > u lanes, all-≤ prefix blocks short-circuit before the
-    // position loads, and the selected lanes are added in ascending
-    // order (the scalar edge order).
-    const uint32_t* row = adjacency + offsets[u];
-    const size_t len = offsets[u + 1] - offsets[u];
-    const uint32_t pu = positions[u];
-    const __m256i vpu = _mm256_set1_epi32(static_cast<int>(pu));
-    const __m256i vu = _mm256_set1_epi32(static_cast<int>(u));
-    size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-      const __m256i w = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(row + i));
-      // Node ids fit in 31 bits, so the signed compare is exact.
-      const unsigned keep =
-          static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(
-              _mm256_cmpgt_epi32(w, vu))));
-      if (keep == 0) continue;
-      const __m256i vpw = GatherPositions(w, positions);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(idx),
-                         DigitIndex8(vpu, vpw, vmask, vshift));
-      if (keep == 0xFFu) {
-        for (int j = 0; j < 8; ++j) {
-          acc = _mm256_add_pd(
-              acc, _mm256_load_pd(grad4_padded + size_t{idx[j]} * 4));
-        }
-      } else {
-        for (int j = 0; j < 8; ++j) {
-          if ((keep >> j) & 1u) {
-            acc = _mm256_add_pd(
-                acc, _mm256_load_pd(grad4_padded + size_t{idx[j]} * 4));
-          }
-        }
-      }
-    }
-    for (; i < len; ++i) {
-      const uint32_t w = row[i];
-      if (w <= u) continue;
-      const size_t cell = ScalarIndex(pu, positions[w], mask, shift) * 4;
-      acc = _mm256_add_pd(acc, _mm256_load_pd(grad4_padded + cell));
-    }
-  }
-  _mm256_store_pd(out, acc);
-  _mm256_zeroupper();
-}
-
 }  // namespace dpkron
 
-#else  // !__AVX2__ — unreachable stubs (dispatch never selects kAvx2).
+#else  // !__AVX2__ — unreachable stub (dispatch never selects kAvx2).
 
 namespace dpkron {
 
 void MetropolisSwapsAvx2(const uint32_t*, const uint32_t*, uint32_t,
                          PermutationState*, Rng&, uint64_t, uint32_t,
                          uint32_t, const double*) {
-  DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
-}
-
-void EdgeGradientChunkAvx2(const uint32_t*, const uint32_t*, size_t,
-                           size_t, const uint32_t*, uint32_t, uint32_t,
-                           const double*, double[4]) {
   DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
 }
 

@@ -1,18 +1,16 @@
-// AVX2 kernels for the KronFit digit-pair table likelihood (defined in
+// AVX2 kernel for the KronFit digit-pair table likelihood (defined in
 // likelihood_avx2.cc, compiled with -mavx2; reach only behind
 // Avx2Active()).
 //
-// Both kernels take the *padded* tables KronFitLikelihood builds
-// alongside its dense ones: stride 2^shift ≥ k+1 over nb, so the cell
+// The kernel takes the *padded* edge-term table KronFitLikelihood builds
+// alongside its dense one: stride 2^shift ≥ k+1 over nb, so the cell
 // index for a position pair (p, q) is
 //   (popcount(p&q&mask) << shift) | popcount((p^q)&mask)
-// — a shift+or instead of a multiply. The gradient kernel vectorizes
-// the index computation (nibble-LUT popcounts over 8 pairs at a time);
-// the table values themselves are accumulated with exactly the scalar
-// path's add order, which is what makes the results bit-identical
-// (doubles are not reassociated — the digit counting is integer work).
-// The other likelihood entry points (LogLikelihood, once per fit, and
-// SwapDelta, which only the scalar swap loop calls) have no AVX2 twin.
+// — a shift+or instead of a multiply. The other likelihood entry points
+// (LogLikelihood, EdgeGradient and SwapDelta) have no AVX2 twin:
+// LogLikelihood runs once per fit, SwapDelta only in the scalar swap
+// loop, and a vectorized EdgeGradient measured no faster across a KronFit
+// iteration.
 
 #ifndef DPKRON_KRONFIT_LIKELIHOOD_KERNELS_H_
 #define DPKRON_KRONFIT_LIKELIHOOD_KERNELS_H_
@@ -49,17 +47,6 @@ void MetropolisSwapsAvx2(const uint32_t* offsets, const uint32_t* adjacency,
                          uint32_t n, PermutationState* sigma, Rng& rng,
                          uint64_t count, uint32_t mask, uint32_t shift,
                          const double* edge_term_padded);
-
-// Per-chunk gradient accumulation over rows [begin, end): out[0..2] are
-// the (a, b, c) partials, accumulated per-component in the scalar edge
-// order via one 4-lane vector accumulator over the combined grad4 table
-// (cells [g_a, g_b, g_c, edge_term], 32-byte aligned; lane 3 is
-// discarded). out must be 32-byte aligned.
-void EdgeGradientChunkAvx2(const uint32_t* offsets,
-                           const uint32_t* adjacency, size_t begin,
-                           size_t end, const uint32_t* positions,
-                           uint32_t mask, uint32_t shift,
-                           const double* grad4_padded, double out[4]);
 
 }  // namespace dpkron
 

@@ -6,8 +6,6 @@
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
-#include "src/common/simd.h"
-#include "src/common/vec_kernels.h"
 
 namespace dpkron {
 namespace {
@@ -192,24 +190,16 @@ void OrthogonalizeAgainst(const std::vector<std::vector<double>>& basis,
   Axpy(-c, basis.back(), w);
 }
 
-// Axpy and Scale are element-wise (one independent rounding per
-// element), so their AVX2 paths are bit-identical by construction. Dot,
-// OrthogonalizeAgainst and AdjacencyMatVec stay scalar on purpose: their
-// sequential chunk/row reduction order is the frozen determinism contract
-// behind the Lanczos-derived scenario outputs, and vectorizing a
-// summation means reassociating it. (Wider registers would not help the
-// reductions anyway: one chain per chunk is bound by add latency.)
+// Dot, OrthogonalizeAgainst and AdjacencyMatVec keep their sequential
+// chunk/row reduction order: it is the frozen determinism contract behind
+// the Lanczos-derived scenario outputs. Axpy and Scale are element-wise
+// (one rounding per element) and run as plain loops; explicit AVX2 twins
+// of them were measured no faster.
 void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y) {
   DPKRON_CHECK_EQ(x.size(), y->size());
-  const bool avx2 = Avx2Active();
   const double* x_data = x.data();
   double* y_data = y->data();
   ForEachVectorChunk(x.size(), kVectorGrain, [&](const ParallelChunk& chunk) {
-    if (avx2) {
-      AxpyAvx2(alpha, x_data + chunk.begin, y_data + chunk.begin,
-               chunk.end - chunk.begin);
-      return;
-    }
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       y_data[i] += alpha * x_data[i];
     }
@@ -217,13 +207,8 @@ void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y) {
 }
 
 void Scale(double alpha, std::vector<double>* x) {
-  const bool avx2 = Avx2Active();
   double* x_data = x->data();
   ForEachVectorChunk(x->size(), kVectorGrain, [&](const ParallelChunk& chunk) {
-    if (avx2) {
-      ScaleAvx2(alpha, x_data + chunk.begin, chunk.end - chunk.begin);
-      return;
-    }
     for (size_t i = chunk.begin; i < chunk.end; ++i) x_data[i] *= alpha;
   });
 }

@@ -7,12 +7,12 @@
 #include "src/graph/clustering.h"
 #include "src/graph/degree.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 #include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
 
+using testing::CommonNeighbors;
 using testing::CompleteGraph;
 using testing::CycleGraph;
 using testing::ExactFeatures;

@@ -8,16 +8,17 @@
 //
 // Gates (speedup = scalar_time / avx2_time):
 //   - triangle counting ≥ 2.0× (the per-node intersection kernel alone,
-//     on one prebuilt forward orientation; the bound was set on the
-//     count-only kernel, measured ~3× on AVX2 hardware);
-//   - edge-gradient reduction ≥ 1.05× (measured ~1.3×);
+//     on one prebuilt forward orientation; measured 1.9–2.4× on a shared
+//     4-core Xeon, so the gate fails some runs there);
 //   - Metropolis swap chain ≥ 0.9× (i.e. no regression). The swap loop
 //     is latency-bound on random position/table loads that out-of-order
 //     execution already overlaps — a long line of vectorized variants
 //     measured at or below the plain fused loop — so its AVX2 win is
 //     the per-swap abstraction cost and the exp-free accept test
-//     (~1.1×), below the 2× the other kernels clear. The gate holds
+//     (~1.1×), below the 2× the triangle kernel clears. The gate holds
 //     that the AVX2 path must never be slower than dispatch fallback.
+//
+// An AVX2 twin that stops beating its scalar loop is deleted, not gated.
 //
 // The tests skip themselves outside their operating envelope: debug
 // builds (timings meaningless under -O0/assertions), non-AVX2 CPUs
@@ -122,26 +123,6 @@ TEST(SimdPerfGate, TriangleCountingAtLeast2x) {
   EXPECT_EQ(scalar_triangles, simd_triangles);
   EXPECT_GE(speedup, 2.0) << "triangle kernel under-performing: "
                           << speedup << "x vs forced scalar";
-}
-
-TEST(SimdPerfGate, EdgeGradientFaster) {
-  DPKRON_REQUIRE_PERF_ENV();
-  const uint32_t k = 12;
-  const Graph g = PerfGraph(k);
-  const KronFitLikelihood model({0.9, 0.6, 0.2}, k);
-  const PermutationState sigma = DegreeGuidedInit(g, k);
-  Gradient3 scalar_grad{}, simd_grad{};
-  const double speedup = InterleavedSpeedup(
-      7,
-      [&] {
-        for (int i = 0; i < 8; ++i) scalar_grad = model.EdgeGradient(g, sigma);
-      },
-      [&] {
-        for (int i = 0; i < 8; ++i) simd_grad = model.EdgeGradient(g, sigma);
-      });
-  EXPECT_EQ(scalar_grad, simd_grad);
-  EXPECT_GE(speedup, 1.05) << "edge-gradient kernel under-performing: "
-                           << speedup << "x vs forced scalar";
 }
 
 TEST(SimdPerfGate, MetropolisSwapsNoRegression) {

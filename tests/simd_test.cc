@@ -1,8 +1,10 @@
 // Parity suite for the SIMD dispatch layer: every vectorized kernel must
 // be bit-identical to its scalar reference at every dispatch level and
 // thread count (the determinism contract that keeps scenario/sweep/
-// ledger outputs frozen across heterogeneous hardware). All comparisons
-// are exact (EXPECT_EQ on doubles), never approximate.
+// ledger outputs frozen across heterogeneous hardware). Kernels with a
+// single scalar body are also checked against an independent in-test
+// computation, since a level sweep there compares one path with itself.
+// All comparisons are exact (EXPECT_EQ on doubles), never approximate.
 
 #include <algorithm>
 #include <cmath>
@@ -21,7 +23,6 @@
 #include "src/graph/graph_builder.h"
 #include "src/graph/intersect_kernels.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 #include "src/kronfit/kronfit.h"
 #include "src/kronfit/likelihood.h"
 #include "src/kronfit/permutation.h"
@@ -32,16 +33,16 @@
 namespace dpkron {
 namespace {
 
+using testing::CommonNeighbors;
 using testing::PerNodeTrianglesByCommonNeighbors;
 using testing::ScopedThreads;
 
-// Levels to sweep: the forced fallbacks always, plus AVX2 when this
-// machine can actually run it. (On a non-AVX2 machine the sweep
-// degenerates to the fallback levels, which share one code path —
-// the parity assertions then hold trivially, and CI's AVX2 runners
-// provide the real coverage.)
+// Levels to sweep: forced scalar always, plus AVX2 when this machine can
+// actually run it. (On a non-AVX2 machine the sweep degenerates to the
+// scalar level — the parity assertions then hold trivially, and CI's
+// AVX2 runners provide the real coverage.)
 std::vector<SimdLevel> TestableLevels() {
-  std::vector<SimdLevel> levels{SimdLevel::kScalar, SimdLevel::kPopcnt};
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
   if (DetectedSimdLevel() >= SimdLevel::kAvx2) {
     levels.push_back(SimdLevel::kAvx2);
   }
@@ -66,9 +67,11 @@ Graph SkewedFixture() {
 }
 
 TEST(SimdDispatchTest, LevelNamesAndCapRoundTrip) {
+  // Exactly two levels: the value past kAvx2 has no name.
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kPopcnt), "popcnt");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
+  EXPECT_EQ(static_cast<int>(SimdLevel::kAvx2), 1);
+  EXPECT_STREQ(SimdLevelName(static_cast<SimdLevel>(2)), "unknown");
   EXPECT_GE(DetectedSimdLevel(), SimdLevel::kScalar);
   const SimdLevel ambient = SimdLevelCap();
   {
@@ -80,6 +83,24 @@ TEST(SimdDispatchTest, LevelNamesAndCapRoundTrip) {
   // Active never exceeds either bound.
   EXPECT_LE(ActiveSimdLevel(), DetectedSimdLevel());
   EXPECT_LE(ActiveSimdLevel(), SimdLevelCap());
+}
+
+// Σ over edges u < v of EdgeGradientTermDirect, in the scalar edge
+// order (u ascending, then its row). At k ≤ 9 the graph is one 512-node
+// chunk, so this is exactly the value EdgeGradient must return.
+Gradient3 SequentialEdgeGradient(const KronFitLikelihood& model,
+                                 const Graph& g,
+                                 const PermutationState& sigma) {
+  Gradient3 grad{0.0, 0.0, 0.0};
+  for (Graph::NodeId u = 0; u < g.NumNodes(); ++u) {
+    for (Graph::NodeId v : g.Neighbors(u)) {
+      if (v <= u) continue;
+      const Gradient3 term =
+          model.EdgeGradientTermDirect(sigma.Position(u), sigma.Position(v));
+      for (int i = 0; i < 3; ++i) grad[i] += term[i];
+    }
+  }
+  return grad;
 }
 
 TEST(SimdParityTest, LogLikelihoodAndGradientBitIdentical) {
@@ -101,6 +122,9 @@ TEST(SimdParityTest, LogLikelihoodAndGradientBitIdentical) {
         if (!ll_ref) {
           ll_ref = ll;
           grad_ref = grad;
+          if (k == 6) {
+            EXPECT_EQ(grad, SequentialEdgeGradient(model, g, sigma));
+          }
           continue;
         }
         EXPECT_EQ(*ll_ref, ll) << "k=" << k << " level="
@@ -120,36 +144,39 @@ TEST(SimdParityTest, TriangleKernelsExactAcrossLevelsAndThreads) {
       SampleSkg({0.99, 0.55, 0.35}, 10, graph_rng), SkewedFixture()};
   for (const Graph& g : graphs) {
     std::optional<std::vector<uint64_t>> per_node_ref;
-    std::optional<std::vector<uint32_t>> common_ref;
     for (SimdLevel level : TestableLevels()) {
       ScopedSimdLevelCap cap(level);
       for (const int threads : {1, 2, 8}) {
         ScopedThreads scoped(threads);
         const std::vector<uint64_t> per_node = ComputeNodeStats(g).triangles;
-        std::vector<uint32_t> common;
-        Rng pair_rng(5);
-        for (int trial = 0; trial < 100; ++trial) {
-          const auto u =
-              static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
-          const auto v =
-              static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
-          common.push_back(CommonNeighbors(g, u, v));
-        }
         if (!per_node_ref) {
           per_node_ref = per_node;
-          common_ref = common;
           continue;
         }
         EXPECT_EQ(*per_node_ref, per_node);
-        EXPECT_EQ(*common_ref, common);
       }
     }
     // Cross-check the per-node counts against the common-neighbor
-    // oracle, capped to scalar so its merge shares no code with the
-    // AVX2 intersection kernels.
-    {
-      ScopedSimdLevelCap cap(SimdLevel::kScalar);
-      EXPECT_EQ(*per_node_ref, PerNodeTrianglesByCommonNeighbors(g));
+    // oracle, whose scalar merge shares no code with the triangle
+    // kernels.
+    EXPECT_EQ(*per_node_ref, PerNodeTrianglesByCommonNeighbors(g));
+    // The AVX2 intersection on whole adjacency rows (hub against clique
+    // rows takes the galloping path) against the same oracle.
+    if (DetectedSimdLevel() >= SimdLevel::kAvx2) {
+      Rng pair_rng(5);
+      std::vector<uint32_t> out(g.NumNodes());
+      for (int trial = 0; trial < 100; ++trial) {
+        const auto u =
+            static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
+        const auto v =
+            static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
+        const auto nu = g.Neighbors(u);
+        const auto nv = g.Neighbors(v);
+        EXPECT_EQ(IntersectAvx2(nu.data(), nu.size(), nv.data(), nv.size(),
+                                out.data()),
+                  CommonNeighbors(g, u, v))
+            << "u=" << u << " v=" << v;
+      }
     }
   }
 }
@@ -179,12 +206,10 @@ TEST(SimdParityTest, IntersectionTailRemainders) {
         std::vector<uint32_t> expected;
         std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                               std::back_inserter(expected));
-        EXPECT_EQ(IntersectCountAvx2(a.data(), na, b.data(), nb),
-                  expected.size())
-            << "na=" << na << " nb=" << nb;
         std::vector<uint32_t> out(std::min(na, nb));
         const size_t matches =
             IntersectAvx2(a.data(), na, b.data(), nb, out.data());
+        EXPECT_EQ(matches, expected.size()) << "na=" << na << " nb=" << nb;
         out.resize(matches);
         EXPECT_EQ(out, expected) << "na=" << na << " nb=" << nb;
       }
@@ -201,9 +226,13 @@ TEST(SimdParityTest, IntersectionTailRemainders) {
     std::sort(needles.begin(), needles.end());
     needles.erase(std::unique(needles.begin(), needles.end()),
                   needles.end());
-    EXPECT_EQ(IntersectCountAvx2(needles.data(), needles.size(),
-                                 haystack.data(), haystack.size()),
-              needles.size());
+    std::vector<uint32_t> out(needles.size());
+    const size_t matches =
+        IntersectAvx2(needles.data(), needles.size(), haystack.data(),
+                      haystack.size(), out.data());
+    EXPECT_EQ(matches, needles.size());
+    out.resize(matches);
+    EXPECT_EQ(out, needles);
   }
 }
 
@@ -285,6 +314,12 @@ TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
       x[i] = rng.NextGaussian();
       y0[i] = rng.NextGaussian();
     }
+    // Element-wise references: one rounding per element.
+    std::vector<double> axpy_expected = y0, scale_expected = y0;
+    for (size_t i = 0; i < size; ++i) {
+      axpy_expected[i] += 0.37 * x[i];
+      scale_expected[i] *= -1.25;
+    }
     std::optional<std::vector<double>> axpy_ref, scale_ref;
     std::optional<double> dot_ref;
     for (SimdLevel level : TestableLevels()) {
@@ -300,6 +335,8 @@ TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
           axpy_ref = y;
           scale_ref = s;
           dot_ref = dot;
+          EXPECT_EQ(y, axpy_expected) << "size=" << size;
+          EXPECT_EQ(s, scale_expected) << "size=" << size;
           EXPECT_EQ(dot, ChunkOrderedDot(x, y0)) << "size=" << size;
           continue;
         }

@@ -10,13 +10,13 @@
 #include "src/common/rng.h"
 #include "src/datasets/affiliation.h"
 #include "src/graph/graph_builder.h"
-#include "src/graph/triangles.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
 
+using testing::CommonNeighbors;
 using testing::CompleteGraph;
 using testing::CycleGraph;
 using testing::EdgeList;

@@ -16,7 +16,6 @@
 #include "src/graph/graph_builder.h"
 #include "src/graph/graph_view.h"
 #include "src/graph/node_stats.h"
-#include "src/graph/triangles.h"
 
 namespace dpkron::testing {
 
@@ -53,6 +52,30 @@ inline ino_t FileInode(const std::string& path) {
 // The exact features E, H, ∆, T of `graph`, from its node stats.
 inline GraphFeatures ExactFeatures(GraphView graph) {
   return FeaturesFromNodeStats(graph.NumEdges(), ComputeNodeStats(graph));
+}
+
+// Number of common neighbors of u and v (= triangles through edge {u,v}
+// when the edge exists, but defined for any pair): a scalar merge of the
+// two sorted rows, O(deg u + deg v). It shares no code with the library's
+// triangle kernels, so it is an independent oracle for them.
+inline uint32_t CommonNeighbors(GraphView graph, Graph::NodeId u,
+                                Graph::NodeId v) {
+  const auto nu = graph.Neighbors(u);
+  const auto nv = graph.Neighbors(v);
+  uint32_t common = 0;
+  size_t i = 0, j = 0;
+  while (i < nu.size() && j < nv.size()) {
+    if (nu[i] < nv[j]) {
+      ++i;
+    } else if (nu[i] > nv[j]) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return common;
 }
 
 // t_u = Σ_{v ∈ N(u)} CommonNeighbors(u, v) / 2: each triangle through u
