@@ -11,7 +11,10 @@
 //     section.
 //   * Which OS thread executes which chunk is dynamic (work stealing via
 //     an atomic cursor), so per-*worker* state may be used only for
-//     commutative accumulation (e.g. integer counts).
+//     commutative accumulation (e.g. integer counts). Within one
+//     section, no two chunks running at the same time share a
+//     ParallelChunk::worker, and every worker is below
+//     ParallelThreadCount(), so worker-indexed scratch needs no lock.
 //   * Placement: state a chunk or worker writes in its hot loop (an Rng,
 //     a counter, a vector it pushes to) sits on its own 64-byte cache
 //     line — alignas(64) on the per-worker struct, as Rng itself is —
@@ -24,8 +27,18 @@
 //
 // Thread count: std::thread::hardware_concurrency(), overridable at
 // runtime with SetParallelThreadCount() (the binaries' --threads flag
-// and DPKRON_THREADS, see ApplyRuntimeFlags in core/cli_flags.h). Nested ParallelFor calls degrade gracefully
-// to serial execution inside a worker.
+// and DPKRON_THREADS, see ApplyRuntimeFlags in core/cli_flags.h).
+//
+// Nesting: a ParallelFor called inside a chunk is a section like any
+// other, and idle workers help it. An idle worker takes chunks only from
+// the tree of the newest *root* section (one started outside any
+// section), oldest open section of that tree first, and picks again
+// after every chunk. Concurrent callers such as dpkrond's request
+// threads keep the rule they had: the newest request's tree gets the
+// idle workers. A thread waiting for its own section to finish helps
+// only that section's descendants, never a foreign section: a foreign
+// chunk may wait on a StatCache entry that a lower frame of the same
+// thread is computing.
 
 #ifndef DPKRON_COMMON_PARALLEL_H_
 #define DPKRON_COMMON_PARALLEL_H_
@@ -47,12 +60,20 @@ int ParallelThreadCount();
 // parallel sections; tears down and respawns the pool threads.
 void SetParallelThreadCount(int threads);
 
+// True while the calling thread runs a chunk of a section other threads
+// may help: one with two or more chunks on a pool of two or more threads.
+bool InsideParallelSection();
+
 // One chunk of an index range [0, n).
 struct ParallelChunk {
   size_t begin = 0;  // first index, inclusive
   size_t end = 0;    // last index, exclusive
   size_t index = 0;  // chunk number — deterministic, 0-based
-  size_t worker = 0; // executing worker in [0, ParallelThreadCount())
+  // Executing worker in [0, ParallelThreadCount()): 0 for the thread that
+  // started the section, and a helper's pool index otherwise (an outside
+  // thread helping borrows the starter's, which the starter leaves
+  // free). Unique among the section's chunks that run at the same time.
+  size_t worker = 0;
 };
 
 // Number of chunks ParallelForChunks creates for (n, grain): the fixed

@@ -42,7 +42,10 @@
 // entry before computing, so concurrent requests for the same key wait
 // on the first computation instead of duplicating it; waiting is
 // deadlock-free because the compute-dependency graph is a shallow DAG
-// (composite entries depend only on leaf entries, which wait on nothing).
+// (composite entries depend only on leaf entries, which wait on nothing)
+// and a computing thread that joins a pool section helps only that
+// section's descendants, never a chunk that could wait on its own entry
+// (parallel.h).
 // Cross-PROCESS misses on one disk store are single-flighted with the
 // sidecar cache's advisory O_EXCL lock protocol (see DiskEntryClaim).
 //

@@ -174,9 +174,9 @@ GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,
   // end to end (sample + statistics), so each per-realization result is a
   // pure function of (θ, k, options, stream r) and the grain-1 chunk
   // decomposition depends only on `realizations` — never on the thread
-  // count. The statistics kernels inside each realization degrade to
-  // serial execution when nested in a pool worker, which by the parallel.h
-  // contract computes the same values they would in parallel.
+  // count. The statistics kernels inside each realization are nested
+  // sections that idle workers may help; by the parallel.h contract they
+  // compute the same values however many threads run them.
   std::vector<GraphStatistics> per_realization(realizations);
   ParallelForChunks(realizations, 1, [&](const ParallelChunk& chunk) {
     for (size_t r = chunk.begin; r < chunk.end; ++r) {

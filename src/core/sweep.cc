@@ -319,11 +319,11 @@ Result<SweepResult> RunSweep(const SweepSpec& spec) {
   }
 
   // -------------------------------------------------------- execution
-  // Runs fan across the shared pool, one per chunk; nested ParallelFor
-  // calls inside scenario bodies degrade to serial per the parallel.h
-  // contract. The StatCache turns the matrix's redundancy (same graph
-  // under many ε/seeds) into hits; the caller's enabled-state is
-  // restored afterwards (counters stay readable either way), so a
+  // Runs fan across the shared pool, one per chunk, and the nested
+  // ParallelFor sections inside scenario bodies are helped by idle
+  // workers (parallel.h). The StatCache turns the matrix's redundancy
+  // (same graph under many ε/seeds) into hits; the caller's enabled-state
+  // is restored afterwards (counters stay readable either way), so a
   // library caller keeps the disabled-by-default contract.
   StatCache& cache = StatCache::Instance();
   const bool cache_was_enabled = cache.enabled();
@@ -384,16 +384,36 @@ Result<SweepResult> RunSweep(const SweepSpec& spec) {
       }
     }
   };
-  if (plans.size() == 1) {
-    // A single cell gets no cross-run concurrency from the pool, and
-    // entering a parallel region would serialize the scenario's own
-    // nested ParallelFor kernels — run it directly so a 1-cell sweep is
-    // never slower than the standalone --scenario invocation.
-    execute(0);
-  } else {
-    ParallelForChunks(plans.size(), 1, [&](const ParallelChunk& chunk) {
-      for (size_t i = chunk.begin; i < chunk.end; ++i) execute(i);
-    });
+  // The plan: cells of one (scenario, dataset, seed) group differ only in
+  // ε, so they share every ε-independent StatCache entry (graph load,
+  // node stats, sensitivity profile, KronFit). The first cell this
+  // process runs in each group goes first, in one section, and computes
+  // those entries with the whole pool; the rest then run over the warm
+  // cache instead of blocking on in-flight entries. Each cell writes
+  // only runs[i], so the plan moves time, never bytes. Restored cells and
+  // other shards' cells compute nothing; they ride in the second phase.
+  const size_t num_epsilons =
+      spec.epsilons.empty() ? 1 : spec.epsilons.size();
+  std::vector<size_t> warm_up;
+  std::vector<size_t> rest;
+  std::vector<bool> group_started(plans.size() / num_epsilons, false);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const SweepRun& run = result.runs[i];
+    // Matrix order is scenario, dataset, ε, seed (ExpandMatrix).
+    const size_t group =
+        i / (num_epsilons * spec.seeds) * spec.seeds + run.seed_index;
+    const bool computes =
+        run.checkpointed_run_json.empty() &&
+        (spec.shards == 1 || i % spec.shards == spec.shard_id);
+    if (computes && !group_started[group]) {
+      group_started[group] = true;
+      warm_up.push_back(i);
+    } else {
+      rest.push_back(i);
+    }
+  }
+  for (const std::vector<size_t>* phase : {&warm_up, &rest}) {
+    ParallelFor(phase->size(), 1, [&](size_t j) { execute((*phase)[j]); });
   }
   if (checkpoint != nullptr) {
     const Status closed = checkpoint->Close();

@@ -90,9 +90,9 @@ void MetropolisChains::Advance(const KronFitLikelihood& model,
 
 Gradient3 MetropolisChains::SampleGradient(const KronFitLikelihood& model,
                                            uint64_t swaps_per_chain) {
-  // Advance and evaluate inside one parallel section: the nested
-  // EdgeGradient degrades to serial chunk order inside a worker, which
-  // matches its 1-thread evaluation bit for bit.
+  // Advance and evaluate inside one parallel section. The nested
+  // EdgeGradient is a chunk-ordered reduction, so it is bit-identical
+  // whether idle workers help it or the chain's thread runs it alone.
   std::vector<Gradient3> grads(chains_.size());
   ParallelFor(chains_.size(), 1, [&](size_t c) {
     RunSwaps(graph_, model, &chains_[c], rngs_[c], swaps_per_chain);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/core/private_estimator.h"
 #include "src/core/release.h"
@@ -34,6 +35,69 @@ namespace {
 // printed next to the measured ones; absolute agreement is expected only
 // on the Synthetic-SKG row (identical construction).
 
+// One dataset's row, computed apart from the ScenarioOutput so the rows
+// can run concurrently; RunTable1 emits them in dataset order.
+struct Table1Row {
+  // The private estimator is a randomized mechanism; a single draw can be
+  // unlucky when the triangle count is noise-dominated (sparse graphs at
+  // ε = 0.2). Three independent trials run, and the table reports the
+  // one with median distance to the non-private estimate, plus the
+  // spread, so the variability is visible rather than hidden behind a
+  // seed choice. (The paper reports one draw.)
+  struct PrivateTrial {
+    Initiator2 theta;
+    double distance;
+    PrivacyBudget budget;
+  };
+  Status status;  // the first failure; trials holds those before it
+  uint32_t nodes = 0;
+  uint64_t edges = 0;
+  Initiator2 kronfit;
+  Initiator2 kronmom;
+  std::vector<PrivateTrial> trials;
+};
+
+// The Rng streams of one row, split up front in the order a row-by-row
+// loop draws them: the dataset's, KronFit's, then one per private trial.
+constexpr size_t kTable1PrivateTrials = 3;
+constexpr size_t kTable1RowStreams = 2 + kTable1PrivateTrials;
+
+Table1Row ComputeTable1Row(const DatasetInfo& info, const ScenarioParams& p,
+                           Rng* streams) {
+  Table1Row row;
+  auto loaded = LoadScenarioGraph(info.name, p, streams[0]);
+  if (!loaded.ok()) {
+    row.status = loaded.status();
+    return row;
+  }
+  // The handle owns the backing (in-RAM or mmap'd); kernels see its
+  // GraphView either way.
+  const GraphHandle graph = std::move(loaded).value();
+  row.nodes = graph.NumNodes();
+  row.edges = graph.NumEdges();
+  row.kronmom = FitKronMom(graph).theta;
+
+  KronFitOptions kf_options;
+  kf_options.iterations = p.kronfit_iterations;
+  row.kronfit = FitKronFitCached(graph, streams[1], kf_options).theta;
+
+  for (size_t t = 0; t < kTable1PrivateTrials; ++t) {
+    PrivacyBudget budget(p.epsilon, p.delta);
+    const auto fit =
+        EstimatePrivateSkg(graph, p.epsilon, p.delta, budget, streams[2 + t]);
+    if (!fit.ok()) {
+      row.status = Status(fit.status().code(),
+                          "private estimation failed on " + info.name + ": " +
+                              fit.status().ToString());
+      return row;
+    }
+    row.trials.push_back({fit.value().theta,
+                          MaxAbsDifference(fit.value().theta, row.kronmom),
+                          budget});
+  }
+  return row;
+}
+
 Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
                  ScenarioOutput& out) {
   (void)spec;
@@ -50,70 +114,61 @@ Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
                theta.c);
   };
 
+  std::vector<DatasetInfo> datasets = ScenarioDatasets(p);
+  // Smoke mode keeps the first two rows (one affiliation graph, which
+  // exercises the full route, would hide dataset-dispatch bugs).
+  if (p.smoke && datasets.size() > 2) {
+    datasets.erase(datasets.begin() + 2, datasets.end());
+  }
   Rng rng(p.seed);
-  int dataset_index = 0;
-  const std::vector<DatasetInfo> datasets = ScenarioDatasets(p);
-  for (const DatasetInfo& info : datasets) {
-    // Smoke mode keeps the first two rows (one affiliation graph, which
-    // exercises the full route, would hide dataset-dispatch bugs).
-    if (p.smoke && dataset_index >= 2) break;
-    Rng dataset_rng = rng.Split();
-    auto loaded = LoadScenarioGraph(info.name, p, dataset_rng);
-    if (!loaded.ok()) return loaded.status();
-    // The handle owns the backing (in-RAM or mmap'd); kernels see its
-    // GraphView either way.
-    const GraphHandle graph = std::move(loaded).value();
-
-    const KronMomResult kronmom = FitKronMom(graph);
-
-    KronFitOptions kf_options;
-    kf_options.iterations = p.kronfit_iterations;
-    Rng kronfit_rng = rng.Split();
-    const KronFitResult kronfit =
-        FitKronFitCached(graph, kronfit_rng, kf_options);
-
-    // The private estimator is a randomized mechanism; a single draw can
-    // be unlucky when the triangle count is noise-dominated (sparse
-    // graphs at ε = 0.2). Run three independent trials and report the
-    // one with median distance to the non-private estimate, plus the
-    // spread, so the variability is visible rather than hidden behind a
-    // seed choice. (The paper reports one draw.)
-    struct PrivateTrial {
-      Initiator2 theta;
-      double distance;
-    };
-    std::vector<PrivateTrial> trials;
-    for (int t = 0; t < 3; ++t) {
-      Rng private_rng = rng.Split();
-      PrivacyBudget budget(p.epsilon, p.delta);
-      const auto fit =
-          EstimatePrivateSkg(graph, p.epsilon, p.delta, budget, private_rng);
-      if (!fit.ok()) {
-        return Status(fit.status().code(),
-                      "private estimation failed on " + info.name + ": " +
-                          fit.status().ToString());
-      }
-      out.RecordBudget(budget, /*print=*/false);
-      out.RecordSensitivityProfile();
-      trials.push_back({fit.value().theta,
-                        MaxAbsDifference(fit.value().theta, kronmom.theta)});
+  std::vector<Rng> streams =
+      SplitRngStreams(rng, kTable1RowStreams * datasets.size());
+  std::vector<Table1Row> rows(datasets.size());
+  const auto compute_row = [&](size_t d) {
+    rows[d] = ComputeTable1Row(datasets[d], p, &streams[kTable1RowStreams * d]);
+  };
+  // Inside a sweep cell the rows fan out, and idle workers take whole
+  // rows. A dpkrond request or a standalone run computes them in order
+  // and shares only their kernels' sections: there a pool thread holding
+  // a row for milliseconds would keep other requests' short sections
+  // waiting (perfbench `serve` p50 rose ~16% with rows fanned out). In
+  // order, the first failing row is the last one computed; the emission
+  // loop below stops there either way.
+  if (InsideParallelSection()) {
+    ParallelFor(datasets.size(), 1, compute_row);
+  } else {
+    for (size_t d = 0; d < datasets.size(); ++d) {
+      compute_row(d);
+      if (!rows[d].status.ok()) break;
     }
+  }
+
+  for (size_t d = 0; d < rows.size(); ++d) {
+    const DatasetInfo& info = datasets[d];
+    Table1Row& row = rows[d];
+    for (const Table1Row::PrivateTrial& trial : row.trials) {
+      out.RecordBudget(trial.budget, /*print=*/false);
+      out.RecordSensitivityProfile();
+    }
+    if (!row.status.ok()) return row.status;
+    std::vector<Table1Row::PrivateTrial>& trials = row.trials;
     std::sort(trials.begin(), trials.end(),
-              [](const PrivateTrial& x, const PrivateTrial& y) {
+              [](const Table1Row::PrivateTrial& x,
+                 const Table1Row::PrivateTrial& y) {
                 return x.distance < y.distance;
               });
-    const PrivateTrial& median_trial = trials[1];
+    const Table1Row::PrivateTrial& median_trial = trials[1];
 
     out.Printf("\n== Table 1 row: %s (paper: %s, N=%u E=%llu) ==\n",
                info.name.c_str(), info.paper_name.c_str(), info.paper_nodes,
                static_cast<unsigned long long>(info.paper_edges));
-    out.Printf("  measured: N=%u E=%llu\n", graph.NumNodes(),
-               static_cast<unsigned long long>(graph.NumEdges()));
+    out.Printf("  measured: N=%u E=%llu\n", row.nodes,
+               static_cast<unsigned long long>(row.edges));
     // File-backed --dataset rows have no Table 1 paper column.
     const bool has_paper_row = info.generator != nullptr;
-    print_row("KronFit (measured)", kronfit.theta);
+    print_row("KronFit (measured)", row.kronfit);
     if (has_paper_row) print_row("KronFit (paper)", info.paper_kronfit);
-    print_row("KronMom (measured)", kronmom.theta);
+    print_row("KronMom (measured)", row.kronmom);
     if (has_paper_row) print_row("KronMom (paper)", info.paper_kronmom);
     print_row("Private (measured,median)", median_trial.theta);
     if (has_paper_row) print_row("Private (paper)", info.paper_private);
@@ -123,6 +178,7 @@ Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
                trials.back().distance);
 
     // Machine-readable rows: x encodes dataset index, series the cell.
+    const int dataset_index = static_cast<int>(d);
     auto emit = [&](const char* series, const Initiator2& t) {
       out.Printf("table1\t%s/%s/a\t%d\t%.6f\n", info.name.c_str(), series,
                  dataset_index, t.a);
@@ -134,10 +190,9 @@ Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
       json_rows.Add(info.name + "/" + series + "/b", dataset_index, t.b);
       json_rows.Add(info.name + "/" + series + "/c", dataset_index, t.c);
     };
-    emit("kronfit", kronfit.theta);
-    emit("kronmom", kronmom.theta);
+    emit("kronfit", row.kronfit);
+    emit("kronmom", row.kronmom);
     emit("private", median_trial.theta);
-    ++dataset_index;
   }
   return Status::Ok();
 }

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
 #include "src/core/release.h"
 #include "src/dp/smooth_sensitivity.h"
 #include "src/estimation/features.h"
@@ -100,7 +101,7 @@ TEST(ParallelForTest, ChunkDecompositionIgnoresThreadCount) {
   }
 }
 
-TEST(ParallelForTest, NestedCallsRunSerially) {
+TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
   ScopedThreadCount guard(4);
   std::atomic<uint64_t> total{0};
   ParallelFor(16, 1, [&](size_t) {
@@ -110,6 +111,195 @@ TEST(ParallelForTest, NestedCallsRunSerially) {
     });
   });
   EXPECT_EQ(total.load(), 1600u);
+}
+
+// Spins until `done()` holds or `deadline` passes; returns done().
+template <typename Done>
+bool WaitUntil(std::chrono::steady_clock::time_point deadline,
+               Done&& done) {
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return done();
+}
+
+TEST(ParallelForTest, ThreeLevelsOfNestingGiveExactTotals) {
+  for (int threads : {1, 2, 4}) {
+    ScopedThreadCount guard(threads);
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> weighted{0};
+    ParallelFor(6, 1, [&](size_t i) {
+      ParallelForChunks(70, 10, [&](const ParallelChunk& middle) {
+        ParallelFor(50, 8, [&](size_t k) {
+          for (size_t j = middle.begin; j < middle.end; ++j) {
+            count.fetch_add(1, std::memory_order_relaxed);
+            weighted.fetch_add(i * 70 * 50 + j * 50 + k,
+                               std::memory_order_relaxed);
+          }
+        });
+      });
+    });
+    // Every (i, j, k) exactly once: the weights are 0 .. 6*70*50 - 1.
+    const uint64_t n = 6 * 70 * 50;
+    EXPECT_EQ(count.load(), n) << "at " << threads << " threads";
+    EXPECT_EQ(weighted.load(), n * (n - 1) / 2) << "at " << threads
+                                                << " threads";
+  }
+}
+
+// Worker-indexed scratch is safe only if no two chunks of one section
+// run under the same worker at once. Pool threads own nested sections
+// (worker 0 there), the outside caller owns one too, and after its root
+// chunk the caller helps the pool threads' sections under a borrowed
+// index.
+TEST(ParallelForTest, ConcurrentChunksOfASectionHaveDistinctWorkers) {
+  ScopedThreadCount guard(4);
+  const size_t threads = static_cast<size_t>(ParallelThreadCount());
+  const std::thread::id outside = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<int> violations{0};
+  std::atomic<int> outside_helped{0};
+  std::atomic<size_t> pool_started{0};
+  // One busy flag per worker index, per section.
+  struct Occupancy {
+    explicit Occupancy(size_t n) : busy(n) {}
+    std::vector<std::atomic<int>> busy;
+  };
+  const auto run_as = [&](Occupancy& section, size_t worker, auto&& body) {
+    if (worker >= threads || section.busy[worker].fetch_add(1) != 0) {
+      violations.fetch_add(1);
+    }
+    body();
+    if (worker < threads) section.busy[worker].fetch_sub(1);
+  };
+  const auto nested = [&](bool wait_for_outside_help) {
+    Occupancy section(threads);
+    ParallelForChunks(64, 1, [&](const ParallelChunk& chunk) {
+      run_as(section, chunk.worker, [&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        if (!wait_for_outside_help) return;
+        // Hold pool-owned sections open until the caller helps one.
+        if (std::this_thread::get_id() == outside) {
+          outside_helped.fetch_add(1);
+        } else {
+          WaitUntil(deadline, [&] { return outside_helped.load() > 0; });
+        }
+      });
+    });
+  };
+  constexpr size_t kRootChunks = 3;
+  Occupancy root(threads);
+  ParallelForChunks(kRootChunks, 1, [&](const ParallelChunk& chunk) {
+    run_as(root, chunk.worker, [&] {
+      if (std::this_thread::get_id() != outside) {
+        pool_started.fetch_add(1);
+        nested(/*wait_for_outside_help=*/true);
+        return;
+      }
+      // The caller's own nested section, helped by the pool; the
+      // others' root chunks have started by its end.
+      nested(/*wait_for_outside_help=*/false);
+      WaitUntil(deadline,
+                [&] { return pool_started.load() == kRootChunks - 1; });
+    });
+  });
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(outside_helped.load(), 0);
+}
+
+// Table 1 fans its rows out only where this reads true, so it must hold
+// in every chunk of a shared section, nested ones included, and nowhere
+// a section runs inline.
+TEST(ParallelForTest, InsideParallelSectionOnlyInSharedSections) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ScopedThreadCount guard(threads);
+    const bool shared = threads > 1;
+    EXPECT_FALSE(InsideParallelSection());
+    std::atomic<int> inside{0};
+    std::atomic<int> nested_inside{0};
+    ParallelFor(8, 1, [&](size_t) {
+      inside.fetch_add(InsideParallelSection() ? 1 : 0);
+      ParallelFor(3, 1, [&](size_t) {
+        nested_inside.fetch_add(InsideParallelSection() ? 1 : 0);
+      });
+    });
+    EXPECT_EQ(inside.load(), shared ? 8 : 0);
+    EXPECT_EQ(nested_inside.load(), shared ? 24 : 0);
+    bool single_chunk_inside = true;
+    ParallelFor(1, 1, [&](size_t) {
+      single_chunk_inside = InsideParallelSection();
+    });
+    EXPECT_FALSE(single_chunk_inside);
+    EXPECT_FALSE(InsideParallelSection());
+  }
+}
+
+// Idle workers help a nested section: its two chunks must meet, which
+// one thread alone cannot do (each waits, bounded, for the other to
+// start).
+TEST(ParallelForTest, NestedSectionOnAnIdlePoolRunsOnSeveralThreads) {
+  ScopedThreadCount guard(4);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  ParallelFor(2, 1, [&](size_t i) {
+    if (i == 0) return;
+    ParallelFor(2, 1, [&](size_t) {
+      started.fetch_add(1);
+      if (WaitUntil(deadline, [&] { return started.load() == 2; })) {
+        met.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(met.load(), 2);
+}
+
+// Chunk 0 computes a StatCache entry through a nested section N, which
+// idle workers help. Chunk 1 then starts a section X whose chunks wait
+// on that entry. When chunk 0's thread joins N it may help only N's
+// descendants: an X chunk taken there would wait on the entry its own
+// lower frame is computing, forever.
+TEST(ParallelTest, ChunkWaitingOnAStatCacheKeyComputedNestedCompletes) {
+  ScopedThreadCount guard(4);
+  StatCache& cache = StatCache::Instance();
+  const bool was_enabled = cache.enabled();
+  cache.set_enabled(true);
+  // A fresh key per run, so a repeated run computes again.
+  static std::atomic<uint64_t> next_key{0x9a7a11e1};
+  const uint64_t key = next_key.fetch_add(1);
+  std::atomic<int> computed{0};
+  const auto entry = [&] {
+    return *cache.GetOrCompute<double>("parallel_test", key, [&] {
+      computed.fetch_add(1);
+      std::vector<double> parts(64);
+      ParallelForChunks(parts.size(), 1, [&](const ParallelChunk& chunk) {
+        // Helpers hold their chunks longer, so the owner joins N while
+        // N still runs elsewhere.
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(chunk.worker == 0 ? 100 : 1000));
+        parts[chunk.index] = static_cast<double>(chunk.index);
+      });
+      double sum = 0.0;
+      for (double part : parts) sum += part;
+      return sum;
+    });
+  };
+  std::vector<double> values(9, 0.0);
+  ParallelFor(2, 1, [&](size_t i) {
+    if (i == 0) {
+      values[0] = entry();
+      return;
+    }
+    // Start X after N, while N's helpers are still busy.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ParallelFor(8, 1, [&](size_t j) { values[1 + j] = entry(); });
+  });
+  cache.set_enabled(was_enabled);
+  EXPECT_EQ(computed.load(), 1);
+  for (double value : values) EXPECT_EQ(value, 63.0 * 64 / 2);
 }
 
 TEST(ParallelSumTest, DeterministicAcrossThreadCounts) {

@@ -12,10 +12,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/env.h"
+#include "src/common/fnv.h"
 #include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
 #include "src/datasets/preferential_attachment.h"
@@ -181,6 +183,83 @@ TEST_F(SweepTest, RunsByteIdenticalToSequentialPathAtAnyThreadCount) {
   }
   std::remove(path.c_str());
   std::remove(BinaryCachePath(path).c_str());
+}
+
+// Table 1 fans its dataset rows out over the pool, and the sweep runs
+// the first cell of each seed group before the rest. Neither may move a
+// byte or a cache counter: the document is the same at 1, 2 and 4
+// threads, on the registry datasets and on a --dataset edge list, and
+// every domain's hits and misses and a digest of the runs are the ones
+// the serial row loop and one-phase sweep produced (pinned from that
+// build).
+TEST_F(SweepTest, Table1DocumentAndCacheCountersIgnoreThreadCount) {
+  const std::string path = UniqueTempPath("sweep_table1");
+  {
+    Rng rng(99);
+    PreferentialAttachmentOptions options;
+    options.num_nodes = 150;
+    options.edges_per_node = 2;
+    ASSERT_TRUE(
+        WriteEdgeList(PreferentialAttachmentGraph(options, rng), path).ok());
+  }
+  using Counts = std::vector<std::tuple<std::string, uint64_t, uint64_t>>;
+  struct Case {
+    std::vector<std::string> datasets;
+    Counts counts;  // domain, hits, misses
+    uint64_t runs_digest;  // FNV-1a of the runs' JSON, wall time zeroed
+  };
+  const Case cases[] = {
+      {{},
+       {{"graph_load", 4, 4},
+        {"kronfit", 4, 4},
+        {"kronmom_fit", 4, 28},
+        {"node_stats", 28, 4},
+        {"triangle_profile", 20, 4}},
+       0xd6eb982799ccbd0full},
+      {{path},
+       {{"kronfit", 2, 2},
+        {"kronmom_fit", 3, 13},
+        {"node_stats", 15, 1},
+        {"triangle_profile", 11, 1}},
+       0x0b4053f057c08036ull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.datasets.empty() ? "registry" : "edge list");
+    SweepSpec sweep;
+    sweep.scenarios = {"table1_parameters"};
+    sweep.datasets = c.datasets;
+    sweep.epsilons = {0.2, 0.5};
+    sweep.seeds = 2;
+    sweep.base.smoke = true;
+    sweep.base.kronfit_iterations = 3;
+    std::string reference;
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      ScopedThreads scope(threads);
+      StatCache::Instance().Clear();
+      auto result = RunSweep(sweep);
+      ASSERT_TRUE(result.ok());
+      SweepResult& sweep_result = result.value();
+      EXPECT_EQ(sweep_result.failed_runs, 0u);
+      Counts counts;
+      for (const auto& [domain, counters] : sweep_result.cache_domains) {
+        counts.emplace_back(domain, counters.hits, counters.misses);
+      }
+      EXPECT_EQ(counts, c.counts);
+      sweep_result.elapsed_seconds = 0.0;
+      std::string runs;
+      for (SweepRun& run : sweep_result.runs) runs += RunJson(run.output);
+      // The fixture's path carries the process id.
+      for (size_t at; (at = runs.find(path)) != std::string::npos;) {
+        runs.replace(at, path.size(), "DATASET");
+      }
+      EXPECT_EQ(Fnv1a64(runs.data(), runs.size()), c.runs_digest);
+      const std::string document = SweepsJson(sweep_result, /*threads=*/0);
+      if (reference.empty()) reference = document;
+      EXPECT_EQ(document, reference);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(SweepTest, DegenerateRunFailsInReportNotBatch) {
