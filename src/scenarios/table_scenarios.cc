@@ -130,17 +130,15 @@ Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
   // Inside a sweep cell the rows fan out, and idle workers take whole
   // rows. A dpkrond request or a standalone run computes them in order
   // and shares only their kernels' sections: there a pool thread holding
-  // a row for milliseconds would keep other requests' short sections
-  // waiting (perfbench `serve` p50 rose ~16% with rows fanned out). In
-  // order, the first failing row is the last one computed; the emission
-  // loop below stops there either way.
+  // a row for milliseconds keeps other requests' short sections waiting
+  // (perfbench `serve` p50 read +12% with rows fanned out, 12
+  // interleaved pairs on a 4-core Xeon). Both schedules compute every
+  // row, also after one fails, so the work done and the StatCache
+  // counters do not depend on the thread count.
   if (InsideParallelSection()) {
     ParallelFor(datasets.size(), 1, compute_row);
   } else {
-    for (size_t d = 0; d < datasets.size(); ++d) {
-      compute_row(d);
-      if (!rows[d].status.ok()) break;
-    }
+    for (size_t d = 0; d < datasets.size(); ++d) compute_row(d);
   }
 
   for (size_t d = 0; d < rows.size(); ++d) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
 #include "src/datasets/preferential_attachment.h"
+#include "src/datasets/registry.h"
 #include "src/graph/graph_io.h"
 #include "src/scenarios/scenarios.h"
 #include "tests/test_util.h"
@@ -260,6 +262,42 @@ TEST_F(SweepTest, Table1DocumentAndCacheCountersIgnoreThreadCount) {
     }
   }
   std::remove(path.c_str());
+}
+
+// A Table 1 cell whose rows fail (ε so small that its halves round to 0
+// and the first privacy charge is empty) still computes every row, so
+// the document, cache counters included, is the same at 1, 2 and 4
+// threads, and the cell reports the first row's failure.
+TEST_F(SweepTest, FailingTable1CellIgnoresThreadCount) {
+  SweepSpec sweep;
+  sweep.scenarios = {"table1_parameters"};
+  sweep.epsilons = {std::numeric_limits<double>::denorm_min(), 0.5};
+  sweep.seeds = 2;
+  sweep.base.smoke = true;
+  sweep.base.kronfit_iterations = 3;
+  const std::string first_row = PaperDatasets().front().name;
+  std::string reference;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ScopedThreads scope(threads);
+    StatCache::Instance().Clear();
+    auto result = RunSweep(sweep);
+    ASSERT_TRUE(result.ok());
+    SweepResult& sweep_result = result.value();
+    EXPECT_EQ(sweep_result.failed_runs, 2u);
+    for (const SweepRun& run : sweep_result.runs) {
+      if (run.status.ok()) continue;
+      EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(run.status.message().find("failed on " + first_row + ":"),
+                std::string::npos)
+          << run.status.ToString();
+    }
+    sweep_result.elapsed_seconds = 0.0;
+    for (SweepRun& run : sweep_result.runs) run.output.set_elapsed_seconds(0.0);
+    const std::string document = SweepsJson(sweep_result, /*threads=*/0);
+    if (reference.empty()) reference = document;
+    EXPECT_EQ(document, reference);
+  }
 }
 
 TEST_F(SweepTest, DegenerateRunFailsInReportNotBatch) {
