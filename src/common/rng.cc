@@ -199,10 +199,6 @@ void Rng::FillLaplace(double scale, double* out, size_t n) {
   }
 }
 
-void Rng::FillBinomial(uint64_t trials, double p, uint64_t* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = NextBinomial(trials, p);
-}
-
 Rng::State Rng::SaveState() const {
   State state;
   for (int i = 0; i < 4; ++i) state.s[i] = state_[i];

@@ -70,13 +70,12 @@ class alignas(64) Rng {
   // edge counts multinomially across Kronecker quadrants.
   uint64_t NextBinomial(uint64_t n, double p);
 
-  // Block-draw APIs for batched consumers (the DP noise mechanisms):
-  // out[i] receives exactly the value the i-th sequential Next* call
-  // would have produced, and the stream advances identically — the
-  // contract that lets a batched caller stay byte-compatible with a
+  // n Laplace draws in one call (AddLaplaceNoiseVector's noise):
+  // out[i] receives exactly the value the i-th sequential NextLaplace
+  // call would have produced, and the stream advances identically — the
+  // contract that lets the batched caller stay byte-compatible with a
   // draw-at-a-time one (tests/simd_test.cc enforces it).
   void FillLaplace(double scale, double* out, size_t n);
-  void FillBinomial(uint64_t trials, double p, uint64_t* out, size_t n);
 
   // Advances the stream exactly as n NextU64() calls would, in
   // O(popcount(n)) 256×256 GF(2) matrix-vector products (xoshiro's

@@ -212,7 +212,10 @@ class StatCache {
   // the owner of an in-memory miss first tries the on-disk entry (a warm
   // process-crossing hit — decoded bytes are the exact bytes a recompute
   // would produce, the codec round-trip contract tests/disk_cache_test.cc
-  // enforces) and writes the computed value behind on a cold miss.
+  // enforces). On a cold miss it computes the value and stores the entry
+  // (DiskEntryClaim::Store: a temp file, its fsync, a rename and the
+  // directory's fsync) before it fulfils the waiters and returns, so
+  // every caller of a cold key waits for both fsyncs.
   // Without a disk tier this is exactly GetOrCompute.
   template <typename T, typename Fn, typename Encode, typename Decode>
   std::shared_ptr<const T> GetOrComputeDurable(const char* domain,

@@ -106,10 +106,8 @@ GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph,
   }
 
   if (graph.NumEdges() > 0) {
-    stats.network_value = NetworkValue(graph, rng);
-    if (stats.network_value.size() > options_.num_network_values) {
-      stats.network_value.resize(options_.num_network_values);
-    }
+    stats.network_value =
+        NetworkValue(graph, rng, options_.num_network_values);
   }
 
   for (const auto& [degree, cc] :

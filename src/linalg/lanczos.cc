@@ -96,7 +96,7 @@ std::vector<double> RitzValues(GraphView graph, uint32_t iterations,
   std::vector<double> v(n);
   for (double& value : v) value = rng.NextGaussian();
   Scale(1.0 / Norm2(v), &v);
-  basis.push_back(v);
+  basis.push_back(std::move(v));
 
   std::vector<double> alpha, beta;
   std::vector<double> w(n);

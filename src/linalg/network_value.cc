@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "src/common/macros.h"
 #include "src/linalg/spmv.h"
@@ -57,13 +58,21 @@ PowerIterationResult PrincipalEigenvector(GraphView graph, Rng& rng,
   return result;
 }
 
-std::vector<double> NetworkValue(GraphView graph, Rng& rng) {
+std::vector<double> NetworkValue(GraphView graph, Rng& rng, size_t count) {
   PowerIterationResult pi = PrincipalEigenvector(graph, rng);
   std::vector<double> values(pi.eigenvector.size());
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = std::fabs(pi.eigenvector[i]);
   }
-  std::sort(values.rbegin(), values.rend());
+  // Equal doubles are equal bits (fabs leaves no -0.0), so the top
+  // `count` of a partial sort are the first `count` of a full one.
+  if (count < values.size()) {
+    std::partial_sort(values.begin(), values.begin() + count, values.end(),
+                      std::greater<>());
+    values.resize(count);
+  } else {
+    std::sort(values.rbegin(), values.rend());
+  }
   return values;
 }
 

@@ -9,6 +9,7 @@
 #ifndef DPKRON_LINALG_NETWORK_VALUE_H_
 #define DPKRON_LINALG_NETWORK_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,9 +30,12 @@ PowerIterationResult PrincipalEigenvector(GraphView graph, Rng& rng,
                                           uint32_t max_iterations = 1000,
                                           double tolerance = 1e-10);
 
-// |components| of the principal eigenvector, sorted descending. This is
-// exactly the network-value series plotted against rank.
-std::vector<double> NetworkValue(GraphView graph, Rng& rng);
+// The `count` largest |components| of the principal eigenvector (all of
+// them by default), sorted descending. This is exactly the network-value
+// series plotted against rank; its first k entries do not depend on
+// `count` >= k.
+std::vector<double> NetworkValue(GraphView graph, Rng& rng,
+                                 size_t count = SIZE_MAX);
 
 }  // namespace dpkron
 

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -141,6 +143,36 @@ TEST(NetworkValueTest, SortedDescendingUnitNorm) {
   EXPECT_NEAR(norm_sq, 1.0, 1e-9);
   // K_n principal vector is uniform.
   for (double value : nv) EXPECT_NEAR(value, 1.0 / std::sqrt(6.0), 1e-6);
+}
+
+// The top `count` come from a partial sort. They must be the first
+// `count` of the full sort bit for bit, also where values tie: a star's
+// leaves are equal, and the isolated nodes beside a 100-node path shrink
+// to 0.0 over its 1000 power iterations.
+TEST(NetworkValueTest, TopCountIsThePrefixOfTheFullSort) {
+  testing::EdgeList path;
+  for (uint32_t u = 0; u + 1 < 100; ++u) path.emplace_back(u, u + 1);
+  std::vector<Graph> graphs;
+  graphs.push_back(StarGraph(200));
+  graphs.push_back(testing::MakeGraph(110, path));
+  for (const Graph& graph : graphs) {
+    Rng full_rng(13);
+    const std::vector<double> full = NetworkValue(graph, full_rng);
+    ASSERT_EQ(full.size(), graph.NumNodes());
+    EXPECT_GT(std::count(full.begin(), full.end(), full.back()), 5);
+    for (const size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{50},
+                               full.size() - 1, full.size(),
+                               full.size() + 5}) {
+      Rng rng(13);
+      const std::vector<double> top = NetworkValue(graph, rng, count);
+      ASSERT_EQ(top.size(), std::min(count, full.size()));
+      for (size_t i = 0; i < top.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(top[i]),
+                  std::bit_cast<uint64_t>(full[i]))
+            << "count " << count << ", rank " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -246,16 +246,6 @@ TEST(SimdParityTest, FillLaplaceMatchesSequentialDraws) {
   EXPECT_EQ(batched.StateFingerprint(), sequential.StateFingerprint());
 }
 
-TEST(SimdParityTest, FillBinomialMatchesSequentialDraws) {
-  Rng batched(321), sequential(321);
-  std::vector<uint64_t> block(129);
-  batched.FillBinomial(1000, 0.3, block.data(), block.size());
-  for (const uint64_t value : block) {
-    EXPECT_EQ(value, sequential.NextBinomial(1000, 0.3));
-  }
-  EXPECT_EQ(batched.StateFingerprint(), sequential.StateFingerprint());
-}
-
 // The vector mechanism must stay byte-compatible with the pre-batch
 // draw-and-add-per-element loop AND across dispatch levels, including
 // every tail size 0..8 (2× the 4-lane double width).
