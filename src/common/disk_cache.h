@@ -2,10 +2,10 @@
 //
 // The in-memory memo dies with the process; this layer keeps the
 // durable domains (the CacheDomains of common/stat_cache.h: node stats,
-// sensitivity profiles, fits and panels with their saved Rng::State,
-// generated graphs) on disk so repeated CLI runs, CI jobs, dpkrond
-// restarts and the shards of a multi-process sweep all warm-start from
-// the same store.
+// sensitivity profiles, fits, panels and degree releases with their
+// saved Rng::State, generated graphs) on disk so repeated CLI runs, CI
+// jobs, dpkrond restarts and the shards of a multi-process sweep all
+// warm-start from the same store.
 //
 // Layout: one file per entry under a cache root,
 //

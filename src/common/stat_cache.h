@@ -2,8 +2,8 @@
 // deterministic quantities an ε/seed sweep recomputes otherwise: per-node
 // degree and triangle counts (graph/node_stats.h), TriangleSensitivity-
 // Profiles, KronFit/KronMom fits, statistics panels, expected-statistic
-// tables and loaded graphs. A 5-ε sweep computes each of them once
-// instead of once per ε.
+// tables, loaded graphs and private degree releases. A 5-ε sweep computes
+// each of them once instead of once per ε.
 //
 // Keying. Entries live in named *domains* (one per computation kind,
 // e.g. "kronfit", "triangle_profile") and are addressed by a 64-bit

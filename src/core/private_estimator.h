@@ -10,6 +10,11 @@
 //
 // Everything after steps 2 & 5 is post-processing of private values, so
 // Θ̃ is (ε, δ)-differentially private (Corollary 4.11).
+//
+// With the StatCache on, a repeated (graph, ε, seed) estimate replays
+// steps 1–3 ("degree_release", dp/private_features.h) and reuses the
+// step-4 profile and the step-6 fit; step 5 draws afresh. The budget is
+// charged on every call, replay or not.
 
 #ifndef DPKRON_CORE_PRIVATE_ESTIMATOR_H_
 #define DPKRON_CORE_PRIVATE_ESTIMATOR_H_

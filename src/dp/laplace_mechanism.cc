@@ -3,10 +3,7 @@
 #include <cmath>
 
 namespace dpkron {
-namespace {
 
-// Shared validation, one function so the scalar and vector mechanisms
-// can never drift.
 Status ValidateLaplaceParams(double sensitivity, double epsilon) {
   if (!(sensitivity > 0.0) || !std::isfinite(sensitivity)) {
     return Status::InvalidArgument(
@@ -20,8 +17,6 @@ Status ValidateLaplaceParams(double sensitivity, double epsilon) {
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 Result<double> AddLaplaceNoise(double value, double sensitivity,
                                double epsilon, Rng& rng) {

@@ -18,6 +18,12 @@
 
 namespace dpkron {
 
+// The one parameter check of both mechanisms below: InvalidArgument
+// unless sensitivity > 0 and epsilon > 0 (both finite). Exposed so a
+// caller can reject a release before it looks one up in the StatCache
+// (private_features.cc), which never stores a failure.
+Status ValidateLaplaceParams(double sensitivity, double epsilon);
+
 // value + Lap(sensitivity/epsilon). InvalidArgument unless
 // sensitivity > 0 and epsilon > 0 (both finite).
 Result<double> AddLaplaceNoise(double value, double sensitivity,

@@ -1,9 +1,18 @@
 #include "src/dp/private_features.h"
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
 #include "src/skg/sampler.h"
 #include "tests/test_util.h"
 
@@ -117,6 +126,243 @@ TEST(ClampFeaturesTest, Pointwise) {
   EXPECT_DOUBLE_EQ(clamped.hairpins, 1.0);
   EXPECT_DOUBLE_EQ(clamped.triangles, 100.0);
   EXPECT_DOUBLE_EQ(clamped.tripins, 1.0);
+}
+
+// The degree release (steps 1–3) through the StatCache with a disk
+// tier attached: a repeated (graph, ε, seed) release replays its draws
+// and isotonic fit from memory or disk, bit-identically, and leaves the
+// caller's stream where a recompute would.
+class PrivateFeaturesStatCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = ::testing::TempDir() + "/degree_release_" +
+            std::to_string(::getpid());
+    std::filesystem::remove_all(root_);
+    StatCache::Instance().Clear();
+    StatCache::Instance().set_enabled(true);
+    ASSERT_TRUE(StatCache::Instance().AttachDiskTier(root_).ok());
+    Rng graph_rng(21);
+    graph_ = SampleSkg({0.9, 0.5, 0.2}, 9, graph_rng);
+  }
+  void TearDown() override {
+    StatCache::Instance().DetachDiskTier();
+    StatCache::Instance().set_enabled(false);
+    StatCache::Instance().Clear();
+    std::filesystem::remove_all(root_);
+  }
+
+  // degree_release counters, zero if the domain has no entry.
+  static StatCache::Counters DegreeRelease() {
+    for (const auto& [name, counters] :
+         StatCache::Instance().DomainCounters()) {
+      if (name == "degree_release") return counters;
+    }
+    return {};
+  }
+  size_t DegreeReleaseFiles() const {
+    size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(root_)) {
+      if (entry.path().filename().string().rfind("degree_release-", 0) ==
+          0) {
+        ++files;
+      }
+    }
+    return files;
+  }
+
+  std::string root_;
+  Graph graph_;
+};
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const GraphFeatures& a, const GraphFeatures& b) {
+  EXPECT_EQ(Bits(a.edges), Bits(b.edges));
+  EXPECT_EQ(Bits(a.hairpins), Bits(b.hairpins));
+  EXPECT_EQ(Bits(a.triangles), Bits(b.triangles));
+  EXPECT_EQ(Bits(a.tripins), Bits(b.tripins));
+}
+
+void ExpectSameBits(const PrivateFeaturesResult& a,
+                    const PrivateFeaturesResult& b) {
+  ExpectSameBits(a.features, b.features);
+  ExpectSameBits(a.raw, b.raw);
+  ExpectSameBits(a.exact, b.exact);
+  EXPECT_EQ(Bits(a.smooth_sensitivity), Bits(b.smooth_sensitivity));
+  EXPECT_EQ(Bits(a.beta), Bits(b.beta));
+}
+
+// A release and the caller's next draws after it. The seeded stream
+// first draws one Gaussian, so a spare is pending across the release.
+struct Release {
+  PrivateFeaturesResult result;
+  std::vector<uint64_t> next_draws;
+};
+
+Release ReleaseOnce(GraphView graph, uint64_t seed, double epsilon,
+                    double delta, const PrivateFeaturesOptions& options = {}) {
+  Rng rng(seed);
+  (void)rng.NextGaussian();
+  auto result = ComputePrivateFeatures(graph, epsilon, delta, rng, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  Release release{result.ok() ? result.value() : PrivateFeaturesResult{}, {}};
+  release.next_draws = {Bits(rng.NextGaussian()), rng.NextU64(),
+                        Bits(rng.NextGaussian())};
+  return release;
+}
+
+// The release with the StatCache off: what every tier must reproduce.
+Release UncachedRelease(GraphView graph, uint64_t seed, double epsilon,
+                        double delta,
+                        const PrivateFeaturesOptions& options = {}) {
+  StatCache::Instance().set_enabled(false);
+  Release release = ReleaseOnce(graph, seed, epsilon, delta, options);
+  StatCache::Instance().set_enabled(true);
+  return release;
+}
+
+void ExpectSameRelease(const Release& a, const Release& b) {
+  ExpectSameBits(a.result, b.result);
+  EXPECT_EQ(a.next_draws, b.next_draws);
+}
+
+TEST_F(PrivateFeaturesStatCacheTest, MissMemoryHitAndDiskHitAreBitIdentical) {
+  const Release reference = UncachedRelease(graph_, 5, 0.4, 0.01);
+
+  const Release miss = ReleaseOnce(graph_, 5, 0.4, 0.01);
+  ExpectSameRelease(miss, reference);
+  EXPECT_EQ(DegreeRelease().misses, 1u);
+  EXPECT_EQ(DegreeRelease().disk_misses, 1u);
+  EXPECT_EQ(DegreeReleaseFiles(), 1u);
+
+  const Release memory_hit = ReleaseOnce(graph_, 5, 0.4, 0.01);
+  ExpectSameRelease(memory_hit, reference);
+  EXPECT_EQ(DegreeRelease().hits, 1u);
+
+  StatCache::Instance().Clear();  // a new process: only the disk is warm
+  const Release disk_hit = ReleaseOnce(graph_, 5, 0.4, 0.01);
+  ExpectSameRelease(disk_hit, reference);
+  EXPECT_EQ(DegreeRelease().misses, 1u);
+  EXPECT_EQ(DegreeRelease().disk_hits, 1u);
+  EXPECT_EQ(DegreeRelease().disk_misses, 0u);
+}
+
+TEST_F(PrivateFeaturesStatCacheTest, SeedEpsilonAndDegreeOptionsMiss) {
+  (void)ReleaseOnce(graph_, 5, 0.4, 0.01);
+  PrivateFeaturesOptions no_postprocess;
+  no_postprocess.degrees.postprocess = false;
+  PrivateFeaturesOptions no_clamp;
+  no_clamp.degrees.clamp_to_range = false;
+  struct Variant {
+    const char* name;
+    uint64_t seed;
+    double epsilon;
+    PrivateFeaturesOptions options;
+  };
+  const Variant variants[] = {{"seed", 6, 0.4, {}},
+                              {"epsilon", 5, 0.8, {}},
+                              {"postprocess", 5, 0.4, no_postprocess},
+                              {"clamp_to_range", 5, 0.4, no_clamp}};
+  uint64_t misses = 1;
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    const Release release = ReleaseOnce(graph_, v.seed, v.epsilon, 0.01,
+                                        v.options);
+    EXPECT_EQ(DegreeRelease().misses, ++misses);
+    EXPECT_EQ(DegreeRelease().hits, 0u);
+    ExpectSameRelease(release,
+                      UncachedRelease(graph_, v.seed, v.epsilon, 0.01,
+                                      v.options));
+  }
+}
+
+// δ is spent only by the triangle release, which runs after the degree
+// draws: a release at another δ replays the same degree release and
+// still equals its own recompute.
+TEST_F(PrivateFeaturesStatCacheTest, DeltaOnlyMovesTheTriangleRelease) {
+  (void)ReleaseOnce(graph_, 5, 0.4, 0.01);
+  const Release other_delta = ReleaseOnce(graph_, 5, 0.4, 0.001);
+  EXPECT_EQ(DegreeRelease().misses, 1u);
+  EXPECT_EQ(DegreeRelease().hits, 1u);
+  ExpectSameRelease(other_delta, UncachedRelease(graph_, 5, 0.4, 0.001));
+}
+
+TEST_F(PrivateFeaturesStatCacheTest, HitChargesWhatAMissCharges) {
+  const auto charge = [&] {
+    Rng rng(5);
+    PrivacyBudget budget(1.0, 0.05);
+    EXPECT_TRUE(ComputePrivateFeatures(graph_, 0.4, 0.01, budget, rng).ok());
+    return budget;
+  };
+  const PrivacyBudget miss = charge();
+  const PrivacyBudget hit = charge();
+  ASSERT_EQ(DegreeRelease().hits, 1u);
+  EXPECT_EQ(Bits(hit.epsilon_spent()), Bits(miss.epsilon_spent()));
+  EXPECT_EQ(Bits(hit.delta_spent()), Bits(miss.delta_spent()));
+  ASSERT_EQ(hit.ledger().size(), miss.ledger().size());
+  for (size_t i = 0; i < hit.ledger().size(); ++i) {
+    EXPECT_EQ(hit.ledger()[i].label, miss.ledger()[i].label);
+    EXPECT_EQ(Bits(hit.ledger()[i].epsilon), Bits(miss.ledger()[i].epsilon));
+    EXPECT_EQ(Bits(hit.ledger()[i].delta), Bits(miss.ledger()[i].delta));
+  }
+
+  // A budget that cannot cover the release is refused on a warm key too.
+  Rng rng(5);
+  PrivacyBudget short_budget(0.2, 0.05);
+  EXPECT_EQ(ComputePrivateFeatures(graph_, 0.4, 0.01, short_budget, rng)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DegreeRelease().hits, 1u);
+}
+
+TEST_F(PrivateFeaturesStatCacheTest, ConcurrentCallsWithOneKeyComputeOnce) {
+  const Release reference = UncachedRelease(graph_, 5, 0.4, 0.01);
+  constexpr int kCallers = 4;
+  std::vector<Release> releases(kCallers);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back(
+        [&, i] { releases[i] = ReleaseOnce(graph_, 5, 0.4, 0.01); });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const Release& release : releases) {
+    ExpectSameRelease(release, reference);
+  }
+  EXPECT_EQ(DegreeRelease().misses, 1u);
+  EXPECT_EQ(DegreeRelease().hits, uint64_t{kCallers - 1});
+  EXPECT_EQ(DegreeRelease().disk_misses, 1u);
+}
+
+// A release that fails is never stored. ε = denorm_min halves to 0, so
+// the budget refuses its empty first charge; ε = ∞ passes an unbounded
+// budget and fails the Laplace check, which runs before the lookup.
+TEST_F(PrivateFeaturesStatCacheTest, FailedReleaseIsNeverMemoized) {
+  struct Case {
+    double epsilon;
+    const char* message;
+  };
+  const Case cases[] = {
+      {std::numeric_limits<double>::denorm_min(), "empty privacy charge"},
+      {std::numeric_limits<double>::infinity(), "Laplace mechanism"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.epsilon);
+    Rng rng1(5), rng2(5);
+    const auto first = ComputePrivateFeatures(graph_, c.epsilon, 0.01, rng1);
+    const auto second = ComputePrivateFeatures(graph_, c.epsilon, 0.01, rng2);
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(first.status().message().find(c.message), std::string::npos)
+        << first.status().ToString();
+    EXPECT_EQ(second.status().code(), first.status().code());
+    EXPECT_EQ(second.status().message(), first.status().message());
+  }
+  EXPECT_EQ(DegreeRelease().misses, 0u);  // never looked up
+  EXPECT_EQ(DegreeReleaseFiles(), 0u);
 }
 
 }  // namespace

@@ -172,9 +172,10 @@ TEST(StatCacheTest, ParentLayoutProfileEntryIsNeverAddressed) {
 // the entry was written: keys see inputs, not code. These digests pin
 // each deterministic domain's encoded record on one fixed input beside
 // its layout, so a change to one of these outputs fails here until the
-// domain's layout is bumped along with its digest. (kronfit and
-// kronmom_fit run through libm transcendentals, so their bits are not
-// pinned; graph_load is pinned in tests/graph_source_test.cc.)
+// domain's layout is bumped along with its digest. (kronfit,
+// kronmom_fit and degree_release run through libm transcendentals, so
+// their bits are not pinned; graph_load is pinned in
+// tests/graph_source_test.cc.)
 TEST(StatCacheTest, DomainOutputsArePinnedToTheirLayouts) {
   Rng edge_rng(7);
   testing::EdgeList edges;

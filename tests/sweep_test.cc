@@ -212,14 +212,16 @@ TEST_F(SweepTest, Table1DocumentAndCacheCountersIgnoreThreadCount) {
   };
   const Case cases[] = {
       {{},
-       {{"graph_load", 4, 4},
+       {{"degree_release", 0, 24},
+        {"graph_load", 4, 4},
         {"kronfit", 4, 4},
         {"kronmom_fit", 4, 28},
         {"node_stats", 28, 4},
         {"triangle_profile", 20, 4}},
        0xd6eb982799ccbd0full},
       {{path},
-       {{"kronfit", 2, 2},
+       {{"degree_release", 0, 12},
+        {"kronfit", 2, 2},
         {"kronmom_fit", 3, 13},
         {"node_stats", 15, 1},
         {"triangle_profile", 11, 1}},

@@ -136,14 +136,16 @@ AXES = (
     Pair("dispatch", CATALOG_NT, CATALOG_NT + ", forced scalar", ("$.simd",),
          (("$.simd.dispatch", "==", "scalar"),)),
     # The warm run's counters move to the disk tier by design; every
-    # graph, panel and fit must come from there, and nothing be missed.
+    # graph, panel, fit and private degree release must come from there,
+    # and nothing be missed.
     Pair("cache tier", "registry sweep cold", "registry sweep warm",
          ("$.cache",),
          (("$.cache.domains.graph_load.disk_hits", ">", 0),
           ("$.cache.disk_misses", "==", 0),
           ("$.cache.domains.statistics.disk_hits", ">", 0),
           ("$.cache.domains.expected.disk_hits", ">", 0),
-          ("$.cache.domains.kronfit.disk_hits", ">", 0))),
+          ("$.cache.domains.kronfit.disk_hits", ">", 0),
+          ("$.cache.domains.degree_release.disk_hits", ">", 0))),
     # Each life's healthz cache counters; the second must read the disk.
     Pair("cache tier", "dpkrond release, first life",
          "dpkrond release, second life", ("$.healthz",),
